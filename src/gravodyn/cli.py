@@ -79,6 +79,8 @@ def _chooser_series(params: ChooserParams, sampling):
     gamma = analytic.gamma_from(params.u, params.delta)
     t_final = sampling["t_final"]
     if t_final is None:
+        if gamma == 0.0:
+            raise ConfigError("t_final = auto needs u != 0", key="t_final")
         t_final = 5.0 / gamma
     times = np.linspace(0.0, t_final, sampling["n_times"])
     ham = build_chooser(params)
@@ -292,6 +294,8 @@ def _sweep_point_chooser(parameters, sampling, overrides):
     merged.pop("grid_cap", None)
     params = _chooser_params(merged)
     gamma, times, _, _, w_kproj, w_band = _chooser_series(params, sampling)
+    if gamma == 0.0:
+        raise ConfigError("the decay-rate fit window needs u != 0", key="u")
     tail = times >= times[-1] * 0.8
     plateau = float(np.mean(w_band[tail]))
     fit_window = (times >= 0.5 / gamma) & (times <= 2.5 / gamma)

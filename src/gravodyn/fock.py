@@ -10,25 +10,16 @@ bosonic amplitudes sqrt(n+1) / sqrt(n).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+
+from .errors import ModeOverflowError, SizeLimitError
 
 DEFAULT_CONFIG_CAP = 200_000
 
 MATTER = "matter"
 GRAV = "grav"
-
-
-class SizeLimitError(RuntimeError):
-    """Enumeration would exceed the configured basis-size cap."""
-
-    def __init__(self, cap, message=None):
-        self.cap = cap
-        super().__init__(message or f"configuration count exceeds cap of {cap}")
-
-
-class ModeOverflowError(Exception):
-    """Raising an occupation past n_max would leave the truncated space."""
 
 
 @dataclass(frozen=True)
@@ -96,34 +87,36 @@ def _bounded_tuples(n_modes, n_max, total):
     """Yield occupation tuples in ascending lexicographic order.
 
     With ``total is None`` this is the full product ``{0..n_max}**n_modes``;
-    otherwise only tuples summing to ``total`` are produced.
+    otherwise only tuples summing to ``total`` are produced. Iterative, so
+    the number of modes is not bounded by the recursion limit.
     """
-    if n_modes == 0:
-        if total in (None, 0):
-            yield ()
+    if total is None:
+        yield from itertools.product(range(n_max + 1), repeat=n_modes)
+        return
+    if total > n_max * n_modes:
         return
     occ = [0] * n_modes
-
-    def rec(pos, remaining):
-        if pos == n_modes:
-            if remaining in (None, 0):
-                yield tuple(occ)
+    pos, rest = -1, total
+    while True:
+        # the smallest suffix after ``pos`` holding ``rest`` quanta packs
+        # them to the right: ..., 0, r, n_max, ..., n_max
+        width = n_modes - 1 - pos
+        full, r = divmod(rest, n_max) if n_max else (0, 0)
+        if full < width:
+            occ[pos + 1:] = [0] * (width - full - 1) + [r] + [n_max] * full
+        else:
+            occ[pos + 1:] = [n_max] * width
+        yield tuple(occ)
+        # advance the rightmost mode that can take one quantum from its suffix
+        rest = 0
+        for pos in range(n_modes - 1, -1, -1):
+            if rest and occ[pos] < n_max:
+                break
+            rest += occ[pos]
+        else:
             return
-        modes_left = n_modes - pos - 1
-        for n in range(n_max + 1):
-            if remaining is not None:
-                rest = remaining - n
-                if rest < 0:
-                    break
-                if rest > n_max * modes_left:
-                    continue
-                occ[pos] = n
-                yield from rec(pos + 1, rest)
-            else:
-                occ[pos] = n
-                yield from rec(pos + 1, None)
-
-    yield from rec(0, total)
+        occ[pos] += 1
+        rest -= 1
 
 
 def enumerate_configs(space):
@@ -138,7 +131,9 @@ def enumerate_configs(space):
     for m in _bounded_tuples(space.n_matter_modes, space.n_max, space.sector):
         for g in _bounded_tuples(space.n_gravonon_modes, space.n_max, space.grav_sector):
             if len(configs) >= space.config_cap:
-                raise SizeLimitError(space.config_cap)
+                raise SizeLimitError(
+                    f"configuration count exceeds cap of {space.config_cap}"
+                )
             configs.append(OccupationConfig(m, g))
     return configs
 

@@ -14,7 +14,9 @@ Three builders share one matrix representation:
 All builders produce matrices that are Hermitian entrywise exactly as
 stored: conjugate matrix elements are accumulated in lockstep, so the
 floating-point sums for H[i, j] and H[j, i] are conjugates operation by
-operation.
+operation. A matrix whose entries are all real is stored as float64, where
+exact Hermiticity is exact symmetry, so the spectral layer can stay in
+real arithmetic.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractViolationError
+from .errors import ContractViolationError, ModeOverflowError
 from .fock import (
     GRAV,
     MATTER,
@@ -32,7 +34,6 @@ from .fock import (
     apply_ladder_string,
     enumerate_configs,
     index_map,
-    ModeOverflowError,
 )
 
 # term kinds for build_generic_ci
@@ -115,10 +116,21 @@ class TelegraphParams:
         return 2 + len(self.band_1) + len(self.band_2)
 
 
+def _real_if_exact(entries):
+    """``entries`` as float64 when no imaginary part is nonzero, else complex."""
+    entries = np.asarray(entries)
+    if np.iscomplexobj(entries) and entries.imag.any():
+        return entries.astype(complex, copy=False)
+    return np.ascontiguousarray(entries.real, dtype=float)
+
+
 @dataclass
 class HamiltonianMatrix:
     """Dense Hermitian matrix with labeled basis states.
 
+    ``entries`` are stored as float64 when their imaginary part is exactly
+    zero everywhere (a real-symmetric matrix) and as complex otherwise;
+    the exact-Hermiticity check runs in that stored arithmetic.
     ``basis_labels`` identifies each basis position (a named state or an
     occupation-configuration label); ``configs`` keeps the underlying
     configurations when the basis came from a ModeSpace.
@@ -130,7 +142,7 @@ class HamiltonianMatrix:
     configs: tuple | None = None
 
     def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=complex)
+        self.entries = _real_if_exact(self.entries)
         if self.entries.shape != (self.dim, self.dim):
             raise ContractViolationError("entries shape does not match dim")
         if len(self.basis_labels) != self.dim:
@@ -138,9 +150,6 @@ class HamiltonianMatrix:
         if not np.array_equal(self.entries, self.entries.conj().T):
             raise ContractViolationError("matrix is not Hermitian entrywise")
         self.entries.flags.writeable = False
-
-    def label_index(self, label):
-        return self.basis_labels.index(label)
 
 
 def band_label(i):
@@ -157,7 +166,7 @@ def build_chooser(p: ChooserParams) -> HamiltonianMatrix:
     """
     n = p.n_band
     dim = 3 + n
-    h = np.zeros((dim, dim), dtype=complex)
+    h = np.zeros((dim, dim))
     h[0, 1] = h[1, 0] = p.v
     h[1, 2] = h[2, 1] = p.w
     h[2, 2] = p.alpha
@@ -247,6 +256,7 @@ def build_generic_ci(space: ModeSpace, terms) -> HamiltonianMatrix:
     configuration; results landing outside the truncated space (occupation
     past n_max or outside the fixed sector) are projected away, which is
     exactly the restriction of the operator to the enumerated basis.
+    The matrix is accumulated in float64 when every coefficient is real.
     """
     terms = [t if isinstance(t, CITerm) else CITerm(**t) for t in terms]
     for t in terms:
@@ -254,9 +264,12 @@ def build_generic_ci(space: ModeSpace, terms) -> HamiltonianMatrix:
     configs = enumerate_configs(space)
     idx = index_map(configs)
     dim = len(configs)
-    h = np.zeros((dim, dim), dtype=complex)
+    real = not any(complex(t.coefficient).imag for t in terms)
+    h = np.zeros((dim, dim), dtype=float if real else complex)
     for t in terms:
         coeff = complex(t.coefficient)
+        if real:
+            coeff = coeff.real
         pairs = [(t.ladder_ops(), coeff)]
         if not t.is_self_adjoint():
             conj = CITerm(t.kind, t.conjugate_indices(), coeff.conjugate())

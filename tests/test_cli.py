@@ -6,6 +6,7 @@ same way a shell invocation would hit them. The shipped example configs in
 scripts/configs/ are run here too, which keeps them from rotting.
 """
 
+import functools
 import math
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import pytest
 from gravodyn import cli
 from gravodyn.config import load_config, parse_config
 from gravodyn.errors import ConfigError
+from gravodyn.fock import ModeSpace
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
@@ -201,6 +203,31 @@ class TestCliRuns:
             "sweep_u = linspace(1e-4, 1e-3, 5)\n[sampling]\nt_final = auto\n",
         )
         assert cli.main([cfg, "--out", str(tmp_path / "run")]) == 4
+        assert list(tmp_path.glob("run*")) == []
+
+    @pytest.mark.parametrize(
+        "t_final, key", [("auto", "t_final"), ("5e4", "u")]
+    )
+    def test_chooser_sweep_with_u_zero_exits_2_without_outputs(
+        self, tmp_path, capsys, t_final, key
+    ):
+        cfg = self.write(
+            tmp_path,
+            "scenario = sweep\n[parameters]\nbase = chooser\n"
+            "v = 0\nw = 0\nn_band = 10\ndelta = 0.02\nsweep_u = 0.0, 1e-3\n"
+            f"[sampling]\nt_final = {t_final}\n",
+        )
+        assert cli.main([cfg, "--out", str(tmp_path / "run")]) == 2
+        assert f"key '{key}'" in capsys.readouterr().err
+        assert list(tmp_path.glob("run*")) == []
+
+    def test_basis_cap_exits_4_without_outputs(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "ModeSpace", functools.partial(ModeSpace, config_cap=10))
+        out = tmp_path / "run"
+        cfg = str(EXAMPLES / "telegraph_switching.cfg")
+        assert cli.main([cfg, "--out", str(out)]) == 4
+        assert "configuration count exceeds cap of 10" in capsys.readouterr().err
+        assert cli.main([cfg, "--check"]) == 4
         assert list(tmp_path.glob("run*")) == []
 
     def test_no_output_prefix_anywhere_exits_2(self, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gravodyn import errors
 from gravodyn.fock import (
     GRAV,
     MATTER,
@@ -13,6 +14,7 @@ from gravodyn.fock import (
     OccupationConfig,
     SizeLimitError,
     ModeOverflowError,
+    _bounded_tuples,
     apply_ladder,
     apply_ladder_string,
     enumerate_configs,
@@ -60,8 +62,37 @@ class TestEnumeration:
 
     def test_size_cap_names_cap(self):
         space = ModeSpace(n_matter_modes=4, n_gravonon_modes=4, n_max=3, config_cap=100)
-        with pytest.raises(SizeLimitError, match="100"):
+        with pytest.raises(errors.SizeLimitError, match="exceeds cap of 100"):
             enumerate_configs(space)
+
+    def test_exceptions_are_the_package_wide_classes(self):
+        assert SizeLimitError is errors.SizeLimitError
+        assert ModeOverflowError is errors.ModeOverflowError
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n_modes=st.integers(0, 6),
+        n_max=st.integers(0, 3),
+        total=st.none() | st.integers(0, 10),
+    )
+    def test_bounded_tuples_match_filtered_product(self, n_modes, n_max, total):
+        expected = [
+            occ for occ in itertools.product(range(n_max + 1), repeat=n_modes)
+            if total is None or sum(occ) == total
+        ]
+        assert list(_bounded_tuples(n_modes, n_max, total)) == expected
+
+    def test_more_modes_than_the_recursion_limit(self):
+        # a telegraph-sized space with a 1200-level gravonon band
+        space = ModeSpace(
+            n_matter_modes=4, n_gravonon_modes=1200, n_max=1, sector=1, grav_sector=1
+        )
+        configs = enumerate_configs(space)
+        assert len(configs) == 4 * 1200
+        assert configs[0] == OccupationConfig((0, 0, 0, 1), (0,) * 1199 + (1,))
+        assert configs[-1] == OccupationConfig((1, 0, 0, 0), (1,) + (0,) * 1199)
+        keys = [c.matter_occ + c.grav_occ for c in configs[:1300]]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
 
     def test_mixed_sectors_match_brute_force(self):
         space = ModeSpace(

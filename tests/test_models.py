@@ -126,6 +126,34 @@ class TestHamiltonianMatrix:
         with pytest.raises(ValueError):
             h.entries[0, 0] = 5.0
 
+    def test_real_parameters_store_float64(self):
+        chooser = build_chooser(
+            ChooserParams(v=0.1, w=0.2, n_band=4, delta=1.0, u=0.3, alpha=0.05)
+        )
+        p = TelegraphParams(
+            e_g1=0.11, e_g2=0.13, e_w1=0.17, e_w2=0.19,
+            v_loc_1=0.023, v_loc_2=0.029,
+            eps_grav_1=0.031, eps_grav_2=0.037,
+            band_1=(0.01, 0.02), band_2=(0.015, 0.025),
+            v_gw_1=0.041, v_gw_2=0.043,
+        )
+        telegraph = build_telegraph(p, make_space(p, sector=1, grav_sector=1))
+        for h in (chooser, telegraph):
+            assert h.entries.dtype == np.float64
+            assert np.array_equal(h.entries, h.entries.T)
+
+    def test_zero_imaginary_part_stored_real(self):
+        entries = np.array([[1.0, 2.0 + 0j], [2.0 - 0j, -1.0]])
+        h = HamiltonianMatrix(dim=2, entries=entries, basis_labels=("a", "b"))
+        assert h.entries.dtype == np.float64
+        assert np.array_equal(h.entries, entries.real)
+
+    def test_complex_hermitian_stays_complex(self):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        h = HamiltonianMatrix(dim=6, entries=a + a.conj().T, basis_labels=tuple("abcdef"))
+        assert h.entries.dtype == np.complex128
+
 
 class TestGenericCI:
     def test_single_hopping_term(self):
@@ -167,6 +195,7 @@ class TestGenericCI:
         h = build_generic_ci(space, [CITerm(KIND_MATTER, (0, 1), 0.3 + 0.4j)])
         assert np.array_equal(h.entries, h.entries.conj().T)
         assert h.entries[1, 0] == 0.3 + 0.4j
+        assert h.entries.dtype == np.complex128
 
     def test_bosonic_amplitudes(self):
         # a+_0 a_1 between |0,2> and |1,1>: amplitude sqrt(2)*sqrt(1)

@@ -51,6 +51,13 @@ def random_hermitian(dim, seed):
     return a + a.conj().T
 
 
+def random_symmetric(dim, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, dim))
+    h = a + a.T
+    return h / np.max(np.abs(np.linalg.eigvalsh(h)))  # eigenvalues in [-1, 1]
+
+
 def random_state(dim, seed):
     rng = np.random.default_rng(seed)
     psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -154,6 +161,41 @@ class TestEvolve:
         psi0 = random_state(5, seed=seed + 1)
         state = evolve(diagonalize(h), psi0, [t])[0]
         assert abs(np.linalg.norm(state) - 1.0) < 1e-10
+
+
+class TestRealPath:
+    """Real-symmetric input stays real; complex input takes the complex path."""
+
+    def test_real_input_decomposed_in_float64(self):
+        h = random_symmetric(50, seed=101)
+        for d in (diagonalize(h), diagonalize(h.astype(complex))):
+            assert d.eigenvectors.dtype == np.float64
+            assert np.max(np.abs(d.eigenvalues - np.linalg.eigvalsh(h.astype(complex)))) < 1e-13
+
+    def test_complex_input_stays_complex(self):
+        assert diagonalize(random_hermitian(6, seed=102)).eigenvectors.dtype == np.complex128
+
+    @pytest.mark.parametrize(
+        "h",
+        [
+            np.array([[0.0, 1.0], [1.0 + 1e-15, 0.0]]),  # real, not symmetric
+            np.array([[0.0, 1j], [1j, 0.0]]),  # complex symmetric, not Hermitian
+        ],
+    )
+    def test_rejects_asymmetric_in_either_arithmetic(self, h):
+        with pytest.raises(ContractViolationError, match="not Hermitian"):
+            diagonalize(h)
+
+    def test_real_evolve_matches_complex_path_and_oracle(self):
+        h = random_symmetric(50, seed=103)
+        psi0 = random_state(50, seed=104)
+        times = np.linspace(0.0, 10.0, 6)
+        real = evolve(diagonalize(h), psi0, times)
+        eigenvalues, eigenvectors = np.linalg.eigh(h.astype(complex))
+        complex_path = evolve(SpectralDecomposition(eigenvalues, eigenvectors), psi0, times)
+        assert real.dtype == np.complex128
+        assert np.max(np.abs(real - complex_path)) < 1e-12
+        assert np.max(np.abs(real - rk4_evolve(h, psi0, times))) < 1e-12
 
 
 class TestAmplitude:
