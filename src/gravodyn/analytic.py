@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,29 +40,6 @@ def self_consistent_width(u):
     """
     gamma = abs(u)
     return gamma, math.pi * gamma
-
-
-@dataclass(frozen=True)
-class ChooserAnalytics:
-    """Bundle of the closed-form parameters (gamma, delta, u, v, w, alpha)."""
-
-    gamma: float
-    delta: float
-    u: float
-    v: float = 0.0
-    w: float = 0.0
-    alpha: float = 0.0
-
-    @classmethod
-    def from_couplings(cls, u, delta, v=0.0, w=0.0, alpha=0.0):
-        """Construct with gamma = pi*u^2/delta."""
-        return cls(gamma=gamma_from(u, delta), delta=delta, u=u, v=v, w=w, alpha=alpha)
-
-    @classmethod
-    def self_consistent(cls, u, v=0.0, w=0.0, alpha=0.0):
-        """Construct under delta = pi*gamma, i.e. gamma = |u|, delta = pi|u|."""
-        gamma, delta = self_consistent_width(u)
-        return cls(gamma=gamma, delta=delta, u=u, v=v, w=w, alpha=alpha)
 
 
 def green(eps, alpha, gamma):

@@ -5,6 +5,10 @@ failing run never leaves partial files behind. Reruns of the same config
 produce bit-identical bytes (there is no randomness anywhere in the package
 and float formatting is fixed to 12 significant digits).
 
+Each scenario has one record in ``_SCENARIOS``: its run, its ``--check``
+and, for the sweep bases, the reduction of one sweep grid point. The three
+share one model builder per scenario, so they always see the same model.
+
 Exit codes: 0 success, 2 config error, 3 numerical-contract violation,
 4 resource cap exceeded.
 """
@@ -17,6 +21,7 @@ import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -61,6 +66,24 @@ def _csv(header, rows):
     return "\n".join(lines) + "\n"
 
 
+def _check_hamiltonian(ham):
+    """Check lines for a dense model: exact Hermiticity, spectrum, unitarity."""
+    if not np.array_equal(ham.entries, ham.entries.conj().T):
+        raise ContractViolationError("Hamiltonian is not exactly Hermitian")
+    dec = diagonalize(ham)  # enforces residual/orthonormality contracts
+    psi0 = np.zeros(ham.dim, dtype=complex)
+    psi0[0] = 1.0
+    states = evolve(dec, psi0, np.linspace(0.0, 1.0, 8))
+    norms = np.linalg.norm(states, axis=1)
+    if np.max(np.abs(norms - 1.0)) > 1e-10:
+        raise ContractViolationError("norm not conserved to 1e-10")
+    return [
+        "check: exact Hermiticity ok",
+        "check: spectral decomposition residuals ok",
+        "check: unitary norm conservation ok",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # chooser
 
@@ -68,23 +91,27 @@ def _csv(header, rows):
 def _chooser_params(p):
     delta = p["delta"]
     if delta is None:
-        delta = math.pi * abs(p["u"])  # self-consistent band width pi*gamma
+        _, delta = analytic.self_consistent_width(p["u"])
     return ChooserParams(
         v=p["v"], w=p["w"], n_band=p["n_band"], delta=delta, u=p["u"],
         alpha=p["alpha"],
     )
 
 
-def _chooser_series(params: ChooserParams, sampling):
+def _chooser_times(params: ChooserParams, sampling):
+    """Decay width gamma and the time grid; t_final = auto is 5/gamma."""
     gamma = analytic.gamma_from(params.u, params.delta)
     t_final = sampling["t_final"]
     if t_final is None:
         if gamma == 0.0:
             raise ConfigError("t_final = auto needs u != 0", key="t_final")
         t_final = 5.0 / gamma
-    times = np.linspace(0.0, t_final, sampling["n_times"])
+    return gamma, np.linspace(0.0, t_final, sampling["n_times"])
+
+
+def _chooser_weights(params: ChooserParams, times):
+    """Basis-state weights (rows: times) evolved from the zero state."""
     ham = build_chooser(params)
-    dec = diagonalize(ham)
     psi0 = np.zeros(ham.dim, dtype=complex)
     if params.v == 0.0 and params.w == 0.0:
         # w = 0 limit of the zero eigenvector: all weight on the projected
@@ -94,21 +121,15 @@ def _chooser_series(params: ChooserParams, sampling):
         psi0[0], psi0[1], psi0[2] = analytic.zero_state_coeffs(
             params.v, params.w
         )
-    states = evolve(dec, psi0, times)
-    weights = np.abs(states) ** 2
-    w_q0 = weights[:, 0]
-    w_r0 = weights[:, 1]
-    w_kproj = weights[:, 2]
+    return np.abs(evolve(diagonalize(ham), psi0, times)) ** 2
+
+
+def _run_chooser(p, sampling, prefix: Path):
+    params = _chooser_params(p)
+    gamma, times = _chooser_times(params, sampling)
+    weights = _chooser_weights(params, times)
     w_band = weights[:, 3:].sum(axis=1)
-    return gamma, times, w_q0, w_r0, w_kproj, w_band
-
-
-def _run_chooser(cfg: ScenarioConfig, prefix: Path):
-    params = _chooser_params(cfg.parameters)
-    gamma, times, w_q0, w_r0, w_kproj, w_band = _chooser_series(
-        params, cfg.sampling
-    )
-    rows = zip(times, w_q0, w_r0, w_kproj, w_band)
+    rows = zip(times, weights[:, 0], weights[:, 1], weights[:, 2], w_band)
     csv_text = _csv(["t", "w_Q0", "w_R0", "w_Kproj", "w_band"], rows)
 
     analytic_band = analytic.band_weight(times, params.u, params.w, gamma)
@@ -133,6 +154,29 @@ def _run_chooser(cfg: ScenarioConfig, prefix: Path):
     }
 
 
+def _check_chooser(p, sampling):
+    return _check_hamiltonian(build_chooser(_chooser_params(p)))
+
+
+def _point_chooser(p, sampling):
+    params = _chooser_params(p)
+    gamma, times = _chooser_times(params, sampling)
+    if gamma == 0.0:
+        raise ConfigError("the decay-rate fit window needs u != 0", key="u")
+    fit_window = (times >= 0.5 / gamma) & (times <= 2.5 / gamma)
+    if np.count_nonzero(fit_window) < 2:
+        raise ConfigError(
+            "the decay-rate fit needs 2 samples in [0.5/gamma, 2.5/gamma]",
+            key="n_times",
+        )
+    weights = _chooser_weights(params, times)
+    w_band = weights[:, 3:].sum(axis=1)
+    tail = times >= times[-1] * 0.8
+    plateau = float(np.mean(w_band[tail]))
+    slope, _ = np.polyfit(times[fit_window], np.log(weights[fit_window, 2]), 1)
+    return plateau, float(-slope), None
+
+
 # ---------------------------------------------------------------------------
 # telegraph
 
@@ -147,6 +191,15 @@ def telegraph_params_from(p):
     )
 
 
+def _telegraph_hamiltonian(params: TelegraphParams):
+    """The telegraph model in its one-matter, one-gravonon-quantum sector."""
+    space = ModeSpace(
+        n_matter_modes=4, n_gravonon_modes=params.n_grav_modes, n_max=1,
+        sector=1, grav_sector=1,
+    )
+    return build_telegraph(params, space)
+
+
 def telegraph_channels(params: TelegraphParams, weight_site1, times):
     """Site-resolved gravonon-band weights for the two-site superposition.
 
@@ -157,12 +210,7 @@ def telegraph_channels(params: TelegraphParams, weight_site1, times):
     """
     if not 0.0 <= weight_site1 <= 1.0:
         raise ConfigError("weight_site1 must lie in [0, 1]", key="weight_site1")
-    n_grav = 2 + len(params.band_1) + len(params.band_2)
-    space = ModeSpace(
-        n_matter_modes=4, n_gravonon_modes=n_grav, n_max=1,
-        sector=1, grav_sector=1,
-    )
-    ham = build_telegraph(params, space)
+    ham = _telegraph_hamiltonian(params)
     s1_loc, s1_band, s2_loc, s2_band = telegraph_grav_layout(params)
     w1_mode, w2_mode = 1, 3  # matter layout [g1, w1, g2, w2]
 
@@ -175,22 +223,12 @@ def telegraph_channels(params: TelegraphParams, weight_site1, times):
     psi0 = np.zeros(ham.dim, dtype=complex)
     psi0[locate(w1_mode, s1_loc)] = math.sqrt(weight_site1)
     psi0[locate(w2_mode, s2_loc)] = math.sqrt(1.0 - weight_site1)
-    group_1 = [i for i, c in enumerate(ham.configs)
-               if any(c.grav_occ[k] for k in s1_band)]
-    group_2 = [i for i, c in enumerate(ham.configs)
-               if any(c.grav_occ[k] for k in s2_band)]
-    loc_1 = [i for i, c in enumerate(ham.configs) if c.grav_occ[s1_loc] == 1]
-    loc_2 = [i for i, c in enumerate(ham.configs) if c.grav_occ[s2_loc] == 1]
-
-    dec = diagonalize(ham)
-    states = evolve(dec, psi0, times)
-    weights = np.abs(states) ** 2
-    return (
-        weights[:, group_1].sum(axis=1),
-        weights[:, group_2].sum(axis=1),
-        weights[:, loc_1].sum(axis=1),
-        weights[:, loc_2].sum(axis=1),
-    )
+    groups = [
+        [i for i, c in enumerate(ham.configs) if any(c.grav_occ[k] for k in modes)]
+        for modes in (s1_band, s2_band, [s1_loc], [s2_loc])
+    ]
+    weights = np.abs(evolve(diagonalize(ham), psi0, times)) ** 2
+    return tuple(weights[:, group].sum(axis=1) for group in groups)
 
 
 def switching_count(channel_1, channel_2):
@@ -199,42 +237,69 @@ def switching_count(channel_1, channel_2):
     return int(np.sum(sign[1:] * sign[:-1] < 0))
 
 
-def _run_telegraph(cfg: ScenarioConfig, prefix: Path):
-    params = telegraph_params_from(cfg.parameters)
-    times = np.linspace(0.0, cfg.sampling["t_final"], cfg.sampling["n_times"])
-    band_1, band_2, loc_1, loc_2 = telegraph_channels(
-        params, cfg.parameters["weight_site1"], times
-    )
-    rows = zip(times, band_1, band_2, loc_1, loc_2)
+def _run_telegraph(p, sampling, prefix: Path):
+    params = telegraph_params_from(p)
+    times = np.linspace(0.0, sampling["t_final"], sampling["n_times"])
+    channels = telegraph_channels(params, p["weight_site1"], times)
     csv_text = _csv(
-        ["t", "w_band_site1", "w_band_site2", "w_loc_site1", "w_loc_site2"], rows
+        ["t", "w_band_site1", "w_band_site2", "w_loc_site1", "w_loc_site2"],
+        zip(times, *channels),
     )
     return {_out(prefix, ".csv"): csv_text}
+
+
+def _check_telegraph(p, sampling):
+    return _check_hamiltonian(_telegraph_hamiltonian(telegraph_params_from(p)))
+
+
+def _point_telegraph(p, sampling):
+    if sampling["n_times"] < 1:
+        raise ConfigError(
+            "the plateau percentile needs at least one sample", key="n_times"
+        )
+    params = telegraph_params_from(p)
+    times = np.linspace(0.0, sampling["t_final"], sampling["n_times"])
+    band_1, band_2, _, _ = telegraph_channels(params, p["weight_site1"], times)
+    plateau = float(np.percentile(band_1, 95))
+    return plateau, None, switching_count(band_1, band_2)
 
 
 # ---------------------------------------------------------------------------
 # gravonon-modes
 
 
-def _run_gravonon_modes(cfg: ScenarioConfig, prefix: Path):
-    p = cfg.parameters
-    basis = SiteBasis(
+def _site_basis(p):
+    return SiteBasis(
         positions=tuple(p["positions"]),
         envelope_width=p["envelope_width"],
         vgrav_values=tuple(p["vgrav"]),
         theta=p["theta"], m_g=p["m_g"], v_o=p["v_o"],
     )
-    spectrum = diagonalize_modes(build_omega(basis))
+
+
+def _run_gravonon_modes(p, sampling, prefix: Path):
+    spectrum = diagonalize_modes(build_omega(_site_basis(p)))
     rows = [(i, f) for i, f in enumerate(spectrum.frequencies)]
     return {_out(prefix, ".csv"): _csv(["mode_index", "frequency"], rows)}
+
+
+def _check_gravonon_modes(p, sampling):
+    omega = build_omega(_site_basis(p))
+    if not np.array_equal(omega, omega.T):
+        raise ContractViolationError("frequency matrix is not symmetric")
+    diagonalize_modes(omega)
+    return ["check: frequency-matrix symmetry ok", "check: mode diagonalization ok"]
 
 
 # ---------------------------------------------------------------------------
 # meanfield
 
 
-def _run_meanfield(cfg: ScenarioConfig, prefix: Path):
-    p = cfg.parameters
+def _grid_state(p):
+    """Initial fields on the grid; zeta_width = auto leaves zeta at zero."""
+    for key in ("packet_width", "zeta_width"):
+        if p[key] is not None and p[key] <= 0:
+            raise ConfigError("packet width must be positive", key=key)
     x = np.linspace(p["x_min"], p["x_max"], p["n_points"])
     psi = meanfield.gaussian_packet(
         x, p["packet_center"], p["packet_width"], p["packet_momentum"]
@@ -245,15 +310,18 @@ def _run_meanfield(cfg: ScenarioConfig, prefix: Path):
         zeta = meanfield.gaussian_packet(
             x, p["zeta_center"], p["zeta_width"], p["zeta_momentum"]
         )
-    state = meanfield.GridState(
+    return meanfield.GridState(
         x_min=p["x_min"], x_max=p["x_max"], n_points=p["n_points"],
         psi=psi, zeta=zeta, m=p["m"], m_g=p["m_g"], g_newton=p["g_newton"],
         d_spatial=p["d_spatial"], v_o=p["v_o"], k=p["k"],
         softening=p["softening"],
     )
+
+
+def _run_meanfield(p, sampling, prefix: Path):
     series = meanfield.run(
-        state, cfg.sampling["dt"], cfg.sampling["n_steps"],
-        sample_every=cfg.sampling["sample_every"],
+        _grid_state(p), sampling["dt"], sampling["n_steps"],
+        sample_every=sampling["sample_every"],
     )
     names = list(series.channels)
     rows = [
@@ -263,12 +331,16 @@ def _run_meanfield(cfg: ScenarioConfig, prefix: Path):
     return {_out(prefix, ".csv"): _csv(["t"] + names, rows)}
 
 
+def _check_meanfield(p, sampling):
+    meanfield.check_stability(_grid_state(p), sampling["dt"])
+    return ["check: step-size stability bound ok"]
+
+
 # ---------------------------------------------------------------------------
 # dimensional
 
 
-def _run_dimensional(cfg: ScenarioConfig, prefix: Path):
-    p = cfg.parameters
+def _run_dimensional(p, sampling, prefix: Path):
     constants = dimensional.PhysicalConstants(G=p["g_newton"], c=p["c"])
     rows = dimensional.g11_table(constants, radii=tuple(p["radii"]))
     return {
@@ -276,160 +348,79 @@ def _run_dimensional(cfg: ScenarioConfig, prefix: Path):
     }
 
 
+def _check_dimensional(p, sampling):
+    dimensional.PhysicalConstants(G=p["g_newton"], c=p["c"])
+    return ["check: constants positive ok"]
+
+
+# ---------------------------------------------------------------------------
+# scenario table
+
+
+class _Scenario(NamedTuple):
+    run: Callable  # (parameters, sampling, prefix) -> {path: text}
+    check: Callable  # (parameters, sampling) -> check lines
+    # sweep bases: (parameters, sampling) -> (plateau, decay_rate, switching_count)
+    point: Callable | None = None
+
+
+_SCENARIOS = {
+    "chooser": _Scenario(_run_chooser, _check_chooser, _point_chooser),
+    "telegraph": _Scenario(_run_telegraph, _check_telegraph, _point_telegraph),
+    "gravonon-modes": _Scenario(_run_gravonon_modes, _check_gravonon_modes),
+    "meanfield": _Scenario(_run_meanfield, _check_meanfield),
+    "dimensional": _Scenario(_run_dimensional, _check_dimensional),
+}
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
 
-def _grid_points(axes: dict):
-    """Cartesian product of sweep axes; deterministic row order."""
-    names = sorted(axes)
-    combos = itertools.product(*(axes[name] for name in names))
-    return names, [dict(zip(names, combo)) for combo in combos]
+def _grid_points(cfg: ScenarioConfig):
+    """Axis names, and each grid point's parameters in a fixed order.
 
-
-def _sweep_point_chooser(parameters, sampling, overrides):
-    merged = dict(parameters)
-    merged.update(overrides)
-    merged.pop("base", None)
-    merged.pop("grid_cap", None)
-    params = _chooser_params(merged)
-    gamma, times, _, _, w_kproj, w_band = _chooser_series(params, sampling)
-    if gamma == 0.0:
-        raise ConfigError("the decay-rate fit window needs u != 0", key="u")
-    tail = times >= times[-1] * 0.8
-    plateau = float(np.mean(w_band[tail]))
-    fit_window = (times >= 0.5 / gamma) & (times <= 2.5 / gamma)
-    slope, _ = np.polyfit(
-        times[fit_window], np.log(w_kproj[fit_window]), 1
-    )
-    return plateau, float(-slope), None
-
-
-def _sweep_point_telegraph(parameters, sampling, overrides):
-    merged = dict(parameters)
-    merged.update(overrides)
-    merged.pop("base", None)
-    merged.pop("grid_cap", None)
-    weight = merged.pop("weight_site1")
-    params = telegraph_params_from(merged)
-    times = np.linspace(0.0, sampling["t_final"], sampling["n_times"])
-    band_1, band_2, _, _ = telegraph_channels(params, weight, times)
-    plateau = float(np.percentile(band_1, 95))
-    return plateau, None, switching_count(band_1, band_2)
+    A point's parameters are the sweep's fixed keys with that point's axis
+    values on top; the points are produced lazily.
+    """
+    names = sorted(cfg.sweep_axes)
+    combos = itertools.product(*(cfg.sweep_axes[name] for name in names))
+    return names, ({**cfg.parameters, **dict(zip(names, c))} for c in combos)
 
 
 def _run_sweep(cfg: ScenarioConfig, prefix: Path, threads: int):
-    base = cfg.parameters["base"]
-    names, points = _grid_points(cfg.sweep_axes)
+    names, points = _grid_points(cfg)
+    size = math.prod(len(cfg.sweep_axes[name]) for name in names)
     cap = cfg.parameters["grid_cap"]
-    if len(points) > cap:
+    if size > cap:
         raise SizeLimitError(
-            f"sweep grid has {len(points)} points, exceeding grid_cap={cap}"
+            f"sweep grid has {size} points, exceeding grid_cap={cap}"
         )
-    worker = (
-        _sweep_point_chooser if base == "chooser" else _sweep_point_telegraph
-    )
-
-    def run_point(overrides):
-        return worker(cfg.parameters, cfg.sampling, overrides)
-
-    if points:
-        with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-            stats = list(pool.map(run_point, points))
-    else:
-        stats = []
+    points = list(points)
+    point = _SCENARIOS[cfg.parameters["base"]].point
+    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+        stats = list(pool.map(lambda p: point(p, cfg.sampling), points))
 
     header = ["grid_index"] + names + ["plateau", "decay_rate", "switching_count"]
     rows = [
-        (i, *(point[name] for name in names), *stat)
-        for i, (point, stat) in enumerate(zip(points, stats))
+        (i, *(p[name] for name in names), *stat)
+        for i, (p, stat) in enumerate(zip(points, stats))
     ]
     return {_out(prefix, ".csv"): _csv(header, rows)}
 
 
 # ---------------------------------------------------------------------------
-# --check: invariant suite on the configured model
+# entry point
 
 
 def _check(cfg: ScenarioConfig):
-    lines = []
-    if cfg.scenario in ("chooser", "telegraph", "sweep"):
-        if cfg.scenario == "sweep":
-            # check the base model at the first grid point
-            names, points = _grid_points(cfg.sweep_axes)
-            merged = dict(cfg.parameters)
-            if points:
-                merged.update(points[0])
-            merged.pop("base", None)
-            merged.pop("grid_cap", None)
-            if cfg.parameters["base"] == "chooser":
-                ham = build_chooser(_chooser_params(merged))
-            else:
-                merged.pop("weight_site1", None)
-                params = telegraph_params_from(merged)
-                n_grav = 2 + len(params.band_1) + len(params.band_2)
-                ham = build_telegraph(
-                    params,
-                    ModeSpace(4, n_grav, 1, sector=1, grav_sector=1),
-                )
-        elif cfg.scenario == "chooser":
-            ham = build_chooser(_chooser_params(cfg.parameters))
-        else:
-            params = telegraph_params_from(cfg.parameters)
-            n_grav = 2 + len(params.band_1) + len(params.band_2)
-            ham = build_telegraph(
-                params, ModeSpace(4, n_grav, 1, sector=1, grav_sector=1)
-            )
-        if not np.array_equal(ham.entries, ham.entries.conj().T):
-            raise ContractViolationError("Hamiltonian is not exactly Hermitian")
-        lines.append("check: exact Hermiticity ok")
-        dec = diagonalize(ham)  # enforces residual/orthonormality contracts
-        lines.append("check: spectral decomposition residuals ok")
-        psi0 = np.zeros(ham.dim, dtype=complex)
-        psi0[0] = 1.0
-        times = np.linspace(0.0, 1.0, 8)
-        states = evolve(dec, psi0, times)
-        norms = np.linalg.norm(states, axis=1)
-        if np.max(np.abs(norms - 1.0)) > 1e-10:
-            raise ContractViolationError("norm not conserved to 1e-10")
-        lines.append("check: unitary norm conservation ok")
-    elif cfg.scenario == "gravonon-modes":
-        p = cfg.parameters
-        basis = SiteBasis(
-            positions=tuple(p["positions"]),
-            envelope_width=p["envelope_width"],
-            vgrav_values=tuple(p["vgrav"]),
-            theta=p["theta"], m_g=p["m_g"], v_o=p["v_o"],
-        )
-        omega = build_omega(basis)
-        if not np.array_equal(omega, omega.T):
-            raise ContractViolationError("frequency matrix is not symmetric")
-        lines.append("check: frequency-matrix symmetry ok")
-        diagonalize_modes(omega)
-        lines.append("check: mode diagonalization ok")
-    elif cfg.scenario == "meanfield":
-        p = cfg.parameters
-        x = np.linspace(p["x_min"], p["x_max"], p["n_points"])
-        psi = meanfield.gaussian_packet(
-            x, p["packet_center"], p["packet_width"], p["packet_momentum"]
-        )
-        state = meanfield.GridState(
-            x_min=p["x_min"], x_max=p["x_max"], n_points=p["n_points"],
-            psi=psi, zeta=np.zeros_like(psi), m=p["m"], m_g=p["m_g"],
-            g_newton=p["g_newton"], d_spatial=p["d_spatial"],
-            v_o=p["v_o"], k=p["k"], softening=p["softening"],
-        )
-        meanfield.check_stability(state, cfg.sampling["dt"])
-        lines.append("check: step-size stability bound ok")
-    else:  # dimensional
-        p = cfg.parameters
-        dimensional.PhysicalConstants(G=p["g_newton"], c=p["c"])
-        lines.append("check: constants positive ok")
-    return lines
-
-
-# ---------------------------------------------------------------------------
-# entry point
+    """Invariant suite on the configured model (a sweep: its first point)."""
+    if cfg.scenario == "sweep":
+        point = next(_grid_points(cfg)[1], None)
+        if point is None:
+            return ["check: sweep grid is empty, nothing to check"]
+        return _SCENARIOS[cfg.parameters["base"]].check(point, cfg.sampling)
+    return _SCENARIOS[cfg.scenario].check(cfg.parameters, cfg.sampling)
 
 
 def run_scenario(cfg: ScenarioConfig, out_prefix=None, threads=1):
@@ -440,19 +431,9 @@ def run_scenario(cfg: ScenarioConfig, out_prefix=None, threads=1):
             "no output prefix: provide [output] prefix or --out", key="prefix"
         )
     prefix = Path(prefix)
-    if cfg.scenario == "chooser":
-        return _run_chooser(cfg, prefix)
-    if cfg.scenario == "telegraph":
-        return _run_telegraph(cfg, prefix)
-    if cfg.scenario == "gravonon-modes":
-        return _run_gravonon_modes(cfg, prefix)
-    if cfg.scenario == "meanfield":
-        return _run_meanfield(cfg, prefix)
-    if cfg.scenario == "dimensional":
-        return _run_dimensional(cfg, prefix)
     if cfg.scenario == "sweep":
         return _run_sweep(cfg, prefix, threads)
-    raise ConfigError(f"unknown scenario {cfg.scenario!r}", key="scenario")
+    return _SCENARIOS[cfg.scenario].run(cfg.parameters, cfg.sampling, prefix)
 
 
 def _write_outputs(outputs):

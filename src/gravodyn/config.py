@@ -31,15 +31,6 @@ import numpy as np
 
 from .errors import ConfigError
 
-SCENARIO_NAMES = (
-    "chooser",
-    "telegraph",
-    "gravonon-modes",
-    "meanfield",
-    "dimensional",
-    "sweep",
-)
-
 SWEEP_BASES = ("chooser", "telegraph")
 
 
@@ -138,6 +129,8 @@ _SCHEMAS = {
         "sampling": {},
     },
 }
+
+SCENARIO_NAMES = (*_SCHEMAS, "sweep")
 
 _SWEEP_FIXED = {
     "base": FieldSpec("str", required=True, choices=SWEEP_BASES),
@@ -347,18 +340,12 @@ def parse_config(text) -> ScenarioConfig:
             raise ConfigError(
                 "sweep scenario needs at least one sweep_<key> axis", key="sweep_*"
             )
-
-    missing_req = None
-    if scenario == "sweep":
         # base-required keys must be either fixed or swept
         for key, spec in _SCHEMAS[parameters["base"]]["parameters"].items():
             if spec.required and key not in parameters and key not in sweep_axes:
-                missing_req = key
-                break
-    if missing_req is not None:
-        raise ConfigError(
-            "missing required key in section [parameters]", key=missing_req
-        )
+                raise ConfigError(
+                    "missing required key in section [parameters]", key=key
+                )
 
     return ScenarioConfig(
         scenario=scenario,

@@ -143,13 +143,6 @@ def index_map(configs):
     return {c: i for i, c in enumerate(configs)}
 
 
-def inner_product(c1, c2):
-    """Orthonormality of number states: 1 if identical, 0 otherwise."""
-    if len(c1.matter_occ) != len(c2.matter_occ) or len(c1.grav_occ) != len(c2.grav_occ):
-        raise ValueError("configurations live in different mode spaces")
-    return 1 if c1 == c2 else 0
-
-
 def apply_ladder(config, family, index, kind, n_max):
     """Apply a single creation/annihilation operator to a configuration.
 

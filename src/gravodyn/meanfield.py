@@ -26,7 +26,7 @@ the tridiagonal solve tolerance, so per-field norms drift only at the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -211,12 +211,10 @@ def run(s: GridState, dt, n_steps, sample_every=1) -> TimeSeries:
             channels["mean_x_psi"].append(mean)
             channels["width_psi"].append(width)
             channels["overlap_psi0"].append(abs(np.sum(np.conj(psi0) * state.psi) * dx))
-    series = TimeSeries(
+    return TimeSeries(
         times=np.array(times),
         channels={k: np.array(v) for k, v in channels.items()},
     )
-    series.metadata["final_state"] = state
-    return series
 
 
 def kinetic_hamiltonian(s: GridState, which="psi") -> np.ndarray:

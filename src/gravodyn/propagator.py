@@ -18,7 +18,7 @@ in this package, and repeated runs are bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +48,6 @@ class TimeSeries:
 
     times: np.ndarray
     channels: dict[str, np.ndarray]
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -59,9 +58,6 @@ class TimeSeries:
                     f"channel {name!r} length {values.shape} does not match time grid"
                 )
             self.channels[name] = values
-
-    def column_names(self):
-        return ["t"] + list(self.channels)
 
 
 def diagonalize(h: HamiltonianMatrix | np.ndarray) -> SpectralDecomposition:
@@ -125,42 +121,6 @@ def evolve(d: SpectralDecomposition, psi0, times) -> np.ndarray:
     # (dim, 2·times) block of interleaved real and imaginary parts, so one
     # real product applies V to both parts.
     return (vectors @ phases.view(float)).view(complex).T
-
-
-def amplitude(d: SpectralDecomposition, psi0, target_index, t) -> complex:
-    """⟨target|Ψ(t)⟩ for a single basis target, consistent with evolve."""
-    if not 0 <= target_index < d.dim:
-        raise IndexError(f"target index {target_index} out of range for dim {d.dim}")
-    psi0 = _check_normalized(psi0)
-    coeff = d.eigenvectors.conj().T @ psi0
-    return complex(d.eigenvectors[target_index, :] @ (np.exp(-1j * d.eigenvalues * t) * coeff))
-
-
-def occupation_weights(times, states, groups) -> TimeSeries:
-    """Sum |Ψ_i(t)|² over named index groups into a TimeSeries.
-
-    ``groups`` maps channel name -> iterable of basis indices.  Overlapping
-    groups are permitted but flagged in the metadata, since then the
-    channels no longer partition the total weight.
-    """
-    times = np.asarray(times, dtype=float)
-    states = np.asarray(states, dtype=complex)
-    if states.shape[0] != len(times):
-        raise ValueError("state count does not match time grid")
-    weights = np.abs(states) ** 2
-    channels = {}
-    seen = set()
-    overlapping = False
-    for name, indices in groups.items():
-        idx = list(indices)
-        if any(i in seen for i in idx):
-            overlapping = True
-        seen.update(idx)
-        if idx and not all(0 <= i < states.shape[1] for i in idx):
-            raise IndexError(f"group {name!r} indexes outside the basis")
-        channels[name] = weights[:, idx].sum(axis=1)
-    metadata = {"overlapping_groups": overlapping}
-    return TimeSeries(times=times, channels=channels, metadata=metadata)
 
 
 def total_norms(states) -> np.ndarray:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from gravodyn.analytic import (
-    ChooserAnalytics,
     band_weight,
     chooser_eigenvalues,
     finite_band_weight,
@@ -43,13 +42,6 @@ class TestGamma:
         assert delta == pytest.approx(math.pi * u, rel=1e-15)
         # fixed point: recomputing gamma from (u, delta) returns gamma
         assert gamma_from(u, delta) == pytest.approx(gamma, rel=1e-12)
-
-    def test_analytics_bundle(self):
-        a = ChooserAnalytics.self_consistent(u=2e-3, w=2e-4)
-        assert a.gamma == pytest.approx(2e-3)
-        assert a.delta == pytest.approx(math.pi * 2e-3)
-        b = ChooserAnalytics.from_couplings(u=1e-3, delta=0.02)
-        assert b.gamma == pytest.approx(math.pi * 1e-6 / 0.02)
 
 
 class TestGreen:

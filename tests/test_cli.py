@@ -41,6 +41,25 @@ t_final = auto
 """
 
 
+def sweep_text(base, values, sampling=""):
+    """A small sweep over u (chooser base) or v_gw_2 (telegraph base)."""
+    fixed, axis, t_final = {
+        "chooser": ("v = 0\nw = 0\nn_band = 10\ndelta = 0.02\n", "u", "auto"),
+        "telegraph": (
+            "e_g1 = 0\ne_g2 = 0\ne_w1 = 0\ne_w2 = 0\n"
+            "v_loc_1 = 0\nv_loc_2 = 0\neps_grav_1 = 0\neps_grav_2 = 0\n"
+            "band_1 = linspace(-1, 1, 4)\nband_2 = linspace(-0.5, 0.5, 4)\n"
+            "v_gw_1 = 0.1\n",
+            "v_gw_2",
+            "10",
+        ),
+    }[base]
+    return (
+        f"scenario = sweep\n[parameters]\nbase = {base}\n{fixed}"
+        f"sweep_{axis} = {values}\n[sampling]\nt_final = {t_final}\n{sampling}"
+    )
+
+
 class TestConfigParser:
     def test_valid_chooser_fills_defaults(self):
         cfg = parse_config(CHOOSER_TEXT)
@@ -205,6 +224,19 @@ class TestCliRuns:
         assert cli.main([cfg, "--out", str(tmp_path / "run")]) == 4
         assert list(tmp_path.glob("run*")) == []
 
+    def test_grid_cap_fires_before_the_grid_is_built(self, tmp_path, capsys):
+        # 1e10 points: the cap must be checked on the axis lengths alone
+        cfg = self.write(
+            tmp_path,
+            "scenario = sweep\n[parameters]\nbase = chooser\n"
+            "v = 0\nn_band = 10\ndelta = 0.02\n"
+            "sweep_u = linspace(1e-4, 1e-3, 100000)\n"
+            "sweep_w = linspace(0, 1e-4, 100000)\n[sampling]\nt_final = auto\n",
+        )
+        assert cli.main([cfg, "--out", str(tmp_path / "run")]) == 4
+        assert "10000000000 points" in capsys.readouterr().err
+        assert list(tmp_path.glob("run*")) == []
+
     @pytest.mark.parametrize(
         "t_final, key", [("auto", "t_final"), ("5e4", "u")]
     )
@@ -219,6 +251,19 @@ class TestCliRuns:
         )
         assert cli.main([cfg, "--out", str(tmp_path / "run")]) == 2
         assert f"key '{key}'" in capsys.readouterr().err
+        assert list(tmp_path.glob("run*")) == []
+
+    @pytest.mark.parametrize(
+        "base, n_times",
+        [("chooser", 0), ("chooser", 2), ("telegraph", 0), ("telegraph", -1)],
+    )
+    def test_sweep_time_grid_too_short_exits_2_without_outputs(
+        self, tmp_path, capsys, base, n_times
+    ):
+        values = {"chooser": "1e-3, 2e-3", "telegraph": "0.05, 0.1"}[base]
+        cfg = self.write(tmp_path, sweep_text(base, values, f"n_times = {n_times}\n"))
+        assert cli.main([cfg, "--out", str(tmp_path / "run")]) == 2
+        assert "key 'n_times'" in capsys.readouterr().err
         assert list(tmp_path.glob("run*")) == []
 
     def test_basis_cap_exits_4_without_outputs(self, tmp_path, capsys, monkeypatch):
@@ -325,12 +370,58 @@ class TestCliRuns:
             == (tmp_path / "s4.csv").read_bytes()
         )
 
-    def test_check_flag_passes_on_examples(self, tmp_path, capsys):
-        for name in ("chooser_demo.cfg", "gravonon_chain.cfg",
-                     "meanfield_free_packet.cfg", "dimensional_table.cfg"):
+    def test_check_flag_passes_on_examples(self, tmp_path, capsys, monkeypatch):
+        spectral = [
+            "check: exact Hermiticity ok",
+            "check: spectral decomposition residuals ok",
+            "check: unitary norm conservation ok",
+        ]
+        expected = {
+            "chooser_collapse.cfg": spectral,
+            "chooser_demo.cfg": spectral,
+            "dimensional_table.cfg": ["check: constants positive ok"],
+            "gravonon_chain.cfg": [
+                "check: frequency-matrix symmetry ok",
+                "check: mode diagonalization ok",
+            ],
+            "meanfield_free_packet.cfg": ["check: step-size stability bound ok"],
+            "sweep_decay.cfg": spectral,
+            "sweep_residue.cfg": spectral,
+            "telegraph_switching.cfg": spectral,
+        }
+        assert sorted(p.name for p in EXAMPLES.glob("*.cfg")) == sorted(expected)
+        monkeypatch.chdir(tmp_path)
+        for name, lines in expected.items():
             assert cli.main([str(EXAMPLES / name), "--check"]) == 0
-            assert "ok" in capsys.readouterr().out
+            assert capsys.readouterr().out.splitlines() == lines, name
         assert list(tmp_path.iterdir()) == []  # --check writes nothing
+
+    @pytest.mark.parametrize("base", ["chooser", "telegraph"])
+    def test_check_on_empty_sweep_grid(self, tmp_path, capsys, base):
+        cfg = self.write(tmp_path, sweep_text(base, ""))
+        assert cli.main([cfg, "--check"]) == 0
+        assert capsys.readouterr().out == "check: sweep grid is empty, nothing to check\n"
+        assert list(tmp_path.iterdir()) == [tmp_path / "case.cfg"]
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("packet_width", 0), ("packet_width", -1), ("zeta_width", 0), ("zeta_width", -2)],
+    )
+    def test_meanfield_nonpositive_width_exits_2(self, tmp_path, capsys, key, value):
+        widths = {"packet_width": 1, key: value}
+        cfg = self.write(
+            tmp_path,
+            "scenario = meanfield\n[parameters]\n"
+            "x_min = -10\nx_max = 10\nn_points = 128\npacket_center = 0\n"
+            + "".join(f"{k} = {v}\n" for k, v in widths.items())
+            + "[sampling]\ndt = 0.001\nn_steps = 2\n",
+        )
+        assert cli.main([cfg, "--out", str(tmp_path / "run")]) == 2
+        assert f"key '{key}'" in capsys.readouterr().err
+        # --check builds the same initial state as the run
+        assert cli.main([cfg, "--check"]) == 2
+        assert f"key '{key}'" in capsys.readouterr().err
+        assert list(tmp_path.glob("run*")) == []
 
     def test_output_section_prefix_used_when_no_flag(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

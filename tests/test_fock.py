@@ -19,7 +19,6 @@ from gravodyn.fock import (
     apply_ladder_string,
     enumerate_configs,
     index_map,
-    inner_product,
 )
 
 
@@ -131,39 +130,6 @@ class TestEnumeration:
         configs = enumerate_configs(space)
         idx = index_map(configs)
         assert all(configs[idx[c]] == c for c in configs)
-
-
-class TestInnerProduct:
-    def test_identity(self):
-        c = OccupationConfig((1, 0), (0, 2))
-        assert inner_product(c, c) == 1
-
-    def test_single_gravonon_difference(self):
-        c1 = OccupationConfig((1, 0), (0, 1))
-        c2 = OccupationConfig((1, 0), (1, 1))
-        assert inner_product(c1, c2) == 0
-
-    def test_two_matter_differences(self):
-        c1 = OccupationConfig((1, 0), ())
-        c2 = OccupationConfig((0, 1), ())
-        assert inner_product(c1, c2) == 0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            inner_product(OccupationConfig((1,), ()), OccupationConfig((1, 0), ()))
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        occ1=st.lists(st.integers(0, 3), min_size=0, max_size=4),
-        occ2=st.lists(st.integers(0, 3), min_size=0, max_size=4),
-    )
-    def test_symmetric_and_diagonal(self, occ1, occ2):
-        if len(occ1) != len(occ2):
-            occ2 = (occ2 + occ1)[: len(occ1)]
-        c1 = OccupationConfig(tuple(occ1), ())
-        c2 = OccupationConfig(tuple(occ2), ())
-        assert inner_product(c1, c2) == inner_product(c2, c1)
-        assert inner_product(c1, c2) == (1 if c1 == c2 else 0)
 
 
 class TestLadder:

@@ -12,10 +12,8 @@ from gravodyn.models import ChooserParams, build_chooser
 from gravodyn.propagator import (
     SpectralDecomposition,
     TimeSeries,
-    amplitude,
     diagonalize,
     evolve,
-    occupation_weights,
     total_norms,
 )
 
@@ -198,73 +196,7 @@ class TestRealPath:
         assert np.max(np.abs(real - rk4_evolve(h, psi0, times))) < 1e-12
 
 
-class TestAmplitude:
-    def test_initial_overlap(self):
-        h = random_hermitian(4, seed=51)
-        d = diagonalize(h)
-        psi0 = np.zeros(4, dtype=complex)
-        psi0[2] = 1.0
-        assert amplitude(d, psi0, 2, 0.0) == pytest.approx(1.0, abs=1e-12)
-
-    def test_consistent_with_evolve(self):
-        h = random_hermitian(6, seed=61)
-        d = diagonalize(h)
-        psi0 = random_state(6, seed=62)
-        t = 3.3
-        state = evolve(d, psi0, [t])[0]
-        for i in range(6):
-            assert amplitude(d, psi0, i, t) == pytest.approx(complex(state[i]), abs=1e-12)
-
-    def test_completeness(self):
-        h = random_hermitian(6, seed=71)
-        d = diagonalize(h)
-        psi0 = random_state(6, seed=72)
-        total = sum(abs(amplitude(d, psi0, i, 2.5)) ** 2 for i in range(6))
-        assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_index_out_of_range(self):
-        d = diagonalize(np.zeros((3, 3), dtype=complex))
-        with pytest.raises(IndexError):
-            amplitude(d, np.array([1.0, 0, 0]), 3, 0.0)
-
-
-class TestOccupationWeights:
-    def test_full_group_is_unity(self):
-        h = random_hermitian(5, seed=81)
-        psi0 = random_state(5, seed=82)
-        times = np.linspace(0, 10, 40)
-        states = evolve(diagonalize(h), psi0, times)
-        series = occupation_weights(times, states, {"all": range(5)})
-        assert np.max(np.abs(series.channels["all"] - 1.0)) < 1e-10
-        assert series.metadata["overlapping_groups"] is False
-
-    def test_partition_sums_to_one(self):
-        h = random_hermitian(6, seed=91)
-        psi0 = random_state(6, seed=92)
-        times = np.linspace(0, 5, 16)
-        states = evolve(diagonalize(h), psi0, times)
-        series = occupation_weights(
-            times, states, {"a": [0, 1], "b": [2, 3], "c": [4, 5]}
-        )
-        total = sum(series.channels.values())
-        assert np.max(np.abs(total - 1.0)) < 1e-10
-
-    def test_overlap_flagged(self):
-        states = np.array([[1.0, 0.0]], dtype=complex)
-        series = occupation_weights([0.0], states, {"a": [0], "b": [0, 1]})
-        assert series.metadata["overlapping_groups"] is True
-
-    def test_bad_index(self):
-        states = np.array([[1.0, 0.0]], dtype=complex)
-        with pytest.raises(IndexError):
-            occupation_weights([0.0], states, {"a": [5]})
-
-
 class TestTimeSeries:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             TimeSeries(times=np.array([0.0, 1.0]), channels={"x": np.array([1.0])})
-
-    def test_column_names(self):
-        ts = TimeSeries(times=np.array([0.0]), channels={"a": np.array([1.0])})
-        assert ts.column_names() == ["t", "a"]
