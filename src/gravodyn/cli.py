@@ -28,14 +28,16 @@ import numpy as np
 from . import analytic, dimensional, meanfield
 from .config import ScenarioConfig, load_config
 from .errors import ConfigError, ContractViolationError, SizeLimitError
-from .fock import ModeSpace
 from .gravonon import SiteBasis, build_omega, diagonalize_modes
 from .models import (
+    W1,
+    W2,
     ChooserParams,
     TelegraphParams,
     build_chooser,
     build_telegraph,
     telegraph_grav_layout,
+    telegraph_position,
 )
 from .propagator import diagonalize, evolve
 
@@ -102,9 +104,11 @@ def _chooser_times(params: ChooserParams, sampling):
     """Decay width gamma and the time grid; t_final = auto is 5/gamma."""
     gamma = analytic.gamma_from(params.u, params.delta)
     t_final = sampling["t_final"]
-    if t_final is None:
-        if gamma == 0.0:
+    if gamma == 0.0:
+        if t_final is None:
             raise ConfigError("t_final = auto needs u != 0", key="t_final")
+        raise ConfigError("the time windows in units of 1/gamma need u != 0", key="u")
+    if t_final is None:
         t_final = 5.0 / gamma
     return gamma, np.linspace(0.0, t_final, sampling["n_times"])
 
@@ -127,6 +131,13 @@ def _chooser_weights(params: ChooserParams, times):
 def _run_chooser(p, sampling, prefix: Path):
     params = _chooser_params(p)
     gamma, times = _chooser_times(params, sampling)
+    if times.size == 0 or times[-1] < 1.0 / gamma:
+        t_final = sampling["t_final"]
+        short = t_final is not None and t_final < 1.0 / gamma
+        raise ConfigError(
+            "the report's deviation window t >= 1/gamma holds no sample",
+            key="t_final" if short else "n_times",
+        )
     weights = _chooser_weights(params, times)
     w_band = weights[:, 3:].sum(axis=1)
     rows = zip(times, weights[:, 0], weights[:, 1], weights[:, 2], w_band)
@@ -161,8 +172,6 @@ def _check_chooser(p, sampling):
 def _point_chooser(p, sampling):
     params = _chooser_params(p)
     gamma, times = _chooser_times(params, sampling)
-    if gamma == 0.0:
-        raise ConfigError("the decay-rate fit window needs u != 0", key="u")
     fit_window = (times >= 0.5 / gamma) & (times <= 2.5 / gamma)
     if np.count_nonzero(fit_window) < 2:
         raise ConfigError(
@@ -170,10 +179,16 @@ def _point_chooser(p, sampling):
             key="n_times",
         )
     weights = _chooser_weights(params, times)
+    w_kproj = weights[fit_window, 2]
+    if np.any(w_kproj <= 0.0):
+        raise ContractViolationError(
+            "[key 'v'] w_Kproj <= 0 in the decay-rate fit window "
+            "[0.5/gamma, 2.5/gamma] (v = 0 starts in the uncoupled |Q0>)"
+        )
     w_band = weights[:, 3:].sum(axis=1)
     tail = times >= times[-1] * 0.8
     plateau = float(np.mean(w_band[tail]))
-    slope, _ = np.polyfit(times[fit_window], np.log(weights[fit_window, 2]), 1)
+    slope, _ = np.polyfit(times[fit_window], np.log(w_kproj), 1)
     return plateau, float(-slope), None
 
 
@@ -191,15 +206,6 @@ def telegraph_params_from(p):
     )
 
 
-def _telegraph_hamiltonian(params: TelegraphParams):
-    """The telegraph model in its one-matter, one-gravonon-quantum sector."""
-    space = ModeSpace(
-        n_matter_modes=4, n_gravonon_modes=params.n_grav_modes, n_max=1,
-        sector=1, grav_sector=1,
-    )
-    return build_telegraph(params, space)
-
-
 def telegraph_channels(params: TelegraphParams, weight_site1, times):
     """Site-resolved gravonon-band weights for the two-site superposition.
 
@@ -210,21 +216,13 @@ def telegraph_channels(params: TelegraphParams, weight_site1, times):
     """
     if not 0.0 <= weight_site1 <= 1.0:
         raise ConfigError("weight_site1 must lie in [0, 1]", key="weight_site1")
-    ham = _telegraph_hamiltonian(params)
+    ham = build_telegraph(params)
     s1_loc, s1_band, s2_loc, s2_band = telegraph_grav_layout(params)
-    w1_mode, w2_mode = 1, 3  # matter layout [g1, w1, g2, w2]
-
-    def locate(matter_idx, grav_idx):
-        for i, c in enumerate(ham.configs):
-            if c.matter_occ[matter_idx] == 1 and c.grav_occ[grav_idx] == 1:
-                return i
-        raise ContractViolationError("configuration space lacks initial state")
-
     psi0 = np.zeros(ham.dim, dtype=complex)
-    psi0[locate(w1_mode, s1_loc)] = math.sqrt(weight_site1)
-    psi0[locate(w2_mode, s2_loc)] = math.sqrt(1.0 - weight_site1)
+    psi0[telegraph_position(params, W1, s1_loc)] = math.sqrt(weight_site1)
+    psi0[telegraph_position(params, W2, s2_loc)] = math.sqrt(1.0 - weight_site1)
     groups = [
-        [i for i, c in enumerate(ham.configs) if any(c.grav_occ[k] for k in modes)]
+        sorted(telegraph_position(params, a, k) for a in range(4) for k in modes)
         for modes in (s1_band, s2_band, [s1_loc], [s2_loc])
     ]
     weights = np.abs(evolve(diagonalize(ham), psi0, times)) ** 2
@@ -249,7 +247,7 @@ def _run_telegraph(p, sampling, prefix: Path):
 
 
 def _check_telegraph(p, sampling):
-    return _check_hamiltonian(_telegraph_hamiltonian(telegraph_params_from(p)))
+    return _check_hamiltonian(build_telegraph(telegraph_params_from(p)))
 
 
 def _point_telegraph(p, sampling):

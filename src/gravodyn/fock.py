@@ -76,12 +76,6 @@ class OccupationConfig:
         occ = self.matter_occ if family == MATTER else self.grav_occ
         return occ[index]
 
-    def label(self):
-        """Compact text form, e.g. ``'10|001'`` (matter left, gravonon right)."""
-        left = "".join(str(n) for n in self.matter_occ)
-        right = "".join(str(n) for n in self.grav_occ)
-        return f"{left}|{right}"
-
 
 def _bounded_tuples(n_modes, n_max, total):
     """Yield occupation tuples in ascending lexicographic order.
@@ -136,11 +130,6 @@ def enumerate_configs(space):
                 )
             configs.append(OccupationConfig(m, g))
     return configs
-
-
-def index_map(configs):
-    """Map each configuration to its position in ``configs``."""
-    return {c: i for i, c in enumerate(configs)}
 
 
 def apply_ladder(config, family, index, kind, n_max):

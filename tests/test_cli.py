@@ -6,7 +6,6 @@ same way a shell invocation would hit them. The shipped example configs in
 scripts/configs/ are run here too, which keeps them from rotting.
 """
 
-import functools
 import math
 from pathlib import Path
 
@@ -16,7 +15,6 @@ import pytest
 from gravodyn import cli
 from gravodyn.config import load_config, parse_config
 from gravodyn.errors import ConfigError
-from gravodyn.fock import ModeSpace
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
@@ -266,13 +264,43 @@ class TestCliRuns:
         assert "key 'n_times'" in capsys.readouterr().err
         assert list(tmp_path.glob("run*")) == []
 
-    def test_basis_cap_exits_4_without_outputs(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "ModeSpace", functools.partial(ModeSpace, config_cap=10))
+    def test_basis_cap_exits_4_without_outputs(self, tmp_path, capsys):
+        # two 60 000-mode bands: 4 * 120 002 = 480 008 states > cap 200 000
+        text = (EXAMPLES / "telegraph_switching.cfg").read_text()
+        text = text.replace("linspace(-1.0, 1.0, 20)", "linspace(-1, 1, 60000)")
+        text = text.replace("linspace(-0.575, 0.575, 20)", "linspace(-1, 1, 60000)")
+        cfg = self.write(tmp_path, text)
         out = tmp_path / "run"
-        cfg = str(EXAMPLES / "telegraph_switching.cfg")
         assert cli.main([cfg, "--out", str(out)]) == 4
-        assert "configuration count exceeds cap of 10" in capsys.readouterr().err
+        assert "configuration count exceeds cap of 200000" in capsys.readouterr().err
         assert cli.main([cfg, "--check"]) == 4
+        assert "configuration count exceeds cap of 200000" in capsys.readouterr().err
+        assert list(tmp_path.glob("run*")) == []
+
+    @pytest.mark.parametrize(
+        "n_times, t_final, key",
+        [(0, "auto", "n_times"), (1, "auto", "n_times"), (64, "100", "t_final")],
+    )
+    def test_chooser_time_grid_without_report_window_exits_2(
+        self, tmp_path, capsys, n_times, t_final, key
+    ):
+        # 1/gamma = 1000 here: the report's window t >= 1/gamma gets no sample
+        text = CHOOSER_TEXT.replace(
+            "n_times = 64\nt_final = auto\n", f"n_times = {n_times}\nt_final = {t_final}\n"
+        )
+        cfg = self.write(tmp_path, text)
+        assert cli.main([cfg, "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert f"key '{key}'" in err and "1/gamma" in err
+        assert list(tmp_path.glob("run*")) == []
+
+    def test_decay_fit_from_uncoupled_source_exits_3(self, tmp_path, capsys):
+        # v = 0, w != 0: the run starts in |Q0>, which never feeds |Kproj>
+        text = sweep_text("chooser", "1e-3, 2e-3").replace("w = 0\n", "w = 1e-4\n")
+        cfg = self.write(tmp_path, text)
+        assert cli.main([cfg, "--out", str(tmp_path / "run")]) == 3
+        err = capsys.readouterr().err
+        assert "key 'v'" in err and "[0.5/gamma, 2.5/gamma]" in err
         assert list(tmp_path.glob("run*")) == []
 
     def test_no_output_prefix_anywhere_exits_2(self, tmp_path):

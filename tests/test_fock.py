@@ -18,7 +18,6 @@ from gravodyn.fock import (
     apply_ladder,
     apply_ladder_string,
     enumerate_configs,
-    index_map,
 )
 
 
@@ -124,12 +123,6 @@ class TestEnumeration:
         # strictly ordered (hence duplicate-free) on concatenated occupations
         keys = [c.matter_occ + c.grav_occ for c in configs]
         assert all(a < b for a, b in zip(keys, keys[1:]))
-
-    def test_index_map_roundtrip(self):
-        space = ModeSpace(n_matter_modes=2, n_gravonon_modes=2, n_max=1)
-        configs = enumerate_configs(space)
-        idx = index_map(configs)
-        assert all(configs[idx[c]] == c for c in configs)
 
 
 class TestLadder:
