@@ -330,7 +330,7 @@ def _run_meanfield(p, sampling, prefix: Path):
 
 
 def _check_meanfield(p, sampling):
-    meanfield.check_stability(_grid_state(p), sampling["dt"])
+    meanfield.stepper(_grid_state(p), sampling["dt"])  # checks dt and the profiles
     return ["check: step-size stability bound ok"]
 
 

@@ -42,6 +42,7 @@ class FieldSpec:
     required: bool = False
     default: object = None
     choices: tuple[str, ...] | None = None
+    minimum: int | None = None  # int kind: smallest accepted value
 
 
 _CHOOSER_PARAMS = {
@@ -73,14 +74,14 @@ _SCHEMAS = {
     "chooser": {
         "parameters": _CHOOSER_PARAMS,
         "sampling": {
-            "n_times": FieldSpec("int", default=2048),
+            "n_times": FieldSpec("int", default=2048, minimum=0),
             "t_final": FieldSpec("float_or_auto", default=None),  # auto -> 5/gamma
         },
     },
     "telegraph": {
         "parameters": _TELEGRAPH_PARAMS,
         "sampling": {
-            "n_times": FieldSpec("int", default=2048),
+            "n_times": FieldSpec("int", default=2048, minimum=0),
             "t_final": FieldSpec("float", required=True),
         },
     },
@@ -116,8 +117,8 @@ _SCHEMAS = {
         },
         "sampling": {
             "dt": FieldSpec("float", required=True),
-            "n_steps": FieldSpec("int", required=True),
-            "sample_every": FieldSpec("int", default=1),
+            "n_steps": FieldSpec("int", required=True, minimum=0),
+            "sample_every": FieldSpec("int", default=1, minimum=1),
         },
     },
     "dimensional": {
@@ -189,7 +190,12 @@ def _parse_value(spec: FieldSpec, token, line, key):
     if spec.kind == "float":
         return _parse_float(token, line, key)
     if spec.kind == "int":
-        return _parse_int(token, line, key)
+        value = _parse_int(token, line, key)
+        if spec.minimum is not None and value < spec.minimum:
+            raise ConfigError(
+                f"must be at least {spec.minimum}, got {value}", line=line, key=key
+            )
+        return value
     if spec.kind == "floats":
         return _parse_floats(token, line, key)
     if spec.kind == "float_or_auto":

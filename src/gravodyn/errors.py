@@ -5,6 +5,9 @@ class ContractViolationError(RuntimeError):
     """A numerical invariant (Hermiticity, normalization, stability bound) was violated."""
 
 
+DEFAULT_CONFIG_CAP = 200_000  # basis states one model may have
+
+
 class SizeLimitError(RuntimeError):
     """A resource cap (basis size, sweep grid size) was exceeded."""
 

@@ -14,9 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import ModeOverflowError, SizeLimitError
-
-DEFAULT_CONFIG_CAP = 200_000
+from .errors import DEFAULT_CONFIG_CAP, ModeOverflowError, SizeLimitError
 
 MATTER = "matter"
 GRAV = "grav"

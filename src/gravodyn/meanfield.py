@@ -21,6 +21,12 @@ step estimates |psi|², |zeta|² at t + dt/2, then both fields take the full
 CN step using those frozen profiles.  Each linear sub-step is unitary up to
 the tridiagonal solve tolerance, so per-field norms drift only at the
 1e-10/step level.
+
+What does not change between steps is built once per run: the gravity
+profile (rejected with key ``softening`` if it is not finite), the h00
+term, and each field's kinetic diagonal and off-diagonal. Each sub-step is
+then one LAPACK ``gtsv`` solve on bare arrays, after a finiteness check of
+its diagonal and right-hand side.
 """
 
 from __future__ import annotations
@@ -29,9 +35,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs
 
-from .errors import ContractViolationError
+from .errors import ConfigError, ContractViolationError
 from .propagator import TimeSeries
 
 
@@ -108,42 +114,95 @@ def free_spread_width(t, m, width0):
     return width0 * math.sqrt(1.0 + (t / (2.0 * m * width0 * width0)) ** 2)
 
 
+class _Kernel:
+    """Both field equations on one grid, with their static parts built once.
+
+    The gravity profiles, the h00 term and each field's kinetic constant and
+    off-diagonal do not change between steps. ``potential_psi``,
+    ``potential_zeta``, ``kinetic_hamiltonian``, ``step`` and ``run`` all
+    evaluate the equations through this one place.
+    """
+
+    def __init__(self, s: GridState):
+        with np.errstate(all="ignore"):
+            r_power = s.softened_r() ** (s.d_spatial - 2)
+            self.grav_psi = -s.g_newton / r_power
+            grav_zeta = s.g_newton / r_power
+        if not np.isfinite(grav_zeta).all():
+            raise ConfigError(
+                "the gravity profile g / r^(D-2) is not finite on the grid: "
+                "r = sqrt(x² + softening²) comes too close to 0 for this g and D",
+                key="softening",
+            )
+        self.quarter_grav = 0.25 * grav_zeta
+        self.half_m = 0.5 * s.m
+        self.v_o = s.v_o
+        self.h00_term = (
+            None if s.h00_background is None else 0.5 * s.k * s.c * s.h00_background
+        )
+        dx = s.dx
+        # H = -(1/2m) D2 + U; D2 f = (f[i-1] - 2 f[i] + f[i+1]) / dx^2
+        self.bands = {}  # field -> (2 kin, off-diagonal)
+        for field, mass in (("psi", s.m), ("zeta", s.m_g)):
+            kin = 1.0 / (2.0 * mass * dx * dx)
+            self.bands[field] = (2.0 * kin, -kin * np.ones(s.n_points - 1))
+
+    def u_psi(self, zeta_abs2):
+        return self.grav_psi * (1.0 - 0.25 * zeta_abs2) - self.half_m * zeta_abs2
+
+    def u_zeta(self, psi_abs2):
+        u = -self.half_m * psi_abs2 + self.quarter_grav * psi_abs2 + self.v_o
+        if self.h00_term is not None:
+            u = u - self.h00_term
+        return u
+
+    def substep(self, field, dt):
+        """One field's Crank–Nicolson sub-step of length dt, as ``solve(f, U)``.
+
+        Solves (1 + i dt/2 H) f_new = (1 - i dt/2 H) f_old, H = -(1/2m) D2 + U,
+        with Dirichlet boundaries (fields must be negligible at the edges) by
+        one LAPACK ``gtsv`` call. The diagonal and right-hand side are formed
+        by the same expressions, in the same order, as the banded form kept
+        in the tests, so the solution is the same to the byte.
+        """
+        two_kin, off = self.bands[field]
+        z = 0.5j * dt
+        zoff = z * off
+        if not np.isfinite(zoff).all():
+            raise ValueError("Crank–Nicolson off-diagonal is not finite")
+        gtsv, = get_lapack_funcs(("gtsv",), (zoff,))
+
+        def solve(f, u):
+            zd = z * (two_kin + u)
+            d = 1.0 + zd
+            rhs = (1.0 - zd) * f
+            rhs[:-1] -= zoff * f[1:]
+            rhs[1:] -= zoff * f[:-1]
+            if not (np.isfinite(d).all() and np.isfinite(rhs).all()):
+                raise ValueError(
+                    "Crank–Nicolson diagonal or right-hand side is not finite"
+                )
+            # gtsv leaves its LU factors in dl and du, so the shared zoff goes
+            # in as a copy; d and rhs are this call's own temporaries
+            _, _, _, x, info = gtsv(
+                zoff, d, zoff, rhs,
+                overwrite_dl=0, overwrite_d=1, overwrite_du=0, overwrite_b=1,
+            )
+            if info != 0:
+                raise np.linalg.LinAlgError(f"tridiagonal solve failed (gtsv info {info})")
+            return x
+
+        return solve
+
+
 def potential_psi(s: GridState, zeta_abs2):
     """Matter-field effective potential for a given |zeta|² profile."""
-    grav = -s.g_newton / s.softened_r() ** (s.d_spatial - 2)
-    return grav * (1.0 - 0.25 * zeta_abs2) - 0.5 * s.m * zeta_abs2
+    return _Kernel(s).u_psi(zeta_abs2)
 
 
 def potential_zeta(s: GridState, psi_abs2):
     """Distortion-field effective potential for a given |psi|² profile."""
-    grav = s.g_newton / s.softened_r() ** (s.d_spatial - 2)
-    u = -0.5 * s.m * psi_abs2 + 0.25 * grav * psi_abs2 + s.v_o
-    if s.h00_background is not None:
-        u = u - 0.5 * s.k * s.c * s.h00_background
-    return u
-
-
-def _cn_substep(field_values, potential, mass, dx, dt):
-    """One Crank–Nicolson step of i df/dt = (-(1/2m) d²/dx² + U) f.
-
-    Dirichlet boundaries (fields are required to be negligible at the
-    edges). Returns the advanced field.
-    """
-    n = len(field_values)
-    kin = 1.0 / (2.0 * mass * dx * dx)
-    # H = -(1/2m) D2 + U; D2 f = (f[i-1] - 2 f[i] + f[i+1]) / dx^2
-    diag = 2.0 * kin + potential
-    off = -kin * np.ones(n - 1)
-    # (1 + i dt/2 H) f_new = (1 - i dt/2 H) f_old
-    z = 0.5j * dt
-    ab = np.zeros((3, n), dtype=complex)
-    ab[0, 1:] = z * off
-    ab[1, :] = 1.0 + z * diag
-    ab[2, :-1] = z * off
-    rhs = (1.0 - z * diag) * field_values
-    rhs[:-1] -= z * off * field_values[1:]
-    rhs[1:] -= z * off * field_values[:-1]
-    return solve_banded((1, 1), ab, rhs)
+    return _Kernel(s).u_zeta(psi_abs2)
 
 
 def check_stability(s: GridState, dt):
@@ -156,21 +215,38 @@ def check_stability(s: GridState, dt):
         )
 
 
-def step(s: GridState, dt) -> GridState:
-    """Advance both fields by one coupled predictor-corrector step."""
+def stepper(s: GridState, dt):
+    """The coupled predictor-corrector step for a fixed dt, on bare arrays.
+
+    Checks dt and the stability bound once and builds everything that does
+    not change between steps once; returns ``advance(psi, zeta) ->
+    (psi, zeta)``. ``--check`` builds it too, so it fails where a run would.
+    """
     if dt == 0:
         raise ValueError("dt must be nonzero")
     check_stability(s, abs(dt))
-    dx = s.dx
-    # predictor: half step with couplings frozen at current values
-    psi_half = _cn_substep(s.psi, potential_psi(s, np.abs(s.zeta) ** 2), s.m, dx, 0.5 * dt)
-    zeta_half = _cn_substep(s.zeta, potential_zeta(s, np.abs(s.psi) ** 2), s.m_g, dx, 0.5 * dt)
-    # corrector: full step with couplings frozen at the half-step profiles
-    u_psi = potential_psi(s, np.abs(zeta_half) ** 2)
-    u_zeta = potential_zeta(s, np.abs(psi_half) ** 2)
-    psi_new = _cn_substep(s.psi, u_psi, s.m, dx, dt)
-    zeta_new = _cn_substep(s.zeta, u_zeta, s.m_g, dx, dt)
-    return replace(s, psi=psi_new, zeta=zeta_new)
+    kernel = _Kernel(s)
+    u_psi, u_zeta = kernel.u_psi, kernel.u_zeta
+    psi_half, zeta_half = kernel.substep("psi", 0.5 * dt), kernel.substep("zeta", 0.5 * dt)
+    psi_full, zeta_full = kernel.substep("psi", dt), kernel.substep("zeta", dt)
+
+    def advance(psi, zeta):
+        # predictor: half step with couplings frozen at current values
+        psi_mid = psi_half(psi, u_psi(np.abs(zeta) ** 2))
+        zeta_mid = zeta_half(zeta, u_zeta(np.abs(psi) ** 2))
+        # corrector: full step with couplings frozen at the half-step profiles
+        return (
+            psi_full(psi, u_psi(np.abs(zeta_mid) ** 2)),
+            zeta_full(zeta, u_zeta(np.abs(psi_mid) ** 2)),
+        )
+
+    return advance
+
+
+def step(s: GridState, dt) -> GridState:
+    """Advance both fields by one coupled predictor-corrector step."""
+    psi, zeta = stepper(s, dt)(s.psi, s.zeta)
+    return replace(s, psi=psi, zeta=zeta)
 
 
 def packet_moments(s: GridState):
@@ -186,35 +262,35 @@ def packet_moments(s: GridState):
 
 
 def run(s: GridState, dt, n_steps, sample_every=1) -> TimeSeries:
-    """Propagate and sample norms, packet moments, and initial-state overlap."""
+    """Propagate and sample norms, packet moments, and initial-state overlap.
+
+    The step is built once (``stepper``), so dt, the stability bound and the
+    gravity profile are checked before the first step even when n_steps = 0.
+    """
     if sample_every < 1:
         raise ValueError("sample_every must be at least 1")
+    advance = stepper(s, dt)
     psi0 = s.psi.copy()
     dx = s.dx
-    times = [0.0]
-    mean0, width0 = packet_moments(s)
-    channels = {
-        "norm_psi": [s.norm_psi()],
-        "norm_zeta": [s.norm_zeta()],
-        "mean_x_psi": [mean0],
-        "width_psi": [width0],
-        "overlap_psi0": [abs(np.sum(np.conj(psi0) * s.psi) * dx)],
-    }
-    state = s
+    times, rows = [], []
+
+    def sample(t, state):
+        times.append(t)
+        rows.append((
+            state.norm_psi(),
+            state.norm_zeta(),
+            *packet_moments(state),
+            abs(np.sum(np.conj(psi0) * state.psi) * dx),
+        ))
+
+    sample(0.0, s)
+    psi, zeta = s.psi, s.zeta
     for step_index in range(1, n_steps + 1):
-        state = step(state, dt)
+        psi, zeta = advance(psi, zeta)
         if step_index % sample_every == 0 or step_index == n_steps:
-            mean, width = packet_moments(state)
-            times.append(step_index * dt)
-            channels["norm_psi"].append(state.norm_psi())
-            channels["norm_zeta"].append(state.norm_zeta())
-            channels["mean_x_psi"].append(mean)
-            channels["width_psi"].append(width)
-            channels["overlap_psi0"].append(abs(np.sum(np.conj(psi0) * state.psi) * dx))
-    return TimeSeries(
-        times=np.array(times),
-        channels={k: np.array(v) for k, v in channels.items()},
-    )
+            sample(step_index * dt, replace(s, psi=psi, zeta=zeta))
+    names = ("norm_psi", "norm_zeta", "mean_x_psi", "width_psi", "overlap_psi0")
+    return TimeSeries(times=np.array(times), channels=dict(zip(names, np.array(rows).T)))
 
 
 def kinetic_hamiltonian(s: GridState, which="psi") -> np.ndarray:
@@ -224,16 +300,11 @@ def kinetic_hamiltonian(s: GridState, which="psi") -> np.ndarray:
     matrix is stationary under ``step`` when the couplings it was built
     from do not change.
     """
-    n = s.n_points
-    dx = s.dx
+    kernel = _Kernel(s)
     if which == "psi":
-        mass = s.m
-        u = potential_psi(s, np.abs(s.zeta) ** 2)
+        two_kin, off = kernel.bands["psi"]
+        u = kernel.u_psi(np.abs(s.zeta) ** 2)
     else:
-        mass = s.m_g
-        u = potential_zeta(s, np.abs(s.psi) ** 2)
-    kin = 1.0 / (2.0 * mass * dx * dx)
-    h = np.diag(2.0 * kin + u) + np.diag(-kin * np.ones(n - 1), 1) + np.diag(
-        -kin * np.ones(n - 1), -1
-    )
-    return h
+        two_kin, off = kernel.bands["zeta"]
+        u = kernel.u_zeta(np.abs(s.psi) ** 2)
+    return np.diag(two_kin + u) + np.diag(off, 1) + np.diag(off, -1)

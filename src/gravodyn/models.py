@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError, SizeLimitError
-from .fock import DEFAULT_CONFIG_CAP
+from .errors import DEFAULT_CONFIG_CAP, ContractViolationError, SizeLimitError
 
 
 @dataclass(frozen=True)
@@ -198,7 +197,7 @@ def build_telegraph(p: TelegraphParams) -> HamiltonianMatrix:
     is h_matter ⊗ 1 + 1 ⊗ h_grav + Σ_i n_w_i ⊗ c_i, with c_i the star
     coupling of site i's local mode to its band. Basis position of each
     state: ``telegraph_position``. Raises :class:`SizeLimitError` when the
-    4·G states exceed ``fock.DEFAULT_CONFIG_CAP``, before allocating.
+    4·G states exceed ``errors.DEFAULT_CONFIG_CAP``, before allocating.
     """
     n = p.n_grav_modes
     if 4 * n > DEFAULT_CONFIG_CAP:

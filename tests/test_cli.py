@@ -7,6 +7,11 @@ scripts/configs/ are run here too, which keeps them from rotting.
 """
 
 import math
+import os
+import re
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -450,6 +455,50 @@ class TestCliRuns:
         assert cli.main([cfg, "--check"]) == 2
         assert f"key '{key}'" in capsys.readouterr().err
         assert list(tmp_path.glob("run*")) == []
+
+    @pytest.mark.parametrize(
+        "name, line, key",
+        [
+            ("meanfield_free_packet.cfg", "n_steps = -3", "n_steps"),
+            ("meanfield_free_packet.cfg", "sample_every = 0", "sample_every"),
+            ("chooser_demo.cfg", "n_times = -1", "n_times"),
+            ("telegraph_switching.cfg", "n_times = -1", "n_times"),
+        ],
+    )
+    def test_count_below_its_minimum_exits_2(self, tmp_path, capsys, name, line, key):
+        text = (EXAMPLES / name).read_text()
+        text, count = re.subn(rf"(?m)^{key} = .*$", line, text)
+        assert count == 1
+        cfg = self.write(tmp_path, text)
+        assert cli.main([cfg, "--out", str(tmp_path / "run")]) == 2
+        assert f"key '{key}'] must be at least" in capsys.readouterr().err
+        assert cli.main([cfg, "--check"]) == 2
+        assert f"key '{key}'] must be at least" in capsys.readouterr().err
+        assert list(tmp_path.glob("run*")) == []
+
+    def test_meanfield_gravity_profile_at_r_zero_exits_2(self, tmp_path, capsys):
+        # 513 points on [-40, 40] put a node at x = 0; with no softening the
+        # profile g / r^(D-2) is 0/0 there
+        text = (EXAMPLES / "meanfield_free_packet.cfg").read_text().replace(
+            "n_points = 512", "n_points = 513\nsoftening = 0.0"
+        )
+        cfg = self.write(tmp_path, text)
+        for args in ([cfg, "--out", str(tmp_path / "run")], [cfg, "--check"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a numpy RuntimeWarning fails
+                assert cli.main(args) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("config error: [key 'softening']")
+        assert list(tmp_path.glob("run*")) == []
+
+    def test_runtime_path_does_not_import_the_reference_engine(self):
+        # fock is the ladder-operator reference of the tests, not of a run
+        code = "import sys, gravodyn.cli; print('gravodyn.fock' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert result.stdout == "False\n"
 
     def test_output_section_prefix_used_when_no_flag(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gravodyn import errors
 from gravodyn.fock import (
+    DEFAULT_CONFIG_CAP,
     GRAV,
     MATTER,
     ModeSpace,
@@ -66,6 +67,7 @@ class TestEnumeration:
     def test_exceptions_are_the_package_wide_classes(self):
         assert SizeLimitError is errors.SizeLimitError
         assert ModeOverflowError is errors.ModeOverflowError
+        assert DEFAULT_CONFIG_CAP is errors.DEFAULT_CONFIG_CAP
 
     @settings(max_examples=80, deadline=None)
     @given(

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from gravodyn.errors import ContractViolationError
 from gravodyn.meanfield import (
@@ -13,6 +14,7 @@ from gravodyn.meanfield import (
     gaussian_packet,
     kinetic_hamiltonian,
     packet_moments,
+    potential_psi,
     potential_zeta,
     run,
     step,
@@ -47,6 +49,15 @@ class TestStability:
         check_stability(s, bound)  # exactly at the bound passes
         with pytest.raises(ContractViolationError):
             check_stability(s, bound * 1.01)
+
+    @pytest.mark.parametrize("where", ["psi", "h00_background"])
+    def test_non_finite_values_stop_the_solve(self, where):
+        # values that overflow during a run reach the solve as inf/nan
+        s = free_state(n_points=64, half_width=8.0)
+        s.h00_background = np.zeros(s.n_points)
+        getattr(s, where)[20] = np.inf
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
+            step(s, dt=1e-3)
 
 
 class TestFreePacket:
@@ -235,3 +246,101 @@ class TestPotentials:
                 x_min=0, x_max=1, n_points=8,
                 psi=np.zeros(8, dtype=complex), zeta=np.zeros(8, dtype=complex),
             )
+
+
+def reference_substep(field_values, potential, mass, dx, dt):
+    """Crank–Nicolson sub-step as a banded solve: the oracle for the stepper."""
+    n = len(field_values)
+    kin = 1.0 / (2.0 * mass * dx * dx)
+    diag = 2.0 * kin + potential
+    off = -kin * np.ones(n - 1)
+    z = 0.5j * dt
+    ab = np.zeros((3, n), dtype=complex)
+    ab[0, 1:] = z * off
+    ab[1, :] = 1.0 + z * diag
+    ab[2, :-1] = z * off
+    rhs = (1.0 - z * diag) * field_values
+    rhs[:-1] -= z * off * field_values[1:]
+    rhs[1:] -= z * off * field_values[:-1]
+    return solve_banded((1, 1), ab, rhs)
+
+
+def reference_potentials(s):
+    """U_psi(|zeta|²) and U_zeta(|psi|²) written out from the module docstring."""
+    r_power = s.softened_r() ** (s.d_spatial - 2)
+
+    def u_psi(zeta_abs2):
+        grav = -s.g_newton / r_power
+        return grav * (1.0 - 0.25 * zeta_abs2) - 0.5 * s.m * zeta_abs2
+
+    def u_zeta(psi_abs2):
+        grav = s.g_newton / r_power
+        u = -0.5 * s.m * psi_abs2 + 0.25 * grav * psi_abs2 + s.v_o
+        return u - 0.5 * s.k * s.c * s.h00_background
+
+    return u_psi, u_zeta
+
+
+def reference_step(s, dt):
+    u_psi, u_zeta = reference_potentials(s)
+    psi_half = reference_substep(s.psi, u_psi(np.abs(s.zeta) ** 2), s.m, s.dx, 0.5 * dt)
+    zeta_half = reference_substep(s.zeta, u_zeta(np.abs(s.psi) ** 2), s.m_g, s.dx, 0.5 * dt)
+    psi = reference_substep(s.psi, u_psi(np.abs(zeta_half) ** 2), s.m, s.dx, dt)
+    zeta = reference_substep(s.zeta, u_zeta(np.abs(psi_half) ** 2), s.m_g, s.dx, dt)
+    return GridState(**{**vars(s), "psi": psi, "zeta": zeta})
+
+
+class TestReferenceStepper:
+    """The stepper gives the bytes of the banded-solve reference above."""
+
+    def make_state(self):
+        n, half_width = 129, 12.0
+        x = np.linspace(-half_width, half_width, n)
+        return GridState(
+            x_min=-half_width, x_max=half_width, n_points=n,
+            psi=gaussian_packet(x, -1.0, 1.0, momentum=0.7),
+            zeta=0.8 * gaussian_packet(x, 1.5, 1.3, momentum=-0.4),
+            m=1.0, m_g=0.7, g_newton=0.4, d_spatial=3, softening=0.8,
+            v_o=0.05, k=0.3, h00_background=0.01 * np.exp(-(x**2) / 4.0),
+        )
+
+    @pytest.mark.parametrize("dt", [0.01, -0.01])
+    def test_step_matches_reference_bytes(self, dt):
+        s = self.make_state()
+        got, want = step(s, dt), reference_step(s, dt)
+        assert got.psi.tobytes() == want.psi.tobytes()
+        assert got.zeta.tobytes() == want.zeta.tobytes()
+
+    def test_run_matches_reference_bytes(self):
+        s = self.make_state()
+        dt, n_steps, sample_every = 0.01, 25, 6
+        series = run(s, dt, n_steps, sample_every=sample_every)
+        times, samples, state = [0.0], [s], s
+        for index in range(1, n_steps + 1):
+            state = reference_step(state, dt)
+            if index % sample_every == 0 or index == n_steps:
+                times.append(index * dt)
+                samples.append(state)
+        expected = {
+            "norm_psi": [x.norm_psi() for x in samples],
+            "norm_zeta": [x.norm_zeta() for x in samples],
+            "mean_x_psi": [packet_moments(x)[0] for x in samples],
+            "width_psi": [packet_moments(x)[1] for x in samples],
+            "overlap_psi0": [abs(np.sum(np.conj(s.psi) * x.psi) * s.dx) for x in samples],
+        }
+        assert series.times.tobytes() == np.array(times).tobytes()
+        assert list(series.channels) == list(expected)
+        for name, values in expected.items():
+            assert series.channels[name].tobytes() == np.array(values).tobytes(), name
+
+    def test_potentials_and_hamiltonian_match_reference_bytes(self):
+        s = self.make_state()
+        u_psi, u_zeta = reference_potentials(s)
+        zeta_abs2, psi_abs2 = np.abs(s.zeta) ** 2, np.abs(s.psi) ** 2
+        assert potential_psi(s, zeta_abs2).tobytes() == u_psi(zeta_abs2).tobytes()
+        assert potential_zeta(s, psi_abs2).tobytes() == u_zeta(psi_abs2).tobytes()
+        for which, mass, u in (("psi", s.m, u_psi(zeta_abs2)), ("zeta", s.m_g, u_zeta(psi_abs2))):
+            kin = 1.0 / (2.0 * mass * s.dx * s.dx)
+            off = np.full(s.n_points - 1, -kin)
+            dense = np.diag(2.0 * kin + u) + np.diag(off, 1) + np.diag(off, -1)
+            assert kinetic_hamiltonian(s, which).tobytes() == dense.tobytes()
