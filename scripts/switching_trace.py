@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gravodyn.cli import switching_count, telegraph_channels, telegraph_params_from
+from gravodyn.cli import crossings, telegraph_channels, telegraph_params_from
 from gravodyn.config import load_config
 
 DEFAULT = Path(__file__).resolve().parent / "configs" / "telegraph_switching.cfg"
@@ -41,10 +41,8 @@ def main():
         row[col1] = "1"  # site 1 wins the cell on collision
         print(f"  {times[i]:7.2f}  {band_1[i]:.4f}   {band_2[i]:.4f}   |{''.join(row)}|")
 
-    diff = band_1 - band_2
-    sign = np.sign(diff)
-    flips = np.nonzero(sign[1:] * sign[:-1] < 0)[0]
-    print(f"\ncrossings: {switching_count(band_1, band_2)} at t = "
+    flips = crossings(band_1, band_2)
+    print(f"\ncrossings: {len(flips)} at t = "
           + ", ".join(f"{times[i]:.1f}" for i in flips))
     for name, channel in (("site1", band_1), ("site2", band_2)):
         high, low = np.percentile(channel, 95), np.percentile(channel, 5)

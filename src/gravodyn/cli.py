@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -30,14 +31,16 @@ from .config import ScenarioConfig, load_config
 from .errors import ConfigError, ContractViolationError, SizeLimitError
 from .gravonon import SiteBasis, build_omega, diagonalize_modes
 from .models import (
+    G1,
+    G2,
     W1,
     W2,
     ChooserParams,
     TelegraphParams,
     build_chooser,
     build_telegraph,
-    telegraph_grav_layout,
     telegraph_position,
+    telegraph_site_modes,
 )
 from .propagator import diagonalize, evolve
 
@@ -169,8 +172,7 @@ def _check_chooser(p, sampling):
     return _check_hamiltonian(build_chooser(_chooser_params(p)))
 
 
-def _point_chooser(p, sampling):
-    params = _chooser_params(p)
+def _solve_chooser(params, sampling):
     gamma, times = _chooser_times(params, sampling)
     fit_window = (times >= 0.5 / gamma) & (times <= 2.5 / gamma)
     if np.count_nonzero(fit_window) < 2:
@@ -192,6 +194,12 @@ def _point_chooser(p, sampling):
     return plateau, float(-slope), None
 
 
+def _point_chooser(p, stats):
+    # a chooser row depends on its model alone; reducing it inside the solve
+    # keeps no (times x dim) weights alive across the sweep
+    return stats
+
+
 # ---------------------------------------------------------------------------
 # telegraph
 
@@ -206,39 +214,69 @@ def telegraph_params_from(p):
     )
 
 
-def telegraph_channels(params: TelegraphParams, weight_site1, times):
-    """Site-resolved gravonon-band weights for the two-site superposition.
+def _site_channels(params: TelegraphParams, times):
+    """Band and local-mode weights (P1, P2, L1, L2) of each site evolved alone.
 
-    The initial state holds the matter quantum in the warp resonance of each
-    site (amplitudes sqrt(weight) / sqrt(1-weight)) and the gravonon quantum
-    in the corresponding local mode; the channels sum the squared amplitudes
-    of configurations whose gravonon quantum sits in each site's band.
+    h_matter has no inter-site element, so site i's block, matter {w_i, g_i}
+    times gravonon {local_i, band_i}, is taken out of ``build_telegraph`` by
+    index and evolved from its warp resonance and local mode.
     """
+    entries = build_telegraph(params).entries
+    band, loc = [], []
+    for w, g, modes in zip((W1, W2), (G1, G2), telegraph_site_modes(params)):
+        # basis order: matter-major, descending mode index (local mode last)
+        index = [telegraph_position(params, a, k) for a in (w, g) for k in modes[::-1]]
+        psi0 = np.zeros(len(index))
+        psi0[len(modes) - 1] = 1.0
+        states = evolve(diagonalize(entries[np.ix_(index, index)]), psi0, times)
+        weights = (np.abs(states) ** 2).reshape(len(times), 2, len(modes)).sum(axis=1)
+        band.append(weights[:, :-1].sum(axis=1))
+        loc.append(weights[:, -1])
+    return (*band, *loc)
+
+
+def _weigh(site_channels, weight_site1):
     if not 0.0 <= weight_site1 <= 1.0:
         raise ConfigError("weight_site1 must lie in [0, 1]", key="weight_site1")
-    ham = build_telegraph(params)
-    s1_loc, s1_band, s2_loc, s2_band = telegraph_grav_layout(params)
-    psi0 = np.zeros(ham.dim, dtype=complex)
-    psi0[telegraph_position(params, W1, s1_loc)] = math.sqrt(weight_site1)
-    psi0[telegraph_position(params, W2, s2_loc)] = math.sqrt(1.0 - weight_site1)
-    groups = [
-        sorted(telegraph_position(params, a, k) for a in range(4) for k in modes)
-        for modes in (s1_band, s2_band, [s1_loc], [s2_loc])
-    ]
-    weights = np.abs(evolve(diagonalize(ham), psi0, times)) ** 2
-    return tuple(weights[:, group].sum(axis=1) for group in groups)
+    factors = (weight_site1, 1.0 - weight_site1) * 2
+    return tuple(f * channel for f, channel in zip(factors, site_channels))
+
+
+def telegraph_channels(params: TelegraphParams, weight_site1, times):
+    """Site-resolved gravonon weights (w_band 1, w_band 2, w_loc 1, w_loc 2).
+
+    The initial state holds the matter quantum in the warp resonance of each
+    site (amplitudes sqrt(w) / sqrt(1-w), w = weight_site1) and the gravonon
+    quantum in that site's local mode. Nothing couples the sites, so the
+    channels are (w·P1, (1-w)·P2, w·L1, (1-w)·L2): the "switching" is the
+    crossings of two independently weighted site decays.
+    """
+    return _weigh(_site_channels(params, times), weight_site1)
+
+
+SWITCH_TIE = 1e-12  # |channel_1 - channel_2| at or below this is a tie
+
+
+def crossings(channel_1, channel_2):
+    """Sample indices just past each sign change of channel_1 - channel_2.
+
+    Ties carry no sign: a sign change is counted between the samples on
+    either side of them, so roundoff at a tie neither adds nor drops one.
+    """
+    diff = np.asarray(channel_1) - np.asarray(channel_2)
+    kept = np.flatnonzero(np.abs(diff) > SWITCH_TIE)
+    sign = np.sign(diff[kept])
+    return kept[1:][sign[1:] != sign[:-1]]
 
 
 def switching_count(channel_1, channel_2):
-    """Number of dominance alternations: sign changes of channel_1-channel_2."""
-    sign = np.sign(channel_1 - channel_2)
-    return int(np.sum(sign[1:] * sign[:-1] < 0))
+    """Number of dominance alternations (see ``crossings``)."""
+    return len(crossings(channel_1, channel_2))
 
 
 def _run_telegraph(p, sampling, prefix: Path):
-    params = telegraph_params_from(p)
     times = np.linspace(0.0, sampling["t_final"], sampling["n_times"])
-    channels = telegraph_channels(params, p["weight_site1"], times)
+    channels = telegraph_channels(telegraph_params_from(p), p["weight_site1"], times)
     csv_text = _csv(
         ["t", "w_band_site1", "w_band_site2", "w_loc_site1", "w_loc_site2"],
         zip(times, *channels),
@@ -250,14 +288,17 @@ def _check_telegraph(p, sampling):
     return _check_hamiltonian(build_telegraph(telegraph_params_from(p)))
 
 
-def _point_telegraph(p, sampling):
+def _solve_telegraph(params, sampling):
     if sampling["n_times"] < 1:
         raise ConfigError(
             "the plateau percentile needs at least one sample", key="n_times"
         )
-    params = telegraph_params_from(p)
     times = np.linspace(0.0, sampling["t_final"], sampling["n_times"])
-    band_1, band_2, _, _ = telegraph_channels(params, p["weight_site1"], times)
+    return _site_channels(params, times)
+
+
+def _point_telegraph(p, site_channels):
+    band_1, band_2, _, _ = _weigh(site_channels, p["weight_site1"])
     plateau = float(np.percentile(band_1, 95))
     return plateau, None, switching_count(band_1, band_2)
 
@@ -298,6 +339,11 @@ def _grid_state(p):
     for key in ("packet_width", "zeta_width"):
         if p[key] is not None and p[key] <= 0:
             raise ConfigError("packet width must be positive", key=key)
+    if p["x_max"] <= p["x_min"]:
+        raise ConfigError("x_max must exceed x_min", key="x_max")
+    for key in ("m", "m_g"):
+        if p[key] <= 0:
+            raise ConfigError("masses must be positive", key=key)
     x = np.linspace(p["x_min"], p["x_max"], p["n_points"])
     psi = meanfield.gaussian_packet(
         x, p["packet_center"], p["packet_width"], p["packet_momentum"]
@@ -358,13 +404,20 @@ def _check_dimensional(p, sampling):
 class _Scenario(NamedTuple):
     run: Callable  # (parameters, sampling, prefix) -> {path: text}
     check: Callable  # (parameters, sampling) -> check lines
-    # sweep bases: (parameters, sampling) -> (plateau, decay_rate, switching_count)
-    point: Callable | None = None
+    # sweep bases: points with equal models share one solve in a sweep
+    model: Callable | None = None  # (parameters) -> hashable model
+    solve: Callable | None = None  # (model, sampling) -> solution
+    point: Callable | None = None  # (parameters, solution) -> sweep row statistics
 
 
 _SCENARIOS = {
-    "chooser": _Scenario(_run_chooser, _check_chooser, _point_chooser),
-    "telegraph": _Scenario(_run_telegraph, _check_telegraph, _point_telegraph),
+    "chooser": _Scenario(
+        _run_chooser, _check_chooser, _chooser_params, _solve_chooser, _point_chooser
+    ),
+    "telegraph": _Scenario(
+        _run_telegraph, _check_telegraph,
+        telegraph_params_from, _solve_telegraph, _point_telegraph,
+    ),
     "gravonon-modes": _Scenario(_run_gravonon_modes, _check_gravonon_modes),
     "meanfield": _Scenario(_run_meanfield, _check_meanfield),
     "dimensional": _Scenario(_run_dimensional, _check_dimensional),
@@ -395,9 +448,14 @@ def _run_sweep(cfg: ScenarioConfig, prefix: Path, threads: int):
             f"sweep grid has {size} points, exceeding grid_cap={cap}"
         )
     points = list(points)
-    point = _SCENARIOS[cfg.parameters["base"]].point
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        stats = list(pool.map(lambda p: point(p, cfg.sampling), points))
+    base = _SCENARIOS[cfg.parameters["base"]]
+    models = [base.model(p) for p in points]
+    distinct = list(dict.fromkeys(models))  # solved once each, for this sweep only
+    workers = max(1, min(threads, len(distinct), os.cpu_count() or 1))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        solutions = pool.map(lambda m: base.solve(m, cfg.sampling), distinct)
+        solved = dict(zip(distinct, solutions))
+    stats = [base.point(p, solved[m]) for p, m in zip(points, models)]
 
     header = ["grid_index"] + names + ["plateau", "decay_rate", "switching_count"]
     rows = [

@@ -100,7 +100,7 @@ _SCHEMAS = {
         "parameters": {
             "x_min": FieldSpec("float", required=True),
             "x_max": FieldSpec("float", required=True),
-            "n_points": FieldSpec("int", required=True),
+            "n_points": FieldSpec("int", required=True, minimum=16),
             "m": FieldSpec("float", default=1.0),
             "m_g": FieldSpec("float", default=1.0),
             "g_newton": FieldSpec("float", default=0.0),

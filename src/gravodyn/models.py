@@ -162,14 +162,10 @@ def build_chooser(p: ChooserParams) -> HamiltonianMatrix:
 G1, W1, G2, W2 = 0, 1, 2, 3
 
 
-def telegraph_grav_layout(p: TelegraphParams):
-    """Gravonon mode indices: local mode then band for site 1, then site 2."""
-    n1 = len(p.band_1)
-    site1_local = 0
-    site1_band = list(range(1, 1 + n1))
-    site2_local = 1 + n1
-    site2_band = list(range(2 + n1, 2 + n1 + len(p.band_2)))
-    return site1_local, site1_band, site2_local, site2_band
+def telegraph_site_modes(p: TelegraphParams):
+    """Gravonon mode indices of site 1 and of site 2, each local mode first."""
+    n1 = 1 + len(p.band_1)
+    return range(n1), range(n1, p.n_grav_modes)
 
 
 def telegraph_position(p: TelegraphParams, matter_mode, grav_mode):
@@ -202,7 +198,6 @@ def build_telegraph(p: TelegraphParams) -> HamiltonianMatrix:
     n = p.n_grav_modes
     if 4 * n > DEFAULT_CONFIG_CAP:
         raise SizeLimitError(f"configuration count exceeds cap of {DEFAULT_CONFIG_CAP}")
-    s1_loc, s1_band, s2_loc, s2_band = telegraph_grav_layout(p)
     h_grav = np.diag([p.eps_grav_1, *p.band_1, p.eps_grav_2, *p.band_2])
     h_matter = np.array([
         [p.e_g1, p.v_loc_1, 0.0, 0.0],
@@ -217,8 +212,8 @@ def build_telegraph(p: TelegraphParams) -> HamiltonianMatrix:
     for a in range(4):
         h[a, :, a, :] += h_grav
     h[:, grav, :, grav] += h_matter
-    for w, loc, band, v in ((W1, s1_loc, s1_band, p.v_gw_1), (W2, s2_loc, s2_band, p.v_gw_2)):
-        h[w, loc, w, band] += v
-        h[w, band, w, loc] += v
+    for w, modes, v in zip((W1, W2), telegraph_site_modes(p), (p.v_gw_1, p.v_gw_2)):
+        h[w, modes[0], w, modes[1:]] += v
+        h[w, modes[1:], w, modes[0]] += v
     # descending mode order in both families reverses both axes
     return HamiltonianMatrix(dim=4 * n, entries=h.reshape(4 * n, 4 * n)[::-1, ::-1])

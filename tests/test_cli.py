@@ -16,12 +16,24 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gravodyn import cli
 from gravodyn.config import load_config, parse_config
 from gravodyn.errors import ConfigError
+from gravodyn.models import (
+    W1,
+    W2,
+    TelegraphParams,
+    build_telegraph,
+    telegraph_position,
+    telegraph_site_modes,
+)
+from gravodyn.propagator import diagonalize, evolve
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
 
 
 def read_csv(path):
@@ -457,10 +469,33 @@ class TestCliRuns:
         assert list(tmp_path.glob("run*")) == []
 
     @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("x_max = -50.0", "x_max"),
+            ("x_max = -40.0", "x_max"),
+            ("m = 0", "m"),
+            ("m_g = -1", "m_g"),
+        ],
+    )
+    def test_meanfield_bad_grid_or_mass_exits_2_naming_key(
+        self, tmp_path, capsys, line, key
+    ):
+        text = (EXAMPLES / "meanfield_free_packet.cfg").read_text()
+        text, count = re.subn(rf"(?m)^{key} = .*$", line, text)
+        if count == 0:  # a key left at its default
+            text = text.replace("[sampling]", f"{line}\n\n[sampling]")
+        cfg = self.write(tmp_path, text)
+        for args in ([cfg, "--out", str(tmp_path / "run")], [cfg, "--check"]):
+            assert cli.main(args) == 2
+            assert f"key '{key}'" in capsys.readouterr().err
+        assert list(tmp_path.glob("run*")) == []
+
+    @pytest.mark.parametrize(
         "name, line, key",
         [
             ("meanfield_free_packet.cfg", "n_steps = -3", "n_steps"),
             ("meanfield_free_packet.cfg", "sample_every = 0", "sample_every"),
+            ("meanfield_free_packet.cfg", "n_points = 8", "n_points"),
             ("chooser_demo.cfg", "n_times = -1", "n_times"),
             ("telegraph_switching.cfg", "n_times = -1", "n_times"),
         ],
@@ -507,3 +542,124 @@ class TestCliRuns:
         )
         assert cli.main([cfg]) == 0
         assert (tmp_path / "nested" / "run.csv").exists()
+
+
+def full_matrix_channels(params, weight, times):
+    """Reference: the two-site state evolved under the whole telegraph matrix."""
+    ham = build_telegraph(params)
+    site_1, site_2 = telegraph_site_modes(params)
+    psi0 = np.zeros(ham.dim, dtype=complex)
+    psi0[telegraph_position(params, W1, site_1[0])] = math.sqrt(weight)
+    psi0[telegraph_position(params, W2, site_2[0])] = math.sqrt(1.0 - weight)
+    weights = np.abs(evolve(diagonalize(ham), psi0, times)) ** 2
+    return tuple(
+        weights[:, [telegraph_position(params, a, k) for a in range(4) for k in modes]]
+        .sum(axis=1)
+        for modes in (site_1[1:], site_2[1:], site_1[:1], site_2[:1])
+    )
+
+
+couplings = st.floats(-1.0, 1.0)
+nonzero_couplings = st.floats(0.05, 1.0) | st.floats(-1.0, -0.05)
+telegraph_bands = st.lists(st.floats(-2.0, 2.0), max_size=5).map(sorted)
+
+
+class TestTelegraphChannels:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        energies=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
+        v_loc=st.tuples(nonzero_couplings, nonzero_couplings),
+        v_gw=st.tuples(couplings, couplings),
+        band_1=telegraph_bands,
+        band_2=telegraph_bands,
+        weight=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    )
+    @example(
+        energies=[0.0] * 6, v_loc=(0.3, -0.2), v_gw=(0.1, 0.05),
+        band_1=[-1.0, 0.0, 1.0], band_2=[], weight=0.0,
+    )
+    @example(
+        energies=[0.1, -0.1, 0.2, 0.0, 0.3, -0.3], v_loc=(0.5, 0.5), v_gw=(0.2, 0.4),
+        band_1=[], band_2=[-0.5, 0.5], weight=1.0,
+    )
+    def test_site_blocks_match_the_full_matrix(
+        self, energies, v_loc, v_gw, band_1, band_2, weight
+    ):
+        e_g1, e_g2, e_w1, e_w2, eps_1, eps_2 = energies
+        params = TelegraphParams(
+            e_g1=e_g1, e_g2=e_g2, e_w1=e_w1, e_w2=e_w2,
+            v_loc_1=v_loc[0], v_loc_2=v_loc[1], eps_grav_1=eps_1, eps_grav_2=eps_2,
+            band_1=band_1, band_2=band_2, v_gw_1=v_gw[0], v_gw_2=v_gw[1],
+        )
+        times = np.linspace(0.0, 10.0, 17)
+        blocks = cli.telegraph_channels(params, weight, times)
+        reference = full_matrix_channels(params, weight, times)
+        for block, full in zip(blocks, reference):
+            np.testing.assert_allclose(block, full, rtol=0.0, atol=1e-12)
+
+    def test_weight_outside_unit_interval_rejected(self):
+        params = cli.telegraph_params_from(
+            load_config(EXAMPLES / "telegraph_switching.cfg").parameters
+        )
+        with pytest.raises(ConfigError, match="weight_site1"):
+            cli.telegraph_channels(params, 1.5, np.linspace(0.0, 1.0, 4))
+
+    def test_switching_count_ignores_roundoff_at_a_tie(self):
+        # both band channels are 0 at t = 0; roundoff of either sign there
+        # must not add a crossing
+        for noise in (1e-30, -1e-30, 0.0):
+            band_1 = np.array([0.0, 0.5, 0.6, 0.2, 0.6])
+            band_2 = np.array([noise, 0.3, 0.3, 0.3, 0.3])
+            assert cli.switching_count(band_1, band_2) == 2
+
+    def test_switching_count_counts_a_crossing_through_a_tie(self):
+        assert cli.switching_count(np.array([1.0, 0.5, 0.2]), np.array([0.0, 0.5, 0.6])) == 1
+        # touching a tie and turning back is no crossing
+        assert cli.switching_count(np.array([1.0, 0.5, 1.0]), np.array([0.0, 0.5, 0.0])) == 0
+        assert list(cli.crossings([1.0, 0.5, 0.5, 0.2, 0.9], [0.0, 0.5, 0.5, 0.6, 0.1])) == [3, 4]
+
+    def test_sweep_solves_each_hamiltonian_once_per_run(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(h):
+            calls.append(len(h))
+            return diagonalize(h)
+
+        monkeypatch.setattr(cli, "diagonalize", counting)
+        cfg = load_config(BENCH_CONFIGS / "telegraph_sweep.cfg")
+        first = cli.run_scenario(cfg, out_prefix=tmp_path / "sweep")
+        # 4 distinct Hamiltonians in the 16 points, two site blocks each
+        assert calls == [42] * 8
+        second = cli.run_scenario(cfg, out_prefix=tmp_path / "sweep")
+        assert len(calls) == 16  # no solution outlives its run
+        assert first == second
+        counts = [
+            int(line.rsplit(",", 1)[1])
+            for line in first[tmp_path / "sweep.csv"].splitlines()[1:]
+        ]
+        assert counts == [2, 2, 2, 0, 2, 3, 4, 2, 3, 3, 4, 4, 3, 3, 4, 0]
+
+    def test_sweep_thread_count_does_not_change_bytes(self, tmp_path):
+        cfg = load_config(BENCH_CONFIGS / "telegraph_sweep.cfg")
+        one = cli.run_scenario(cfg, out_prefix=tmp_path / "sweep", threads=1)
+        four = cli.run_scenario(cfg, out_prefix=tmp_path / "sweep", threads=4)
+        assert one == four
+
+    @pytest.mark.parametrize(
+        "threads, cpus, workers",
+        [(1000, 3, 3), (1000, 64, 5), (2, 8, 2), (0, 8, 1), (-4, 8, 1), (1000, None, 1)],
+    )
+    def test_sweep_threads_clamped(self, tmp_path, monkeypatch, threads, cpus, workers):
+        seen = []
+        real = cli.ThreadPoolExecutor
+
+        def recording(max_workers):
+            seen.append(max_workers)
+            return real(max_workers=1)  # never start a large pool
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", recording)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        # 5 distinct Hamiltonians
+        cfg = parse_config(sweep_text("telegraph", "0.01, 0.02, 0.03, 0.04, 0.05"))
+        cli.run_scenario(cfg, out_prefix=tmp_path / "sweep", threads=threads)
+        assert seen == [workers]

@@ -17,8 +17,8 @@ from gravodyn.models import (
     TelegraphParams,
     build_chooser,
     build_telegraph,
-    telegraph_grav_layout,
     telegraph_position,
+    telegraph_site_modes,
 )
 from gravodyn.propagator import diagonalize
 
@@ -226,10 +226,9 @@ class TestTelegraph:
             v_gw_1=0.0, v_gw_2=0.0,
         )
         h = build_telegraph(p)
-        s1_loc, s1_band, s2_loc, s2_band = telegraph_grav_layout(p)
-        grav_energies = {s1_loc: 0.5, s2_loc: 0.6}
-        grav_energies.update(dict(zip(s1_band, p.band_1)))
-        grav_energies.update(dict(zip(s2_band, p.band_2)))
+        site_1, site_2 = telegraph_site_modes(p)
+        grav_energies = dict(zip(site_1, (0.5, *p.band_1)))
+        grav_energies.update(zip(site_2, (0.6, *p.band_2)))
         matter_energies = [1.0, 3.0, 2.0, 4.0]  # layout (g1, w1, g2, w2)
         for a, e_matter in enumerate(matter_energies):
             for b, e_grav in grav_energies.items():
