@@ -1,17 +1,17 @@
 """Closed-form reference results for the band-coupled level scheme.
 
 These formulas are the weak-coupling solution of the chooser model: the
-three-state eigenvalues and zero-eigenvector, the resonance Green
-function, and the exponential decay laws. The exponential laws are the
-wide-band limit (delta >> gamma): exact propagation follows them up to
-band-discreteness oscillations only there. At the self-consistent width
-delta = pi*gamma decay into the band is not Markovian and the exact band
-weight lags the exponential by up to ~0.18; ``finite_band_weight`` gives
-the band weight for a continuum flat band of any width, which exact
-propagation follows up to a gap of order 1/n_band.
+golden-rule width, the three-state zero-eigenvector and the exponential
+band-weight law. The exponential law is the wide-band limit (delta >>
+gamma): exact propagation follows it up to band-discreteness oscillations
+only there. At the self-consistent width delta = pi*gamma decay into the
+band is not Markovian and the exact band weight lags the exponential by
+up to ~0.18; ``finite_band_weight`` gives the band weight for a continuum
+flat band of any width, which exact propagation follows up to a gap of
+order 1/n_band.
 
-The wide-band functions take the decay width ``gamma`` explicitly instead
-of recomputing it internally, so both free parameterizations and the
+``band_weight`` takes the decay width ``gamma`` explicitly instead of
+recomputing it internally, so both free parameterizations and the
 self-consistent choice delta = pi*gamma (which forces gamma = u) can be
 exercised. ``finite_band_weight`` takes the model's (u, v, w, delta,
 alpha) instead, since its self-energy fixes gamma = pi*u^2/delta.
@@ -19,7 +19,6 @@ alpha) instead, since its self-energy fixes gamma = pi*u^2/delta.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
@@ -42,19 +41,6 @@ def self_consistent_width(u):
     return gamma, math.pi * gamma
 
 
-def green(eps, alpha, gamma):
-    """Resonance Green function 1/(eps - alpha + i*gamma)."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    return 1.0 / complex(eps - alpha, gamma)
-
-
-def chooser_eigenvalues(v, w):
-    """Eigenvalues (0, +sqrt(v^2+w^2), -sqrt(v^2+w^2)) of the 3-state scheme."""
-    r = math.hypot(v, w)
-    return 0.0, r, -r
-
-
 def zero_state_coeffs(v, w):
     """Coefficients (C_Q0, C_R0, C_K) of the zero-energy eigenstate.
 
@@ -68,18 +54,6 @@ def zero_state_coeffs(v, w):
     if r == 0.0:
         raise ValueError("v = w = 0 leaves the zero eigenvector undefined")
     return w / r, 0.0, -v / r
-
-
-def kproj_amplitude(t, u, delta, gamma):
-    """Weak-coupling projected-band-state amplitude i*pi*(u/delta)*e^{-gamma*t}."""
-    return 1j * math.pi * (u / delta) * cmath.exp(-gamma * t)
-
-
-def r0_amplitude(u, w, delta, gamma, alpha=0.0):
-    """Long-time screen-state amplitude pi*u*w/(delta*(gamma - i*alpha))."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    return math.pi * u * w / (delta * complex(gamma, -alpha))
 
 
 def band_weight(t, u, w, gamma):

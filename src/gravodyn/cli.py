@@ -169,7 +169,9 @@ def _run_chooser(p, sampling, prefix: Path):
 
 
 def _check_chooser(p, sampling):
-    return _check_hamiltonian(build_chooser(_chooser_params(p)))
+    params = _chooser_params(p)
+    _chooser_times(params, sampling)
+    return _check_hamiltonian(build_chooser(params))
 
 
 def _solve_chooser(params, sampling):
@@ -285,6 +287,7 @@ def _run_telegraph(p, sampling, prefix: Path):
 
 
 def _check_telegraph(p, sampling):
+    _weigh((), p["weight_site1"])  # the run's range check, on no channels
     return _check_hamiltonian(build_telegraph(telegraph_params_from(p)))
 
 
@@ -334,31 +337,42 @@ def _check_gravonon_modes(p, sampling):
 # meanfield
 
 
+def _packet(p, x, field):
+    """Gaussian of ``field`` ("packet" or "zeta") with a finite, positive grid norm."""
+    key = field + "_width"
+    if p[key] <= 0:
+        raise ConfigError("packet width must be positive", key=key)
+    with np.errstate(all="ignore"):
+        try:
+            packet = meanfield.gaussian_packet(
+                x, p[field + "_center"], p[key], p[field + "_momentum"]
+            )
+        except ZeroDivisionError:  # (pi w^2)^(-1/4) once w^2 underflows to 0
+            packet = np.zeros_like(x)
+        norm = np.sum(np.abs(packet) ** 2) * (x[1] - x[0])
+    if not (math.isfinite(norm) and norm > 0.0):
+        raise ConfigError(
+            "the packet's grid norm is not finite and positive "
+            "(width too narrow or too wide for the grid, or centred off it)",
+            key=key,
+        )
+    return packet
+
+
 def _grid_state(p):
     """Initial fields on the grid; zeta_width = auto leaves zeta at zero."""
-    for key in ("packet_width", "zeta_width"):
-        if p[key] is not None and p[key] <= 0:
-            raise ConfigError("packet width must be positive", key=key)
     if p["x_max"] <= p["x_min"]:
         raise ConfigError("x_max must exceed x_min", key="x_max")
     for key in ("m", "m_g"):
         if p[key] <= 0:
             raise ConfigError("masses must be positive", key=key)
     x = np.linspace(p["x_min"], p["x_max"], p["n_points"])
-    psi = meanfield.gaussian_packet(
-        x, p["packet_center"], p["packet_width"], p["packet_momentum"]
-    )
-    if p["zeta_width"] is None:
-        zeta = np.zeros_like(psi)
-    else:
-        zeta = meanfield.gaussian_packet(
-            x, p["zeta_center"], p["zeta_width"], p["zeta_momentum"]
-        )
+    psi = _packet(p, x, "packet")
+    zeta = np.zeros_like(psi) if p["zeta_width"] is None else _packet(p, x, "zeta")
     return meanfield.GridState(
         x_min=p["x_min"], x_max=p["x_max"], n_points=p["n_points"],
         psi=psi, zeta=zeta, m=p["m"], m_g=p["m_g"], g_newton=p["g_newton"],
-        d_spatial=p["d_spatial"], v_o=p["v_o"], k=p["k"],
-        softening=p["softening"],
+        d_spatial=p["d_spatial"], v_o=p["v_o"], softening=p["softening"],
     )
 
 
@@ -384,16 +398,23 @@ def _check_meanfield(p, sampling):
 # dimensional
 
 
-def _run_dimensional(p, sampling, prefix: Path):
+def _g11_rows(p):
     constants = dimensional.PhysicalConstants(G=p["g_newton"], c=p["c"])
-    rows = dimensional.g11_table(constants, radii=tuple(p["radii"]))
+    try:
+        return dimensional.g11_table(constants, radii=tuple(p["radii"]))
+    except ValueError as exc:
+        raise ConfigError(str(exc), key="radii") from None
+
+
+def _run_dimensional(p, sampling, prefix: Path):
+    rows = _g11_rows(p)
     return {
         _out(prefix, ".csv"): _csv(["a", "g11", "g11_over_pi7"], rows)
     }
 
 
 def _check_dimensional(p, sampling):
-    dimensional.PhysicalConstants(G=p["g_newton"], c=p["c"])
+    _g11_rows(p)
     return ["check: constants positive ok"]
 
 

@@ -106,7 +106,6 @@ _SCHEMAS = {
             "g_newton": FieldSpec("float", default=0.0),
             "d_spatial": FieldSpec("int", default=3),
             "v_o": FieldSpec("float", default=0.0),
-            "k": FieldSpec("float", default=0.0),
             "softening": FieldSpec("float_or_auto", default=None),
             "packet_center": FieldSpec("float", required=True),
             "packet_width": FieldSpec("float", required=True),
@@ -232,14 +231,15 @@ def _tokenize(text):
 def _sweep_schema(base):
     """Sweep parameter schema: fixed keys, base keys, and sweep_<key> axes.
 
-    Base-scenario keys lose their required flag here; a base key may instead
-    be provided as a sweep axis, and the combined presence check runs after
-    the axes are separated out.
+    Base-scenario keys lose their required flag here; a scalar float key may
+    instead be provided as a sweep axis, and the combined presence check runs
+    after the axes are separated out. Integer and list keys have no axis.
     """
     schema = dict(_SWEEP_FIXED)
     for key, spec in _SCHEMAS[base]["parameters"].items():
         schema[key] = replace(spec, required=False)
-        schema["sweep_" + key] = FieldSpec("floats")
+        if spec.kind in ("float", "float_or_auto"):
+            schema["sweep_" + key] = FieldSpec("floats")
     return schema
 
 

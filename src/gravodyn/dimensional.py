@@ -1,16 +1,13 @@
-"""Order-of-magnitude machinery: potentials, compactification, mode densities.
+"""Order-of-magnitude machinery: compactification, mode densities, masses.
 
 Everything here is desk arithmetic in Hartree atomic units (energies in
-Hartree, lengths in bohr, masses in electron masses); electronvolt values
-are derived with 1 Hartree = 27.2114 eV and reported alongside.
+Hartree, lengths in bohr, masses in electron masses).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-HARTREE_TO_EV = 27.2114
 
 
 @dataclass(frozen=True)
@@ -25,38 +22,23 @@ class PhysicalConstants:
             raise ValueError("constants must be positive")
 
 
-def v_grav_4d(G, M, r):
-    """Newtonian point-mass potential -G*M/r."""
-    if r <= 0:
-        raise ValueError("r must be positive")
-    return -G * M / r
-
-
-def v_grav_11d(g11, M, r):
-    """Ten-space-dimension point-mass potential -G11*M/(pi^7 r^8)."""
-    if r <= 0:
-        raise ValueError("r must be positive")
-    return -g11 * M / (math.pi**7 * r**8)
-
-
 def g11_from_compactification(G, a):
     """Higher-dimensional coupling (2*a*pi)^7 * G for compactification radius a.
 
-    Matching the two potential laws fixes G11 = (2 a pi)^7 G; with that
-    choice v_grav_11d(G11, M, r) / v_grav_4d(G, M, r) = (2a/r)^7, so the two
-    laws agree exactly at r = 2a and the short-range enhancement at
-    r = 1 bohr is (2a)^7.
+    Matching the ten-space-dimension law -G11*M/(pi^7 r^8) to the Newtonian
+    -G*M/r fixes G11 = (2 a pi)^7 G; their ratio is then (2a/r)^7, so the
+    two laws agree exactly at r = 2a and the short-range enhancement at
+    r = 1 bohr is (2a)^7. Raises ValueError unless a > 0 and G11 is finite.
     """
     if a <= 0:
         raise ValueError("a must be positive")
-    return (2.0 * a * math.pi) ** 7 * G
-
-
-def enhancement_factor(a):
-    """Short-range strengthening (2a)^7 of the compactified law at r = 1 bohr."""
-    if a <= 0:
-        raise ValueError("a must be positive")
-    return (2.0 * a) ** 7
+    try:
+        g11 = (2.0 * a * math.pi) ** 7 * G
+    except OverflowError:
+        g11 = math.inf
+    if not math.isfinite(g11):
+        raise ValueError(f"G11 = (2*a*pi)^7 * G overflows at a = {a:g}")
+    return g11
 
 
 def k_space_density(d, L, a):
@@ -96,66 +78,11 @@ def density_ratio(E, c, L, a, M):
     return mode_density(E, c, 10, L, a) / rho_2d(M, L)
 
 
-def density_ratio_displayed(E, c, L, a):
-    """The ratio in its commonly displayed form (E^9/c^10)(pi^5/5!) L a^7/pi^9.
-
-    This differs from the full quotient by a factor 2M (the planar density
-    of states in the denominator carries 2 M L^2/pi, the displayed form
-    keeps only L^2/pi of it); both are reported so the discrepancy is
-    visible rather than silently resolved.
-    """
-    return (E**9 / c**10) * (math.pi**5 / math.factorial(5)) * L * a**7 / math.pi**9
-
-
 def gravonon_mass(k, c):
     """Mass k/c of the low-frequency mode emerging at wavenumber k."""
     if k <= 0:
         raise ValueError("k must be positive")
     return k / c
-
-
-def v_o_from(k, c):
-    """Companion constant potential -k*c/2 of the emerging mode."""
-    if k <= 0:
-        raise ValueError("k must be positive")
-    return -0.5 * k * c
-
-
-@dataclass(frozen=True)
-class SiteSelectionReport:
-    """Resolution scales a site-selecting interaction must distinguish."""
-
-    energy_spacing: float  # energy_spread / n_sites
-    geometry_spacing: float  # geometry_spread / n_sites
-    filtered_site_count: float  # sites indistinguishable at the geometry resolution
-    filtered_energy_scale: float  # energy_spread / filtered_site_count
-
-
-def site_selection_scales(
-    energy_spread, geometry_spread, n_sites, geometry_resolution=None
-) -> SiteSelectionReport:
-    """Energy/geometry spacings among n_sites candidate sites.
-
-    With a finite geometry resolution, sites closer in geometry than the
-    resolution cannot be told apart, so n_sites * resolution / spread of
-    them survive the geometry filter (at least 1, at most all), and the
-    energy criterion must resolve energy_spread divided by that count.
-    """
-    if n_sites < 1:
-        raise ValueError("n_sites must be at least 1")
-    energy_spacing = energy_spread / n_sites
-    geometry_spacing = geometry_spread / n_sites
-    if geometry_resolution is None:
-        filtered = float(n_sites)
-    else:
-        filtered = n_sites * geometry_resolution / geometry_spread
-        filtered = min(float(n_sites), max(1.0, filtered))
-    return SiteSelectionReport(
-        energy_spacing=energy_spacing,
-        geometry_spacing=geometry_spacing,
-        filtered_site_count=filtered,
-        filtered_energy_scale=energy_spread / filtered,
-    )
 
 
 def g11_table(constants: PhysicalConstants, radii=(1e4, 1e3, 1e2, 10.0)):

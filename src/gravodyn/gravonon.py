@@ -6,8 +6,7 @@ envelope g_i(x).  The interaction matrix
     Omega_ij = theta^2 * V_i * V_j * <g_i| (-d^2/dx^2 / (2 m_g) + V_o) |g_j>
 
 defines a collection of coupled oscillators; diagonalizing it yields the
-independent-mode spectrum, and each mode couples back to the matter field
-through the envelope-weighted coupling function.
+independent-mode spectrum.
 
 The envelopes are g_i(x) = (pi sigma^2)^{-1/4} exp(-(x-x_i)^2 / (2 sigma^2)),
 so all matrix elements have closed forms:
@@ -132,40 +131,3 @@ def diagonalize_modes(omega) -> ModeSpectrum:
     if np.max(np.abs(gram - np.eye(len(frequencies)))) > 1e-12:
         raise ContractViolationError("mode transform is not orthogonal to 1e-12")
     return ModeSpectrum(frequencies=frequencies, transform=transform)
-
-
-def coupling_function(x, i, basis: SiteBasis, omega_i) -> np.ndarray:
-    """Mode-i coupling profile sqrt(omega_i/2) * g_i(x) * V_i * theta.
-
-    A negative frequency marks an unstable mode and is rejected rather than
-    silently clamped.
-    """
-    if omega_i < 0:
-        raise ValueError(f"negative mode frequency {omega_i}: unstable mode")
-    return math.sqrt(omega_i / 2.0) * basis.envelope(i, x) * basis.vgrav_values[i] * basis.theta
-
-
-def field_value(x, q, basis: SiteBasis, frequencies) -> np.ndarray:
-    """Displacement-field value sum_i 2 q_i g(x - x_i) for displacements q."""
-    q = np.asarray(q, dtype=float)
-    if len(q) != basis.n_sites:
-        raise ValueError("one displacement per site required")
-    total = np.zeros_like(np.asarray(x, dtype=float))
-    for i in range(basis.n_sites):
-        total = total + 2.0 * q[i] * coupling_function(x, i, basis, frequencies[i])
-    return total
-
-
-def potential_term(x, q, basis: SiteBasis, frequencies) -> np.ndarray:
-    """Quadratic field potential sum_ij q_i q_j g(x-x_i) g(x-x_j).
-
-    Equals (sum_i q_i g(x-x_i))^2, i.e. the square of half the
-    displacement-field value; manifestly non-negative.
-    """
-    q = np.asarray(q, dtype=float)
-    if len(q) != basis.n_sites:
-        raise ValueError("one displacement per site required")
-    amplitude = np.zeros_like(np.asarray(x, dtype=float))
-    for i in range(basis.n_sites):
-        amplitude = amplitude + q[i] * coupling_function(x, i, basis, frequencies[i])
-    return amplitude**2

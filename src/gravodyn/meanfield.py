@@ -9,11 +9,10 @@ Schrödinger equations:
 with
 
     U_psi  = -(g / r^{D-2}) (1 - |zeta|²/4) - (m/2) |zeta|²
-    U_zeta = -(m/2) |psi|² + (g / (4 r^{D-2})) |psi|² + V_o - (k c / 2) h00
+    U_zeta = -(m/2) |psi|² + (g / (4 r^{D-2})) |psi|² + V_o
 
-where g bundles the gravitational coupling (G^(D) m M_ext), r is the
-distance from the grid origin softened as sqrt(x² + r0²), and h00 is a
-static background profile (off unless supplied).
+where g bundles the gravitational coupling (G^(D) m M_ext) and r is the
+distance from the grid origin softened as sqrt(x² + r0²).
 
 Each step advances both fields with Crank–Nicolson sub-steps whose coupling
 potentials are frozen at predictor half-step values: a predictor CN half
@@ -23,10 +22,10 @@ the tridiagonal solve tolerance, so per-field norms drift only at the
 1e-10/step level.
 
 What does not change between steps is built once per run: the gravity
-profile (rejected with key ``softening`` if it is not finite), the h00
-term, and each field's kinetic diagonal and off-diagonal. Each sub-step is
-then one LAPACK ``gtsv`` solve on bare arrays, after a finiteness check of
-its diagonal and right-hand side.
+profile (rejected with key ``softening`` if it is not finite) and each
+field's kinetic diagonal and off-diagonal. Each sub-step is then one LAPACK
+``gtsv`` solve on bare arrays, after a finiteness check of its diagonal and
+right-hand side.
 """
 
 from __future__ import annotations
@@ -55,9 +54,6 @@ class GridState:
     g_newton: float = 0.0
     d_spatial: int = 3  # space dimensions; 3 gives the Newtonian 1/r well
     v_o: float = 0.0
-    k: float = 0.0
-    c: float = 137.036
-    h00_background: np.ndarray | None = None
     softening: float | None = None  # distance floor; defaults to one grid spacing
 
     def __post_init__(self):
@@ -71,10 +67,6 @@ class GridState:
         self.zeta = np.asarray(self.zeta, dtype=complex)
         if self.psi.shape != (self.n_points,) or self.zeta.shape != (self.n_points,):
             raise ValueError("field arrays must match n_points")
-        if self.h00_background is not None:
-            self.h00_background = np.asarray(self.h00_background, dtype=float)
-            if self.h00_background.shape != (self.n_points,):
-                raise ValueError("h00 background must match n_points")
 
     @property
     def dx(self):
@@ -117,10 +109,9 @@ def free_spread_width(t, m, width0):
 class _Kernel:
     """Both field equations on one grid, with their static parts built once.
 
-    The gravity profiles, the h00 term and each field's kinetic constant and
-    off-diagonal do not change between steps. ``potential_psi``,
-    ``potential_zeta``, ``kinetic_hamiltonian``, ``step`` and ``run`` all
-    evaluate the equations through this one place.
+    The gravity profiles and each field's kinetic constant and off-diagonal
+    do not change between steps. ``kinetic_hamiltonian``, ``step`` and
+    ``run`` all evaluate the equations through this one place.
     """
 
     def __init__(self, s: GridState):
@@ -137,9 +128,6 @@ class _Kernel:
         self.quarter_grav = 0.25 * grav_zeta
         self.half_m = 0.5 * s.m
         self.v_o = s.v_o
-        self.h00_term = (
-            None if s.h00_background is None else 0.5 * s.k * s.c * s.h00_background
-        )
         dx = s.dx
         # H = -(1/2m) D2 + U; D2 f = (f[i-1] - 2 f[i] + f[i+1]) / dx^2
         self.bands = {}  # field -> (2 kin, off-diagonal)
@@ -151,10 +139,7 @@ class _Kernel:
         return self.grav_psi * (1.0 - 0.25 * zeta_abs2) - self.half_m * zeta_abs2
 
     def u_zeta(self, psi_abs2):
-        u = -self.half_m * psi_abs2 + self.quarter_grav * psi_abs2 + self.v_o
-        if self.h00_term is not None:
-            u = u - self.h00_term
-        return u
+        return -self.half_m * psi_abs2 + self.quarter_grav * psi_abs2 + self.v_o
 
     def substep(self, field, dt):
         """One field's Crank–Nicolson sub-step of length dt, as ``solve(f, U)``.
@@ -193,16 +178,6 @@ class _Kernel:
             return x
 
         return solve
-
-
-def potential_psi(s: GridState, zeta_abs2):
-    """Matter-field effective potential for a given |zeta|² profile."""
-    return _Kernel(s).u_psi(zeta_abs2)
-
-
-def potential_zeta(s: GridState, psi_abs2):
-    """Distortion-field effective potential for a given |psi|² profile."""
-    return _Kernel(s).u_zeta(psi_abs2)
 
 
 def check_stability(s: GridState, dt):

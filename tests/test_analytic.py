@@ -1,22 +1,16 @@
 """Tests for the closed-form chooser results."""
 
-import cmath
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
 from gravodyn.analytic import (
     band_weight,
-    chooser_eigenvalues,
     finite_band_weight,
     gamma_from,
-    green,
-    kproj_amplitude,
-    r0_amplitude,
     self_consistent_width,
     zero_state_coeffs,
 )
@@ -44,55 +38,7 @@ class TestGamma:
         assert gamma_from(u, delta) == pytest.approx(gamma, rel=1e-12)
 
 
-class TestGreen:
-    def test_on_resonance(self):
-        g = green(0.5, 0.5, 2.0)
-        assert g == pytest.approx(-0.5j, abs=1e-15)
-
-    def test_spectral_density_peak(self):
-        gamma = 0.37
-        g = green(1.2, 1.2, gamma)
-        assert -g.imag / math.pi == pytest.approx(1.0 / (math.pi * gamma), rel=1e-14)
-
-    def test_lorentzian_symmetry(self):
-        alpha, gamma = 0.3, 0.05
-        for de in (0.01, 0.1, 1.0):
-            left = abs(green(alpha - de, alpha, gamma)) ** 2
-            right = abs(green(alpha + de, alpha, gamma)) ** 2
-            assert left == pytest.approx(right, rel=1e-14)
-
-    def test_requires_positive_gamma(self):
-        with pytest.raises(ValueError):
-            green(0.0, 0.0, 0.0)
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        gamma=st.floats(1e-3, 10.0),
-        alpha=st.floats(-5.0, 5.0),
-    )
-    def test_lorentzian_normalization(self, gamma, alpha):
-        """Integral of |G|^2 over the real axis equals pi/gamma."""
-        f = lambda e: abs(green(e, alpha, gamma)) ** 2
-        left, _ = quad(f, -np.inf, alpha)
-        right, _ = quad(f, alpha, np.inf)
-        assert left + right == pytest.approx(math.pi / gamma, rel=1e-6)
-
-
 class TestEigenvaluesAndZeroState:
-    def test_zero_couplings(self):
-        assert chooser_eigenvalues(0.0, 0.0) == (0.0, 0.0, 0.0)
-
-    def test_345(self):
-        assert chooser_eigenvalues(3.0, 4.0) == (0.0, 5.0, -5.0)
-
-    def test_matches_numeric_grid(self):
-        for v in np.linspace(0.0, 1.0, 20):
-            for w in np.linspace(0.0, 1.0, 20):
-                h = build_chooser(ChooserParams(v=float(v), w=float(w), n_band=0))
-                numeric = np.linalg.eigvalsh(h.entries)
-                zero, plus, minus = chooser_eigenvalues(v, w)
-                assert np.max(np.abs(numeric - np.array([minus, zero, plus]))) < 1e-12
-
     def test_zero_state_equal_couplings(self):
         c_q0, c_r0, c_k = zero_state_coeffs(1.0, 1.0)
         assert c_q0 == pytest.approx(1 / math.sqrt(2), abs=1e-15)
@@ -140,43 +86,6 @@ class TestEigenvaluesAndZeroState:
 
 
 class TestDecayLaws:
-    def test_kproj_t0_self_consistent(self):
-        u = 5e-4
-        gamma, delta = self_consistent_width(u)
-        assert abs(kproj_amplitude(0.0, u, delta, gamma)) == pytest.approx(1.0, rel=1e-14)
-
-    def test_kproj_long_time(self):
-        assert abs(kproj_amplitude(1e4, 1e-3, math.pi * 1e-3, 1e-3)) < 1e-4
-
-    def test_kproj_halving_time(self):
-        u, gamma, delta = 1e-3, 1e-3, math.pi * 1e-3
-        t_half = math.log(2) / gamma
-        a0 = abs(kproj_amplitude(1.0, u, delta, gamma))
-        a1 = abs(kproj_amplitude(1.0 + t_half, u, delta, gamma))
-        assert a1 == pytest.approx(a0 / 2, rel=1e-13)
-
-    def test_kproj_t0_squared_magnitude(self):
-        u, delta, gamma = 2e-3, 0.03, 4e-4
-        a = kproj_amplitude(0.0, u, delta, gamma)
-        assert (a * a.conjugate()).real == pytest.approx(
-            math.pi**2 * u**2 / delta**2, rel=1e-14
-        )
-
-    def test_r0_zero_w(self):
-        assert r0_amplitude(1e-3, 0.0, 0.01, 1e-3) == 0.0
-
-    def test_r0_real_when_alpha_zero(self):
-        u, w, delta, gamma = 1e-3, 1e-4, 0.01, 5e-4
-        a = r0_amplitude(u, w, delta, gamma, alpha=0.0)
-        assert a.imag == 0.0
-        assert a.real == pytest.approx(math.pi * u * w / (delta * gamma), rel=1e-14)
-
-    def test_r0_weight_self_consistent(self):
-        u, w = 1e-3, 1e-4
-        gamma, delta = self_consistent_width(u)
-        a = r0_amplitude(u, w, delta, gamma)
-        assert abs(a) ** 2 == pytest.approx((w / u) ** 2, rel=1e-12)
-
     def test_band_weight_plateau(self):
         u, w, gamma = 1e-3, 1e-4, 1e-3
         assert band_weight(1e7, u, w, gamma) == pytest.approx(1 - (w / u) ** 2, rel=1e-12)
@@ -191,25 +100,6 @@ class TestDecayLaws:
     def test_band_weight_requires_u(self):
         with pytest.raises(ValueError):
             band_weight(1.0, 0.0, 0.1, 1e-3)
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        u=st.floats(1e-5, 1.0),
-        w_over_u=st.floats(0.0, 0.5),
-        t_scaled=st.floats(0.0, 20.0),
-    )
-    def test_weights_sum_to_one_self_consistent(self, u, w_over_u, t_scaled):
-        """band + |kproj|^2 + |r0|^2 = 1 under delta = pi*gamma, alpha = 0."""
-        w = w_over_u * u
-        gamma, delta = self_consistent_width(u)
-        t = t_scaled / gamma
-        total = (
-            band_weight(t, u, w, gamma)
-            + abs(kproj_amplitude(t, u, delta, gamma)) ** 2
-            + abs(r0_amplitude(u, w, delta, gamma)) ** 2
-        )
-        assert total == pytest.approx(1.0, abs=1e-12)
-
 
 class TestFiniteBandWeight:
     """Continuum flat-band curve; criterion-03 parameters unless stated."""

@@ -526,6 +526,68 @@ class TestCliRuns:
             assert len(err) == 1 and err[0].startswith("config error: [key 'softening']")
         assert list(tmp_path.glob("run*")) == []
 
+    @pytest.mark.parametrize(
+        "base, fixed, axis",
+        [
+            ("chooser", "n_band = 10\n", "sweep_n_band = 10, 20"),
+            ("telegraph", "band_1 = linspace(-1, 1, 4)\n", "sweep_band_1 = 0.1, 0.2"),
+        ],
+    )
+    def test_sweep_over_non_float_key_exits_2(self, tmp_path, capsys, base, fixed, axis):
+        # only scalar float keys have a sweep axis; the others are unknown keys
+        text = sweep_text(base, "1e-3, 2e-3").replace(fixed, axis + "\n")
+        cfg = self.write(tmp_path, text)
+        for args in ([cfg, "--out", str(tmp_path / "run")], [cfg, "--check"]):
+            assert cli.main(args) == 2
+            err = capsys.readouterr().err
+            assert f"key '{axis.split()[0]}'] unknown key" in err
+        assert list(tmp_path.glob("run*")) == []
+
+    @pytest.mark.parametrize("key", ["packet_width", "zeta_width"])
+    @pytest.mark.parametrize("width", ["1e-170", "1e-100"])
+    def test_meanfield_packet_without_grid_norm_exits_2(self, tmp_path, capsys, key, width):
+        # 1e-170 underflows w^2 in the normalization; 1e-100 misses every node
+        text = (EXAMPLES / "meanfield_free_packet.cfg").read_text().replace(
+            "packet_momentum = 0.0", "packet_momentum = 0.0\nzeta_width = 1.0"
+        )
+        text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {width}", text)
+        cfg = self.write(tmp_path, text)
+        for args in ([cfg, "--out", str(tmp_path / "run")], [cfg, "--check"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a numpy RuntimeWarning fails
+                assert cli.main(args) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"config error: [key '{key}']")
+        assert list(tmp_path.glob("run*")) == []
+
+    @pytest.mark.parametrize("radii", ["1e60", "0.0, 1.0", "10.0, -1.0"])
+    def test_dimensional_bad_radius_exits_2_naming_radii(self, tmp_path, capsys, radii):
+        text = (EXAMPLES / "dimensional_table.cfg").read_text()
+        text, count = re.subn(r"(?m)^radii = .*$", f"radii = {radii}", text)
+        assert count == 1
+        cfg = self.write(tmp_path, text)
+        for args in ([cfg, "--out", str(tmp_path / "run")], [cfg, "--check"]):
+            assert cli.main(args) == 2
+            assert "key 'radii'" in capsys.readouterr().err
+        assert list(tmp_path.glob("run*")) == []
+
+    @pytest.mark.parametrize(
+        "name, old, new",
+        [
+            ("telegraph_switching.cfg", "weight_site1 = 0.6", "weight_site1 = 2.0"),
+            ("chooser_demo.cfg", "n_band = 200\ndelta = auto ", "n_band = 0\ndelta = 0.0 "),
+        ],
+    )
+    def test_check_rejects_what_the_run_rejects(self, tmp_path, capsys, name, old, new):
+        text = (EXAMPLES / name).read_text()
+        assert old in text
+        cfg = self.write(tmp_path, text.replace(old, new))
+        assert cli.main([cfg, "--out", str(tmp_path / "run")]) == 2
+        run_err = capsys.readouterr().err
+        assert cli.main([cfg, "--check"]) == 2
+        assert capsys.readouterr().err == run_err
+        assert list(tmp_path.glob("run*")) == []
+
     def test_runtime_path_does_not_import_the_reference_engine(self):
         # fock is the ladder-operator reference of the tests, not of a run
         code = "import sys, gravodyn.cli; print('gravodyn.fock' in sys.modules)"

@@ -9,58 +9,12 @@ from hypothesis import strategies as st
 from gravodyn.dimensional import (
     PhysicalConstants,
     density_ratio,
-    density_ratio_displayed,
-    enhancement_factor,
     g11_from_compactification,
     g11_table,
     gravonon_mass,
     mode_density,
     rho_2d,
-    site_selection_scales,
-    v_grav_11d,
-    v_grav_4d,
-    v_o_from,
 )
-
-
-class TestPotentials:
-    def test_newtonian_value(self):
-        assert v_grav_4d(1e-40, 1e4, 6.0) == pytest.approx(-1.6667e-37, rel=1e-3)
-
-    def test_newtonian_zero_mass(self):
-        assert v_grav_4d(1e-40, 0.0, 2.0) == 0.0
-
-    def test_newtonian_scaling(self):
-        v1 = v_grav_4d(1e-40, 1e4, 3.0)
-        v2 = v_grav_4d(1e-40, 1e4, 6.0)
-        assert v2 == pytest.approx(v1 / 2, rel=1e-14)
-
-    def test_requires_positive_r(self):
-        with pytest.raises(ValueError):
-            v_grav_4d(1e-40, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            v_grav_11d(1e-10, 1.0, -1.0)
-
-    def test_higher_dimensional_selection_scale(self):
-        g11 = 1e-18 * math.pi**7
-        v = v_grav_11d(g11, 1e4, 6.0)
-        assert v == pytest.approx(-1e-14 / 6.0**8, rel=1e-12)
-        assert -1e-20 < v < -1e-21  # the required ~1e-20 a.u. ballpark
-
-    def test_inverse_eighth_power(self):
-        v1 = v_grav_11d(1e-10, 1e4, 2.0)
-        v2 = v_grav_11d(1e-10, 1e4, 4.0)
-        assert v1 / v2 == pytest.approx(256.0, rel=1e-12)
-
-    def test_laws_agree_at_twice_compactification_radius(self):
-        G, a, M = 1e-40, 123.0, 5e3
-        g11 = g11_from_compactification(G, a)
-        r = 2 * a
-        assert v_grav_11d(g11, M, r) == pytest.approx(v_grav_4d(G, M, r), rel=1e-12)
-        # and the ratio elsewhere is (2a/r)^7
-        for r in (10.0, 500.0, 4 * a):
-            ratio = v_grav_11d(g11, M, r) / v_grav_4d(G, M, r)
-            assert ratio == pytest.approx((2 * a / r) ** 7, rel=1e-12)
 
 
 class TestCompactification:
@@ -82,15 +36,6 @@ class TestCompactification:
         expected_orders = (1e-10, 1e-17, 1e-24, 1e-31)
         for (a, g11, scaled), order in zip(rows, expected_orders):
             assert order / 10 < scaled < order * 10
-
-    def test_enhancement_factor(self):
-        assert enhancement_factor(1e4) == pytest.approx((2e4) ** 7, rel=1e-14)
-        G, a, M = 1e-40, 1e3, 2.0
-        g11 = g11_from_compactification(G, a)
-        assert v_grav_11d(g11, M, 1.0) == pytest.approx(
-            -G * M * enhancement_factor(a), rel=1e-12
-        )
-
 
 class TestModeDensity:
     def test_line_density(self):
@@ -151,15 +96,6 @@ class TestDensityRatio:
         ratio = density_ratio(E, c, 1e7, 1e4, 2000.0)
         assert 1e33 < ratio < 1e35
 
-    def test_displayed_form_differs_by_2m(self):
-        c = 137.036
-        E = 10.0 * c
-        full = density_ratio(E, c, 1e7, 1e4, 2000.0)
-        displayed = density_ratio_displayed(E, c, 1e7, 1e4)
-        assert displayed == pytest.approx(full * 2 * 2000.0, rel=1e-12)
-        # the displayed expression evaluates near 6e37
-        assert 5e37 < displayed < 7e37
-
     def test_ratio_doubles_with_a7(self):
         c = 137.036
         E = 10.0 * c
@@ -176,38 +112,9 @@ class TestGravononMass:
     def test_k_equals_c(self):
         assert gravonon_mass(137.036, 137.036) == 1.0
 
-    def test_companion_potential(self):
-        v = v_o_from(10.0, 137.036)
-        assert v == pytest.approx(-685.18, rel=1e-4)
-
     def test_requires_positive_k(self):
         with pytest.raises(ValueError):
             gravonon_mass(0.0, 137.036)
-
-
-class TestSiteSelection:
-    def test_unfiltered_spacings(self):
-        report = site_selection_scales(1e-3, 1e-1, 1e20)
-        assert report.energy_spacing == pytest.approx(1e-23, rel=1e-12)
-        assert report.geometry_spacing == pytest.approx(1e-21, rel=1e-12)
-
-    def test_geometry_filter(self):
-        report = site_selection_scales(1e-3, 1e-1, 1e20, geometry_resolution=1e-5)
-        assert report.filtered_site_count == pytest.approx(1e16, rel=1e-12)
-        assert report.filtered_energy_scale == pytest.approx(1e-19, rel=1e-12)
-
-    def test_single_site(self):
-        report = site_selection_scales(1e-3, 1e-1, 1)
-        assert report.energy_spacing == 1e-3
-        assert report.geometry_spacing == 1e-1
-
-    def test_filter_caps(self):
-        # resolution coarser than the whole spread leaves all sites
-        report = site_selection_scales(1e-3, 1e-1, 100, geometry_resolution=1.0)
-        assert report.filtered_site_count == 100
-        # resolution finer than the site spacing leaves a single site
-        report = site_selection_scales(1e-3, 1e-1, 100, geometry_resolution=1e-12)
-        assert report.filtered_site_count == 1.0
 
 
 class TestConstants:

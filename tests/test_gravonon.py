@@ -1,8 +1,5 @@
 """Tests for localized-mode assembly."""
 
-import itertools
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,14 +7,10 @@ from hypothesis import strategies as st
 
 from gravodyn.errors import ContractViolationError
 from gravodyn.gravonon import (
-    ModeSpectrum,
     SiteBasis,
     build_omega,
     build_omega_quadrature,
-    coupling_function,
     diagonalize_modes,
-    field_value,
-    potential_term,
 )
 
 
@@ -128,75 +121,3 @@ class TestDiagonalizeModes:
         spectrum = diagonalize_modes(build_omega(basis))
         gram = spectrum.transform.T @ spectrum.transform
         assert np.max(np.abs(gram - np.eye(6))) <= 1e-12
-
-
-class TestCouplingFunction:
-    def test_peak_value(self):
-        basis = chain_basis(1, spacing=1.0, sigma=0.6, v=1.4, theta=0.8)
-        omega_i = 0.5
-        peak = coupling_function(basis.positions[0], 0, basis, omega_i)
-        sigma = 0.6
-        expected = math.sqrt(omega_i / 2) * 1.4 * 0.8 * (math.pi * sigma**2) ** (-0.25)
-        assert peak == pytest.approx(expected, rel=1e-14)
-        # independent quadrature: the envelope really is unit-normalized,
-        # so the peak is fixed by the Gaussian normalization constant
-        x = np.linspace(-6, 6, 20001)
-        g = basis.envelope(0, x)
-        assert np.trapezoid(g * g, x) == pytest.approx(1.0, rel=1e-10)
-
-    def test_zero_frequency(self):
-        basis = chain_basis(1, spacing=1.0)
-        x = np.linspace(-3, 3, 11)
-        assert np.array_equal(coupling_function(x, 0, basis, 0.0), np.zeros(11))
-
-    def test_symmetric_about_site(self):
-        basis = chain_basis(2, spacing=2.0, sigma=0.5)
-        for de in (0.1, 0.5, 1.3):
-            left = coupling_function(basis.positions[1] - de, 1, basis, 1.0)
-            right = coupling_function(basis.positions[1] + de, 1, basis, 1.0)
-            assert left == pytest.approx(right, rel=1e-14)
-
-    def test_negative_frequency_rejected(self):
-        basis = chain_basis(1, spacing=1.0)
-        with pytest.raises(ValueError):
-            coupling_function(0.0, 0, basis, -0.1)
-
-
-class TestPotentialTerm:
-    def test_zero_displacements(self):
-        basis = chain_basis(3, spacing=1.0)
-        freqs = np.ones(3)
-        x = np.linspace(-2, 4, 31)
-        assert np.array_equal(potential_term(x, [0, 0, 0], basis, freqs), np.zeros(31))
-
-    def test_single_displacement(self):
-        basis = chain_basis(3, spacing=1.0)
-        freqs = np.array([0.3, 0.4, 0.5])
-        x = np.linspace(-2, 4, 31)
-        q = [0.0, 0.7, 0.0]
-        expected = (0.7 * coupling_function(x, 1, basis, freqs[1])) ** 2
-        assert np.allclose(potential_term(x, q, basis, freqs), expected, atol=1e-16)
-
-    def test_square_of_half_field_value(self):
-        basis = chain_basis(4, spacing=0.8, sigma=0.5)
-        freqs = np.array([0.2, 0.3, 0.4, 0.5])
-        q = np.array([0.3, -0.2, 0.5, 0.1])
-        x = np.linspace(-3, 6, 101)
-        pot = potential_term(x, q, basis, freqs)
-        half_field = 0.5 * field_value(x, q, basis, freqs)
-        assert np.max(np.abs(pot - half_field**2)) <= 1e-14
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        q=st.lists(st.floats(-2, 2), min_size=3, max_size=3),
-        x=st.floats(-5, 5),
-    )
-    def test_non_negative(self, q, x):
-        basis = chain_basis(3, spacing=1.0)
-        freqs = np.array([0.1, 0.2, 0.3])
-        assert potential_term(x, q, basis, freqs) >= 0.0
-
-    def test_length_mismatch(self):
-        basis = chain_basis(2, spacing=1.0)
-        with pytest.raises(ValueError):
-            potential_term(0.0, [1.0], basis, np.ones(2))

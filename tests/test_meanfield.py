@@ -14,8 +14,6 @@ from gravodyn.meanfield import (
     gaussian_packet,
     kinetic_hamiltonian,
     packet_moments,
-    potential_psi,
-    potential_zeta,
     run,
     step,
 )
@@ -50,11 +48,10 @@ class TestStability:
         with pytest.raises(ContractViolationError):
             check_stability(s, bound * 1.01)
 
-    @pytest.mark.parametrize("where", ["psi", "h00_background"])
+    @pytest.mark.parametrize("where", ["psi", "zeta"])
     def test_non_finite_values_stop_the_solve(self, where):
         # values that overflow during a run reach the solve as inf/nan
         s = free_state(n_points=64, half_width=8.0)
-        s.h00_background = np.zeros(s.n_points)
         getattr(s, where)[20] = np.inf
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
             step(s, dt=1e-3)
@@ -221,19 +218,6 @@ class TestCoupledRuns:
 
 
 class TestPotentials:
-    def test_h00_term_enters_zeta_potential(self):
-        n = 64
-        x = np.linspace(-8, 8, n)
-        h00 = np.exp(-(x**2))
-        s = GridState(
-            x_min=-8, x_max=8, n_points=n,
-            psi=np.zeros(n, dtype=complex),
-            zeta=np.zeros(n, dtype=complex),
-            k=10.0, c=137.036, h00_background=h00,
-        )
-        u = potential_zeta(s, np.zeros(n))
-        assert np.allclose(u, -0.5 * 10.0 * 137.036 * h00)
-
     def test_packet_moments(self):
         s = free_state(n_points=801, half_width=20.0, sigma0=1.3)
         mean, width = packet_moments(s)
@@ -275,8 +259,7 @@ def reference_potentials(s):
 
     def u_zeta(psi_abs2):
         grav = s.g_newton / r_power
-        u = -0.5 * s.m * psi_abs2 + 0.25 * grav * psi_abs2 + s.v_o
-        return u - 0.5 * s.k * s.c * s.h00_background
+        return -0.5 * s.m * psi_abs2 + 0.25 * grav * psi_abs2 + s.v_o
 
     return u_psi, u_zeta
 
@@ -301,7 +284,7 @@ class TestReferenceStepper:
             psi=gaussian_packet(x, -1.0, 1.0, momentum=0.7),
             zeta=0.8 * gaussian_packet(x, 1.5, 1.3, momentum=-0.4),
             m=1.0, m_g=0.7, g_newton=0.4, d_spatial=3, softening=0.8,
-            v_o=0.05, k=0.3, h00_background=0.01 * np.exp(-(x**2) / 4.0),
+            v_o=0.05,
         )
 
     @pytest.mark.parametrize("dt", [0.01, -0.01])
@@ -337,8 +320,6 @@ class TestReferenceStepper:
         s = self.make_state()
         u_psi, u_zeta = reference_potentials(s)
         zeta_abs2, psi_abs2 = np.abs(s.zeta) ** 2, np.abs(s.psi) ** 2
-        assert potential_psi(s, zeta_abs2).tobytes() == u_psi(zeta_abs2).tobytes()
-        assert potential_zeta(s, psi_abs2).tobytes() == u_zeta(psi_abs2).tobytes()
         for which, mass, u in (("psi", s.m, u_psi(zeta_abs2)), ("zeta", s.m_g, u_zeta(psi_abs2))):
             kin = 1.0 / (2.0 * mass * s.dx * s.dx)
             off = np.full(s.n_points - 1, -kin)
