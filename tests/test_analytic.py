@@ -1,4 +1,4 @@
-"""Tests for the closed-form chooser results."""
+"""Tests for the closed-form chooser results and the laws the chooser model obeys."""
 
 import math
 
@@ -38,7 +38,64 @@ class TestGamma:
         assert gamma_from(u, delta) == pytest.approx(gamma, rel=1e-12)
 
 
+class TestGreen:
+    """Line shape of |Kproj> coupled to a wide flat band, from ``build_chooser``.
+
+    In the eigenbasis of the |Kproj> + band block, the |Kproj> weights per
+    unit energy sample the Lorentzian (gamma/pi)/(E^2 + gamma^2), i.e.
+    -Im G(E)/pi of the resonance Green function 1/(E + i*gamma); level
+    discreteness lowers each weight by a fraction spacing/(pi*gamma) ~ 1.6%.
+    """
+
+    GAMMA = 1e-3
+    DELTA = 50.0 * GAMMA
+    N_BAND = 1000
+
+    @pytest.fixture(scope="class")
+    def kproj_lines(self):
+        u = math.sqrt(self.GAMMA * self.DELTA / math.pi)
+        params = ChooserParams(v=0.0, w=0.0, n_band=self.N_BAND, delta=self.DELTA, u=u)
+        d = diagonalize(build_chooser(params).entries[2:, 2:])
+        return d.eigenvalues, d.eigenvectors[0] ** 2
+
+    def test_spectral_density_peak(self, kproj_lines):
+        energies, weights = kproj_lines
+        spacing = self.DELTA / (self.N_BAND - 1)
+        on_resonance = int(np.argmin(np.abs(energies)))
+        assert abs(energies[on_resonance]) < 1e-15
+        density = weights[on_resonance] / spacing
+        assert density == pytest.approx(1.0 / (math.pi * self.GAMMA), rel=0.02)
+
+    def test_lorentzian_symmetry(self, kproj_lines):
+        energies, weights = kproj_lines
+        assert np.max(np.abs(energies + energies[::-1])) < 1e-15
+        assert np.max(np.abs(weights - weights[::-1])) < 1e-13
+
+    def test_lorentzian_normalization(self, kproj_lines):
+        """Half the Lorentzian's weight lies within gamma of the resonance."""
+        energies, weights = kproj_lines
+        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+        assert weights[np.abs(energies) < self.GAMMA].sum() == pytest.approx(0.5, abs=0.015)
+
+
 class TestEigenvaluesAndZeroState:
+    def test_zero_couplings(self):
+        h = build_chooser(ChooserParams(v=0.0, w=0.0, n_band=0))
+        assert np.array_equal(np.linalg.eigvalsh(h.entries), np.zeros(3))
+
+    def test_345(self):
+        h = build_chooser(ChooserParams(v=3.0, w=4.0, n_band=0))
+        assert np.allclose(np.linalg.eigvalsh(h.entries), [-5.0, 0.0, 5.0], rtol=0, atol=1e-14)
+
+    def test_matches_numeric_grid(self):
+        """The 3-state spectrum is (-r, 0, +r) with r = sqrt(v^2 + w^2)."""
+        for v in np.linspace(0.0, 1.0, 20):
+            for w in np.linspace(0.0, 1.0, 20):
+                h = build_chooser(ChooserParams(v=float(v), w=float(w), n_band=0))
+                numeric = np.linalg.eigvalsh(h.entries)
+                r = math.hypot(v, w)
+                assert np.max(np.abs(numeric - np.array([-r, 0.0, r]))) < 1e-12
+
     def test_zero_state_equal_couplings(self):
         c_q0, c_r0, c_k = zero_state_coeffs(1.0, 1.0)
         assert c_q0 == pytest.approx(1 / math.sqrt(2), abs=1e-15)
@@ -86,6 +143,38 @@ class TestEigenvaluesAndZeroState:
 
 
 class TestDecayLaws:
+    @staticmethod
+    def kproj_amplitudes(times, gamma=1e-3, n_band=800):
+        """Exact |Kproj> amplitude, started in |Kproj>, for a band 300*gamma wide.
+
+        The recurrence time 2*pi*n_band/delta is 1.7e4, beyond 10/gamma.
+        """
+        delta = 300.0 * gamma
+        u = math.sqrt(gamma * delta / math.pi)
+        params = ChooserParams(v=0.0, w=0.0, n_band=n_band, delta=delta, u=u)
+        psi0 = np.zeros(3 + n_band)
+        psi0[2] = 1.0
+        return np.abs(evolve(diagonalize(build_chooser(params)), psi0, times)[:, 2])
+
+    def test_kproj_long_time(self):
+        assert self.kproj_amplitudes([1e4])[0] < 1e-4
+
+    def test_kproj_halving_time(self):
+        gamma = 1e-3
+        t_half = math.log(2) / gamma
+        a0, a1 = self.kproj_amplitudes([1.0 / gamma, 1.0 / gamma + t_half], gamma)
+        assert a1 == pytest.approx(a0 / 2, rel=5e-3)
+
+    def test_r0_zero_w(self):
+        # w = 0: the zero state is pure |Kproj>, and |R0> couples only to |Q0>
+        u, v, delta, n_band = 1e-3, 1e-2, 1e-2, 200
+        params = ChooserParams(v=v, w=0.0, n_band=n_band, delta=delta, u=u)
+        psi0 = np.zeros(3 + n_band)
+        psi0[:3] = zero_state_coeffs(v, 0.0)
+        times = np.linspace(0.0, 5.0 / gamma_from(u, delta), 32)
+        states = evolve(diagonalize(build_chooser(params)), psi0, times)
+        assert np.max(np.abs(states[:, :2])) < 1e-12
+
     def test_band_weight_plateau(self):
         u, w, gamma = 1e-3, 1e-4, 1e-3
         assert band_weight(1e7, u, w, gamma) == pytest.approx(1 - (w / u) ** 2, rel=1e-12)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,83 @@ from gravodyn.dimensional import (
     mode_density,
     rho_2d,
 )
+from gravodyn.meanfield import GridState, kinetic_hamiltonian
+
+
+GRID = np.linspace(1.0, 512.0, 512)  # r = 1, 2, ..., 512 bohr exactly
+
+
+def gravity_well(g, d_spatial, x=GRID):
+    """The mean-field gravity well -g / r^(D-2) on grid ``x``, unsoftened.
+
+    It is the diagonal of the matter-field Hamiltonian with zeta = 0, less
+    the kinetic constant 1/(m dx^2). The matter mass is so large that this
+    constant lies below the last bit of the well, so the difference is the
+    well exactly.
+    """
+    m = 1e100
+    s = GridState(
+        x_min=x[0], x_max=x[-1], n_points=len(x),
+        psi=np.zeros(len(x)), zeta=np.zeros(len(x)),
+        m=m, g_newton=g, d_spatial=d_spatial, softening=0.0,
+    )
+    assert np.array_equal(s.x, x)
+    two_kin = 2.0 * (1.0 / (2.0 * m * s.dx * s.dx))
+    return np.diag(kinetic_hamiltonian(s, "psi")) - two_kin
+
+
+def newtonian(G, M, r):
+    """-G M / r: the three-space-dimension well at distance r (an integer on GRID)."""
+    return gravity_well(G * M, 3)[r - 1]
+
+
+def ten_dimensional(g11, M, r):
+    """-G11 M / (pi^7 r^8): the ten-space-dimension well at distance r."""
+    return gravity_well(g11 * M / math.pi**7, 10)[r - 1]
+
+
+class TestPotentials:
+    # the wells are ~1e-37 a.u., far below approx's default abs tolerance,
+    # so comparisons of well values set abs=0
+    def test_newtonian_value(self):
+        assert newtonian(1e-40, 1e4, 6) == pytest.approx(-1.6667e-37, rel=1e-3, abs=0)
+
+    def test_newtonian_zero_mass(self):
+        assert newtonian(1e-40, 0.0, 2) == 0.0
+
+    def test_newtonian_scaling(self):
+        v1 = newtonian(1e-40, 1e4, 3)
+        v2 = newtonian(1e-40, 1e4, 6)
+        assert v2 == pytest.approx(v1 / 2, rel=1e-14, abs=0)
+
+    def test_requires_positive_r(self):
+        # an unsoftened grid through r = 0 has no finite well there
+        x = np.linspace(-2.0, 2.0, 17)
+        with pytest.raises(ValueError, match="softening"):
+            gravity_well(1e-36, 3, x)
+        with pytest.raises(ValueError, match="softening"):
+            gravity_well(1e-10, 10, x)
+
+    def test_higher_dimensional_selection_scale(self):
+        g11 = 1e-18 * math.pi**7
+        v = ten_dimensional(g11, 1e4, 6)
+        assert v == pytest.approx(-1e-14 / 6.0**8, rel=1e-12, abs=0)
+        assert -1e-20 < v < -1e-21  # the required ~1e-20 a.u. ballpark
+
+    def test_inverse_eighth_power(self):
+        v1 = ten_dimensional(1e-10, 1e4, 2)
+        v2 = ten_dimensional(1e-10, 1e4, 4)
+        assert v1 / v2 == pytest.approx(256.0, rel=1e-12)
+
+    def test_laws_agree_at_twice_compactification_radius(self):
+        G, a, M = 1e-40, 123, 5e3
+        g11 = g11_from_compactification(G, a)
+        r = 2 * a
+        assert ten_dimensional(g11, M, r) == pytest.approx(newtonian(G, M, r), rel=1e-12, abs=0)
+        # and the ratio elsewhere is (2a/r)^7
+        for r in (10, 500, 4 * a):
+            ratio = ten_dimensional(g11, M, r) / newtonian(G, M, r)
+            assert ratio == pytest.approx((2 * a / r) ** 7, rel=1e-12)
 
 
 class TestCompactification:
@@ -36,6 +114,15 @@ class TestCompactification:
         expected_orders = (1e-10, 1e-17, 1e-24, 1e-31)
         for (a, g11, scaled), order in zip(rows, expected_orders):
             assert order / 10 < scaled < order * 10
+
+    def test_enhancement_factor(self):
+        """At r = 1 bohr the ten-dimensional well is (2a)^7 times the Newtonian one."""
+        G, M = 1e-40, 2.0
+        for a in (1e3, 1e4):
+            g11 = g11_from_compactification(G, a)
+            ratio = ten_dimensional(g11, M, 1) / newtonian(G, M, 1)
+            assert ratio == pytest.approx((2 * a) ** 7, rel=1e-12)
+
 
 class TestModeDensity:
     def test_line_density(self):

@@ -1,5 +1,7 @@
 """Tests for localized-mode assembly."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,3 +123,26 @@ class TestDiagonalizeModes:
         spectrum = diagonalize_modes(build_omega(basis))
         gram = spectrum.transform.T @ spectrum.transform
         assert np.max(np.abs(gram - np.eye(6))) <= 1e-12
+
+
+class TestCouplingFunction:
+    """The site envelope g_i(x): the spatial profile of each site's coupling."""
+
+    def test_peak_value(self):
+        sigma = 0.6
+        basis = chain_basis(3, spacing=1.0, sigma=sigma)
+        peak = basis.envelope(2, basis.positions[2])
+        assert peak == pytest.approx((math.pi * sigma**2) ** (-0.25), rel=1e-14)
+        # independent quadrature: the envelope really is unit-normalized,
+        # so the peak is fixed by the Gaussian normalization constant
+        x = np.linspace(-4, 8, 20001)
+        g = basis.envelope(2, x)
+        assert np.trapezoid(g * g, x) == pytest.approx(1.0, rel=1e-10)
+        assert x[np.argmax(g)] == pytest.approx(basis.positions[2], abs=1e-12)
+
+    def test_symmetric_about_site(self):
+        basis = chain_basis(2, spacing=2.0, sigma=0.5)
+        for de in (0.1, 0.5, 1.3):
+            left = basis.envelope(1, basis.positions[1] - de)
+            right = basis.envelope(1, basis.positions[1] + de)
+            assert left == pytest.approx(right, rel=1e-14)
