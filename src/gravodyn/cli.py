@@ -7,7 +7,8 @@ and float formatting is fixed to 12 significant digits).
 
 Each scenario has one record in ``_SCENARIOS``: its run, its ``--check``
 and, for the sweep bases, the reduction of one sweep grid point. The three
-share one model builder per scenario, so they always see the same model.
+share one model builder per scenario, so they always see the same model
+(for telegraph, the same two site blocks).
 
 Exit codes: 0 success, 2 config error, 3 numerical-contract violation,
 4 resource cap exceeded.
@@ -30,18 +31,7 @@ from . import analytic, dimensional, meanfield
 from .config import ScenarioConfig, load_config
 from .errors import ConfigError, ContractViolationError, SizeLimitError
 from .gravonon import SiteBasis, build_omega, diagonalize_modes
-from .models import (
-    G1,
-    G2,
-    W1,
-    W2,
-    ChooserParams,
-    TelegraphParams,
-    build_chooser,
-    build_telegraph,
-    telegraph_position,
-    telegraph_site_modes,
-)
+from .models import ChooserParams, TelegraphParams, build_chooser, build_telegraph
 from .propagator import diagonalize, evolve
 
 EXIT_OK = 0
@@ -97,6 +87,10 @@ def _chooser_params(p):
     delta = p["delta"]
     if delta is None:
         _, delta = analytic.self_consistent_width(p["u"])
+        if not 0.0 < delta < math.inf:
+            raise ConfigError("delta = auto (pi*|u|) needs a finite u != 0", key="u")
+    elif delta <= 0:
+        raise ConfigError("delta must be positive", key="delta")
     return ChooserParams(
         v=p["v"], w=p["w"], n_band=p["n_band"], delta=delta, u=p["u"],
         alpha=p["alpha"],
@@ -219,19 +213,17 @@ def telegraph_params_from(p):
 def _site_channels(params: TelegraphParams, times):
     """Band and local-mode weights (P1, P2, L1, L2) of each site evolved alone.
 
-    h_matter has no inter-site element, so site i's block, matter {w_i, g_i}
-    times gravonon {local_i, band_i}, is taken out of ``build_telegraph`` by
-    index and evolved from its warp resonance and local mode.
+    Nothing couples the sites, so each site's block from ``build_telegraph``
+    is evolved on its own from its warp resonance and local mode.
     """
-    entries = build_telegraph(params).entries
     band, loc = [], []
-    for w, g, modes in zip((W1, W2), (G1, G2), telegraph_site_modes(params)):
-        # basis order: matter-major, descending mode index (local mode last)
-        index = [telegraph_position(params, a, k) for a in (w, g) for k in modes[::-1]]
-        psi0 = np.zeros(len(index))
-        psi0[len(modes) - 1] = 1.0
-        states = evolve(diagonalize(entries[np.ix_(index, index)]), psi0, times)
-        weights = (np.abs(states) ** 2).reshape(len(times), 2, len(modes)).sum(axis=1)
+    for site in (1, 2):
+        ham = build_telegraph(params, site)
+        n_grav = ham.dim // 2  # basis: (w_i, g_i) times (band_i..., local_i)
+        psi0 = np.zeros(ham.dim)
+        psi0[n_grav - 1] = 1.0
+        states = evolve(diagonalize(ham), psi0, times)
+        weights = (np.abs(states) ** 2).reshape(len(times), 2, n_grav).sum(axis=1)
         band.append(weights[:, :-1].sum(axis=1))
         loc.append(weights[:, -1])
     return (*band, *loc)
@@ -288,7 +280,10 @@ def _run_telegraph(p, sampling, prefix: Path):
 
 def _check_telegraph(p, sampling):
     _weigh((), p["weight_site1"])  # the run's range check, on no channels
-    return _check_hamiltonian(build_telegraph(telegraph_params_from(p)))
+    params = telegraph_params_from(p)
+    for site in (1, 2):  # the two blocks the run evolves, with the same lines
+        lines = _check_hamiltonian(build_telegraph(params, site))
+    return lines
 
 
 def _solve_telegraph(params, sampling):
@@ -311,12 +306,18 @@ def _point_telegraph(p, site_channels):
 
 
 def _site_basis(p):
-    return SiteBasis(
+    basis = SiteBasis(
         positions=tuple(p["positions"]),
         envelope_width=p["envelope_width"],
         vgrav_values=tuple(p["vgrav"]),
         theta=p["theta"], m_g=p["m_g"], v_o=p["v_o"],
     )
+    sigma = basis.envelope_width  # as build_omega evaluates it
+    if sigma * sigma == 0.0:
+        raise ConfigError("envelope_width squared underflows to 0", key="envelope_width")
+    if not math.isfinite(1.0 / (4.0 * basis.m_g * sigma * sigma)):
+        raise ConfigError("the kinetic scale 1/(4 m_g sigma^2) overflows", key="m_g")
+    return basis
 
 
 def _run_gravonon_modes(p, sampling, prefix: Path):
@@ -363,6 +364,8 @@ def _grid_state(p):
     """Initial fields on the grid; zeta_width = auto leaves zeta at zero."""
     if p["x_max"] <= p["x_min"]:
         raise ConfigError("x_max must exceed x_min", key="x_max")
+    if not math.isfinite(p["x_max"] - p["x_min"]):
+        raise ConfigError("the grid span x_max - x_min overflows", key="x_max")
     for key in ("m", "m_g"):
         if p[key] <= 0:
             raise ConfigError("masses must be positive", key=key)

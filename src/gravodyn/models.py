@@ -7,16 +7,15 @@ Two builders share one matrix representation:
   |Kproj> into a flat band of N levels),
 * ``build_telegraph`` — a two-site adsorbate model where each site carries
   a core state, a locally distorted resonance, one local gravonon mode and
-  a finite gravonon continuum, assembled directly in the sector of one
-  matter quantum and one gravonon quantum. Its basis is the one
-  ``fock.enumerate_configs`` lists for that sector: matter-major, each
-  family in descending mode index (see ``telegraph_position``).
+  a finite gravonon continuum. Nothing couples the sites, so in the sector
+  of one matter quantum and one gravonon quantum it is built as the block
+  of one site: that site's matter pair times that site's gravonon modes.
 
 Every off-diagonal element is written into a zeroed array in lockstep
 with its conjugate partner, with the same value, so the stored matrix is
-Hermitian entrywise exactly. A matrix whose entries are all real is stored as float64, where exact
-Hermiticity is exact symmetry, so the spectral layer can stay in real
-arithmetic.
+Hermitian entrywise exactly. A matrix whose entries are all real is stored
+as float64, where exact Hermiticity is exact symmetry, so the spectral
+layer can stay in real arithmetic.
 """
 
 from __future__ import annotations
@@ -158,62 +157,37 @@ def build_chooser(p: ChooserParams) -> HamiltonianMatrix:
 # ---------------------------------------------------------------------------
 # telegraph model
 
-# matter mode layout: (g1, w1, g2, w2)
-G1, W1, G2, W2 = 0, 1, 2, 3
 
+def build_telegraph(p: TelegraphParams, site) -> HamiltonianMatrix:
+    """Assemble the block of site ``site`` (1 or 2) of the two-site adsorbate.
 
-def telegraph_site_modes(p: TelegraphParams):
-    """Gravonon mode indices of site 1 and of site 2, each local mode first."""
-    n1 = 1 + len(p.band_1)
-    return range(n1), range(n1, p.n_grav_modes)
-
-
-def telegraph_position(p: TelegraphParams, matter_mode, grav_mode):
-    """Basis position of the state with the matter quantum in ``matter_mode``
-    and the gravonon quantum in ``grav_mode``.
-
-    Matter-major, each family in descending mode index: the order in which
-    ``fock.enumerate_configs`` lists the one-matter, one-gravonon sector.
-    """
-    n_grav = p.n_grav_modes
-    return (3 - matter_mode) * n_grav + (n_grav - 1 - grav_mode)
-
-
-def build_telegraph(p: TelegraphParams) -> HamiltonianMatrix:
-    """Assemble the two-site adsorbate Hamiltonian in its one-quantum sector.
-
-    The sector holds one matter quantum in the 4 modes (g1, w1, g2, w2) and
-    one gravonon quantum in the ``G = 2 + len(band_1) + len(band_2)`` modes
-    (local 1, band 1 ..., local 2, band 2 ...). There the Hamiltonian
+    In the sector of one matter quantum in (g1, w1, g2, w2) and one gravonon
+    quantum in the ``G = 2 + len(band_1) + len(band_2)`` modes, the model
 
         H = sum_i [ E_g_i n_g_i + E_w_i n_w_i + V_loc_i (a+_g_i a_w_i + h.c.)
                     + eps_grav_i b+_grav_i b_grav_i + sum_k eps_k_i b+_k_i b_k_i
                     + V_gw_i n_w_i sum_k (b+_grav_i b_k_i + h.c.) ]
 
-    is h_matter ⊗ 1 + 1 ⊗ h_grav + Σ_i n_w_i ⊗ c_i, with c_i the star
-    coupling of site i's local mode to its band. Basis position of each
-    state: ``telegraph_position``. Raises :class:`SizeLimitError` when the
-    4·G states exceed ``errors.DEFAULT_CONFIG_CAP``, before allocating.
+    couples no state of site i's block to a state outside it. The block's
+    basis is matter (w_i, g_i) times gravonon (band_i descending, local_i),
+    the order in which ``fock.enumerate_configs`` lists these states. Raises
+    :class:`SizeLimitError` when the sector's 4·G states exceed
+    ``errors.DEFAULT_CONFIG_CAP``, before allocating.
     """
-    n = p.n_grav_modes
-    if 4 * n > DEFAULT_CONFIG_CAP:
+    if 4 * p.n_grav_modes > DEFAULT_CONFIG_CAP:
         raise SizeLimitError(f"configuration count exceeds cap of {DEFAULT_CONFIG_CAP}")
-    h_grav = np.diag([p.eps_grav_1, *p.band_1, p.eps_grav_2, *p.band_2])
-    h_matter = np.array([
-        [p.e_g1, p.v_loc_1, 0.0, 0.0],
-        [p.v_loc_1, p.e_w1, 0.0, 0.0],
-        [0.0, 0.0, p.e_g2, p.v_loc_2],
-        [0.0, 0.0, p.v_loc_2, p.e_w2],
-    ])
+    e_g, e_w, v_loc, eps_grav, band, v_gw = (
+        getattr(p, name.format(site))
+        for name in ("e_g{}", "e_w{}", "v_loc_{}", "eps_grav_{}", "band_{}", "v_gw_{}")
+    )
+    n = 1 + len(band)
+    h_matter = np.array([[e_w, v_loc], [v_loc, e_g]])
     # h[a, b, a', b'] = <a b|H|a' b'>; accumulating into zeros keeps every
     # element the sum the ladder-operator expansion gives, signed zeros too
-    h = np.zeros((4, n, 4, n))
+    h = np.zeros((2, n, 2, n))
+    h[[0, 1], :, [0, 1], :] += np.diag([*band[::-1], eps_grav])
     grav = np.arange(n)
-    for a in range(4):
-        h[a, :, a, :] += h_grav
     h[:, grav, :, grav] += h_matter
-    for w, modes, v in zip((W1, W2), telegraph_site_modes(p), (p.v_gw_1, p.v_gw_2)):
-        h[w, modes[0], w, modes[1:]] += v
-        h[w, modes[1:], w, modes[0]] += v
-    # descending mode order in both families reverses both axes
-    return HamiltonianMatrix(dim=4 * n, entries=h.reshape(4 * n, 4 * n)[::-1, ::-1])
+    h[0, -1, 0, :-1] += v_gw  # the local mode is last
+    h[0, :-1, 0, -1] += v_gw
+    return HamiltonianMatrix(dim=2 * n, entries=h.reshape(2 * n, 2 * n))

@@ -18,18 +18,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from ladder_oracle import ladder_reference, occupied
 
 from gravodyn import cli
 from gravodyn.config import load_config, parse_config
 from gravodyn.errors import ConfigError
-from gravodyn.models import (
-    W1,
-    W2,
-    TelegraphParams,
-    build_telegraph,
-    telegraph_position,
-    telegraph_site_modes,
-)
+from gravodyn.models import TelegraphParams
 from gravodyn.propagator import diagonalize, evolve
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "scripts" / "configs"
@@ -560,6 +554,38 @@ class TestCliRuns:
             assert len(err) == 1 and err[0].startswith(f"config error: [key '{key}']")
         assert list(tmp_path.glob("run*")) == []
 
+    @pytest.mark.parametrize(
+        "name, values, key",
+        [
+            ("chooser_demo.cfg", {"delta": "0.0"}, "delta"),
+            ("chooser_demo.cfg", {"delta": "-1.0"}, "delta"),
+            ("chooser_demo.cfg", {"n_band": "0", "delta": "0.0"}, "delta"),
+            ("chooser_demo.cfg", {"u": "0.0"}, "u"),  # delta = auto is pi*|u| = 0
+            ("chooser_demo.cfg", {"u": "1e308"}, "u"),  # pi*|u| overflows
+            # x_max - x_min overflows before the grid is built
+            ("meanfield_free_packet.cfg", {"x_min": "-1e308", "x_max": "1e308"}, "x_max"),
+            # sigma^2 underflows to 0; 1/(4 m_g sigma^2) overflows
+            ("gravonon_chain.cfg", {"envelope_width": "1e-170"}, "envelope_width"),
+            ("gravonon_chain.cfg", {"envelope_width": "1e-200"}, "envelope_width"),
+            ("gravonon_chain.cfg", {"m_g": "1e-320"}, "m_g"),
+        ],
+    )
+    def test_value_out_of_float_range_exits_2_naming_key(
+        self, tmp_path, capsys, name, values, key
+    ):
+        text = (EXAMPLES / name).read_text()
+        for k, v in values.items():
+            text, count = re.subn(rf"(?m)^{k} = .*$", f"{k} = {v}", text)
+            assert count == 1
+        cfg = self.write(tmp_path, text)
+        for args in ([cfg, "--out", str(tmp_path / "run")], [cfg, "--check"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a numpy RuntimeWarning fails
+                assert cli.main(args) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"config error: [key '{key}']")
+        assert list(tmp_path.glob("run*")) == []
+
     @pytest.mark.parametrize("radii", ["1e60", "0.0, 1.0", "10.0, -1.0"])
     def test_dimensional_bad_radius_exits_2_naming_radii(self, tmp_path, capsys, radii):
         text = (EXAMPLES / "dimensional_table.cfg").read_text()
@@ -607,18 +633,30 @@ class TestCliRuns:
 
 
 def full_matrix_channels(params, weight, times):
-    """Reference: the two-site state evolved under the whole telegraph matrix."""
-    ham = build_telegraph(params)
-    site_1, site_2 = telegraph_site_modes(params)
-    psi0 = np.zeros(ham.dim, dtype=complex)
-    psi0[telegraph_position(params, W1, site_1[0])] = math.sqrt(weight)
-    psi0[telegraph_position(params, W2, site_2[0])] = math.sqrt(1.0 - weight)
-    weights = np.abs(evolve(diagonalize(ham), psi0, times)) ** 2
-    return tuple(
-        weights[:, [telegraph_position(params, a, k) for a in range(4) for k in modes]]
-        .sum(axis=1)
-        for modes in (site_1[1:], site_2[1:], site_1[:1], site_2[:1])
-    )
+    """Reference: the two-site state evolved under the oracle's whole sector."""
+    configs, h = ladder_reference(params)
+    modes = [occupied(c) for c in configs]  # (matter, gravonon) mode of each state
+    loc_2 = 1 + len(params.band_1)
+    psi0 = np.zeros(len(configs), dtype=complex)
+    psi0[modes.index((1, 0))] = math.sqrt(weight)  # w1 with local mode 1
+    psi0[modes.index((3, loc_2))] = math.sqrt(1.0 - weight)  # w2 with local mode 2
+    weights = np.abs(evolve(diagonalize(h), psi0, times)) ** 2
+    grav = np.array([k for _, k in modes])
+    channels = ((grav > 0) & (grav < loc_2), grav > loc_2, grav == 0, grav == loc_2)
+    return tuple(weights[:, mask].sum(axis=1) for mask in channels)
+
+
+def record_diagonalize_dims(monkeypatch):
+    """The dimension of every ``diagonalize`` call cli makes, in call order."""
+    dims = []
+
+    def recording(h):
+        decomposition = diagonalize(h)
+        dims.append(decomposition.dim)
+        return decomposition
+
+    monkeypatch.setattr(cli, "diagonalize", recording)
+    return dims
 
 
 couplings = st.floats(-1.0, 1.0)
@@ -681,13 +719,7 @@ class TestTelegraphChannels:
         assert list(cli.crossings([1.0, 0.5, 0.5, 0.2, 0.9], [0.0, 0.5, 0.5, 0.6, 0.1])) == [3, 4]
 
     def test_sweep_solves_each_hamiltonian_once_per_run(self, tmp_path, monkeypatch):
-        calls = []
-
-        def counting(h):
-            calls.append(len(h))
-            return diagonalize(h)
-
-        monkeypatch.setattr(cli, "diagonalize", counting)
+        calls = record_diagonalize_dims(monkeypatch)
         cfg = load_config(BENCH_CONFIGS / "telegraph_sweep.cfg")
         first = cli.run_scenario(cfg, out_prefix=tmp_path / "sweep")
         # 4 distinct Hamiltonians in the 16 points, two site blocks each
@@ -700,6 +732,18 @@ class TestTelegraphChannels:
             for line in first[tmp_path / "sweep.csv"].splitlines()[1:]
         ]
         assert counts == [2, 2, 2, 0, 2, 3, 4, 2, 3, 3, 4, 4, 3, 3, 4, 0]
+
+    def test_run_and_check_diagonalize_the_same_site_blocks(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        dims = record_diagonalize_dims(monkeypatch)
+        cfg = str(EXAMPLES / "telegraph_switching.cfg")
+        assert cli.main([cfg, "--out", str(tmp_path / "run")]) == 0
+        run_dims = list(dims)
+        dims.clear()
+        assert cli.main([cfg, "--check"]) == 0
+        # two 20-level bands: each site block is (w_i, g_i) x 21 gravonon modes
+        assert run_dims == dims == [42, 42]
 
     def test_sweep_thread_count_does_not_change_bytes(self, tmp_path):
         cfg = load_config(BENCH_CONFIGS / "telegraph_sweep.cfg")

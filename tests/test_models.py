@@ -6,19 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from ladder_oracle import ladder_reference, occupied
 
 from gravodyn.errors import ContractViolationError
-from gravodyn.fock import GRAV, MATTER, ModeSpace, apply_ladder_string, enumerate_configs
 from gravodyn.models import (
-    G1,
-    W1,
     ChooserParams,
     HamiltonianMatrix,
     TelegraphParams,
     build_chooser,
     build_telegraph,
-    telegraph_position,
-    telegraph_site_modes,
 )
 from gravodyn.propagator import diagonalize
 
@@ -133,8 +129,7 @@ class TestHamiltonianMatrix:
             band_1=(0.01, 0.02), band_2=(0.015, 0.025),
             v_gw_1=0.041, v_gw_2=0.043,
         )
-        telegraph = build_telegraph(p)
-        for h in (chooser, telegraph):
+        for h in (chooser, build_telegraph(p, 1), build_telegraph(p, 2)):
             assert h.entries.dtype == np.float64
             assert np.array_equal(h.entries, h.entries.T)
 
@@ -151,56 +146,6 @@ class TestHamiltonianMatrix:
         assert h.entries.dtype == np.complex128
 
 
-def a_dag_a(family, i, j):
-    """The string a+_i a_j of one mode family, annihilation acting first."""
-    return [(family, j, "lower"), (family, i, "raise")]
-
-
-def ladder_reference(p):
-    """The telegraph matrix assembled from its second-quantized terms.
-
-    Applies every term, with its Hermitian conjugate, to every configuration
-    that ``fock.enumerate_configs`` lists for one matter quantum in the
-    modes (g1, w1, g2, w2) and one gravonon quantum in the modes
-    (local 1, band 1 ..., local 2, band 2 ...):
-
-        H = sum_i [ E_g_i n_g_i + E_w_i n_w_i + V_loc_i (a+_g_i a_w_i + h.c.)
-                    + eps_grav_i b+_grav_i b_grav_i + sum_k eps_k_i b+_k_i b_k_i
-                    + V_gw_i n_w_i sum_k (b+_grav_i b_k_i + h.c.) ]
-    """
-    n1, n2 = len(p.band_1), len(p.band_2)
-    loc_1, loc_2 = 0, 1 + n1
-    band_1 = range(1, 1 + n1)
-    band_2 = range(2 + n1, 2 + n1 + n2)
-    terms = [
-        (a_dag_a(MATTER, 0, 0), p.e_g1),
-        (a_dag_a(MATTER, 1, 1), p.e_w1),
-        (a_dag_a(MATTER, 2, 2), p.e_g2),
-        (a_dag_a(MATTER, 3, 3), p.e_w2),
-        (a_dag_a(MATTER, 0, 1), p.v_loc_1),
-        (a_dag_a(MATTER, 1, 0), p.v_loc_1),
-        (a_dag_a(MATTER, 2, 3), p.v_loc_2),
-        (a_dag_a(MATTER, 3, 2), p.v_loc_2),
-        (a_dag_a(GRAV, loc_1, loc_1), p.eps_grav_1),
-        (a_dag_a(GRAV, loc_2, loc_2), p.eps_grav_2),
-    ]
-    terms += [(a_dag_a(GRAV, k, k), e) for k, e in zip(band_1, p.band_1)]
-    terms += [(a_dag_a(GRAV, k, k), e) for k, e in zip(band_2, p.band_2)]
-    for w, loc, band, v in ((1, loc_1, band_1, p.v_gw_1), (3, loc_2, band_2, p.v_gw_2)):
-        for k in band:
-            terms.append((a_dag_a(MATTER, w, w) + a_dag_a(GRAV, loc, k), v))
-            terms.append((a_dag_a(MATTER, w, w) + a_dag_a(GRAV, k, loc), v))
-    configs = enumerate_configs(ModeSpace(4, 2 + n1 + n2, 1, sector=1, grav_sector=1))
-    index = {c: i for i, c in enumerate(configs)}
-    h = np.zeros((len(configs), len(configs)))
-    for ops, coeff in terms:
-        for col, ket in enumerate(configs):
-            result, amp = apply_ladder_string(ket, ops, 1)
-            if result is not None:
-                h[index[result], col] += coeff * amp
-    return h
-
-
 energies = st.floats(-10, 10)
 bands = st.lists(energies, max_size=4).map(sorted)
 
@@ -210,12 +155,26 @@ class TestTelegraph:
     @given(scalars=st.lists(energies, min_size=10, max_size=10), band_1=bands, band_2=bands)
     @example(scalars=[-0.0] * 10, band_1=[-0.0], band_2=[])
     def test_matches_ladder_reference_bytes(self, scalars, band_1, band_2):
-        """Block assembly reproduces the ladder-operator matrix to the byte."""
+        """Each site block is the ladder-operator oracle's sub-block to the
+        byte, and the oracle couples no block state to a state outside it."""
         p = TelegraphParams(*scalars[:8], band_1=band_1, band_2=band_2,
                             v_gw_1=scalars[8], v_gw_2=scalars[9])
-        h = build_telegraph(p)
-        assert h.dim == 4 * p.n_grav_modes
-        assert h.entries.tobytes() == ladder_reference(p).tobytes()
+        configs, full = ladder_reference(p)
+        position = {occupied(c): i for i, c in enumerate(configs)}
+        n1 = 1 + len(band_1)
+        sites = [  # site, (w_i, g_i), local mode, band modes
+            (1, (1, 0), 0, range(1, n1)),
+            (2, (3, 2), n1, range(n1 + 1, p.n_grav_modes)),
+        ]
+        for site, matter, loc, band in sites:
+            index = [position[a, k] for a in matter for k in (*reversed(band), loc)]
+            assert index == sorted(index)  # the block keeps the oracle's order
+            h = build_telegraph(p, site)
+            assert h.dim == len(index)
+            assert h.entries.tobytes() == full[np.ix_(index, index)].tobytes()
+            outside = np.setdiff1d(np.arange(len(configs)), index)
+            assert not full[np.ix_(index, outside)].any()
+            assert not full[np.ix_(outside, index)].any()
 
     def test_zero_couplings_diagonal(self):
         p = TelegraphParams(
@@ -225,17 +184,13 @@ class TestTelegraph:
             band_1=(0.1, 0.2), band_2=(0.3, 0.4),
             v_gw_1=0.0, v_gw_2=0.0,
         )
-        h = build_telegraph(p)
-        site_1, site_2 = telegraph_site_modes(p)
-        grav_energies = dict(zip(site_1, (0.5, *p.band_1)))
-        grav_energies.update(zip(site_2, (0.6, *p.band_2)))
-        matter_energies = [1.0, 3.0, 2.0, 4.0]  # layout (g1, w1, g2, w2)
-        for a, e_matter in enumerate(matter_energies):
-            for b, e_grav in grav_energies.items():
-                i = telegraph_position(p, a, b)
-                assert h.entries[i, i] == pytest.approx(e_matter + e_grav, abs=1e-15)
-        off = h.entries - np.diag(np.diag(h.entries))
-        assert np.array_equal(off, np.zeros_like(off))
+        for site, e_g, e_w, e_loc, band in ((1, 1.0, 3.0, 0.5, p.band_1),
+                                            (2, 2.0, 4.0, 0.6, p.band_2)):
+            h = build_telegraph(p, site).entries
+            # basis: (w_i, g_i) times (band_i descending, local_i)
+            expected = [e + eps for e in (e_w, e_g) for eps in (*band[::-1], e_loc)]
+            np.testing.assert_allclose(np.diag(h), expected, rtol=0.0, atol=1e-15)
+            assert np.array_equal(h, np.diag(np.diag(h)))
 
     def test_single_site_two_level_block(self):
         p = TelegraphParams(
@@ -243,11 +198,9 @@ class TestTelegraph:
             v_loc_1=0.05, v_loc_2=0.0,
             eps_grav_1=0.0, eps_grav_2=0.0,
         )
-        h = build_telegraph(p)
-        ig = telegraph_position(p, G1, 0)
-        iw = telegraph_position(p, W1, 0)
-        block = h.entries[np.ix_([ig, iw], [ig, iw])]
-        eig = np.linalg.eigvalsh(block)
+        block = build_telegraph(p, 1)
+        assert block.dim == 2  # (w1, g1) times the local mode
+        eig = np.linalg.eigvalsh(block.entries)
         mean = (0.2 - 0.1) / 2
         split = math.sqrt(((0.2 + 0.1) / 2) ** 2 + 0.05**2)
         assert np.allclose(eig, [mean - split, mean + split], atol=1e-14)
