@@ -29,9 +29,9 @@ import numpy as np
 
 from . import analytic, dimensional, meanfield
 from .config import ScenarioConfig, load_config
-from .errors import ConfigError, ContractViolationError, SizeLimitError
+from .errors import DEFAULT_CONFIG_CAP, ConfigError, ContractViolationError, SizeLimitError
 from .gravonon import SiteBasis, build_omega, diagonalize_modes
-from .models import ChooserParams, TelegraphParams, build_chooser, build_telegraph
+from .models import ChooserParams, TelegraphSite, build_chooser, build_telegraph
 from .propagator import diagonalize, evolve
 
 EXIT_OK = 0
@@ -190,53 +190,62 @@ def _solve_chooser(params, sampling):
     return plateau, float(-slope), None
 
 
-def _point_chooser(p, stats):
+def _point_chooser(p, solutions):
     # a chooser row depends on its model alone; reducing it inside the solve
     # keeps no (times x dim) weights alive across the sweep
-    return stats
+    return solutions[0]
 
 
 # ---------------------------------------------------------------------------
 # telegraph
 
 
+_SITE_KEYS = (  # each site's keys, in TelegraphSite's field order
+    ("e_g1", "e_w1", "v_loc_1", "eps_grav_1", "band_1", "v_gw_1"),
+    ("e_g2", "e_w2", "v_loc_2", "eps_grav_2", "band_2", "v_gw_2"),
+)
+
+
 def telegraph_params_from(p):
-    return TelegraphParams(
-        e_g1=p["e_g1"], e_g2=p["e_g2"], e_w1=p["e_w1"], e_w2=p["e_w2"],
-        v_loc_1=p["v_loc_1"], v_loc_2=p["v_loc_2"],
-        eps_grav_1=p["eps_grav_1"], eps_grav_2=p["eps_grav_2"],
-        band_1=list(p["band_1"]), band_2=list(p["band_2"]),
-        v_gw_1=p["v_gw_1"], v_gw_2=p["v_gw_2"],
-    )
+    """Sites 1 and 2 of a telegraph config. The cap on the sector of both
+    sites (4·G states for G gravonon modes) fires before anything is built."""
+    if 4 * (2 + len(p["band_1"]) + len(p["band_2"])) > DEFAULT_CONFIG_CAP:
+        raise SizeLimitError(f"configuration count exceeds cap of {DEFAULT_CONFIG_CAP}")
+    sites = []
+    for keys in _SITE_KEYS:
+        try:
+            sites.append(TelegraphSite(*(p[key] for key in keys)))
+        except ValueError as exc:  # only the band is checked
+            raise ConfigError(str(exc), key=keys[4]) from None
+    return tuple(sites)
 
 
-def _site_channels(params: TelegraphParams, times):
-    """Band and local-mode weights (P1, P2, L1, L2) of each site evolved alone.
-
-    Nothing couples the sites, so each site's block from ``build_telegraph``
-    is evolved on its own from its warp resonance and local mode.
-    """
-    band, loc = [], []
-    for site in (1, 2):
-        ham = build_telegraph(params, site)
-        n_grav = ham.dim // 2  # basis: (w_i, g_i) times (band_i..., local_i)
-        psi0 = np.zeros(ham.dim)
-        psi0[n_grav - 1] = 1.0
-        states = evolve(diagonalize(ham), psi0, times)
-        weights = (np.abs(states) ** 2).reshape(len(times), 2, n_grav).sum(axis=1)
-        band.append(weights[:, :-1].sum(axis=1))
-        loc.append(weights[:, -1])
-    return (*band, *loc)
+def _evolve_site(site: TelegraphSite, times):
+    """Band and local-mode weights (P, L) of one site evolved alone from its
+    warp resonance and local mode."""
+    ham = build_telegraph(site)
+    n_grav = ham.dim // 2  # basis: (w, g) times (band..., local)
+    psi0 = np.zeros(ham.dim)
+    psi0[n_grav - 1] = 1.0
+    states = evolve(diagonalize(ham), psi0, times)
+    weights = (np.abs(states) ** 2).reshape(len(times), 2, n_grav).sum(axis=1)
+    return weights[:, :-1].sum(axis=1), weights[:, -1]
 
 
-def _weigh(site_channels, weight_site1):
+def _site_weights(weight_site1):
     if not 0.0 <= weight_site1 <= 1.0:
         raise ConfigError("weight_site1 must lie in [0, 1]", key="weight_site1")
-    factors = (weight_site1, 1.0 - weight_site1) * 2
-    return tuple(f * channel for f, channel in zip(factors, site_channels))
+    return weight_site1, 1.0 - weight_site1
 
 
-def telegraph_channels(params: TelegraphParams, weight_site1, times):
+def _weigh(solutions, weight_site1):
+    """(w·P1, (1-w)·P2, w·L1, (1-w)·L2) from the two sites' (P, L)."""
+    (band_1, loc_1), (band_2, loc_2) = solutions
+    w_1, w_2 = _site_weights(weight_site1)
+    return w_1 * band_1, w_2 * band_2, w_1 * loc_1, w_2 * loc_2
+
+
+def telegraph_channels(sites, weight_site1, times):
     """Site-resolved gravonon weights (w_band 1, w_band 2, w_loc 1, w_loc 2).
 
     The initial state holds the matter quantum in the warp resonance of each
@@ -245,7 +254,7 @@ def telegraph_channels(params: TelegraphParams, weight_site1, times):
     channels are (w·P1, (1-w)·P2, w·L1, (1-w)·L2): the "switching" is the
     crossings of two independently weighted site decays.
     """
-    return _weigh(_site_channels(params, times), weight_site1)
+    return _weigh([_evolve_site(site, times) for site in sites], weight_site1)
 
 
 SWITCH_TIE = 1e-12  # |channel_1 - channel_2| at or below this is a tie
@@ -279,24 +288,23 @@ def _run_telegraph(p, sampling, prefix: Path):
 
 
 def _check_telegraph(p, sampling):
-    _weigh((), p["weight_site1"])  # the run's range check, on no channels
-    params = telegraph_params_from(p)
-    for site in (1, 2):  # the two blocks the run evolves, with the same lines
-        lines = _check_hamiltonian(build_telegraph(params, site))
+    _site_weights(p["weight_site1"])
+    for site in telegraph_params_from(p):  # the two blocks the run evolves
+        lines = _check_hamiltonian(build_telegraph(site))
     return lines
 
 
-def _solve_telegraph(params, sampling):
+def _solve_telegraph(site, sampling):
     if sampling["n_times"] < 1:
         raise ConfigError(
             "the plateau percentile needs at least one sample", key="n_times"
         )
     times = np.linspace(0.0, sampling["t_final"], sampling["n_times"])
-    return _site_channels(params, times)
+    return _evolve_site(site, times)
 
 
-def _point_telegraph(p, site_channels):
-    band_1, band_2, _, _ = _weigh(site_channels, p["weight_site1"])
+def _point_telegraph(p, solutions):
+    band_1, band_2, _, _ = _weigh(solutions, p["weight_site1"])
     plateau = float(np.percentile(band_1, 95))
     return plateau, None, switching_count(band_1, band_2)
 
@@ -428,15 +436,16 @@ def _check_dimensional(p, sampling):
 class _Scenario(NamedTuple):
     run: Callable  # (parameters, sampling, prefix) -> {path: text}
     check: Callable  # (parameters, sampling) -> check lines
-    # sweep bases: points with equal models share one solve in a sweep
-    model: Callable | None = None  # (parameters) -> hashable model
-    solve: Callable | None = None  # (model, sampling) -> solution
-    point: Callable | None = None  # (parameters, solution) -> sweep row statistics
+    # sweep bases: points that share an independent part of their model share its solve
+    parts: Callable | None = None  # (parameters) -> tuple of hashable parts
+    solve: Callable | None = None  # (part, sampling) -> solution
+    point: Callable | None = None  # (parameters, its parts' solutions) -> row statistics
 
 
 _SCENARIOS = {
     "chooser": _Scenario(
-        _run_chooser, _check_chooser, _chooser_params, _solve_chooser, _point_chooser
+        _run_chooser, _check_chooser,
+        lambda p: (_chooser_params(p),), _solve_chooser, _point_chooser,
     ),
     "telegraph": _Scenario(
         _run_telegraph, _check_telegraph,
@@ -473,13 +482,14 @@ def _run_sweep(cfg: ScenarioConfig, prefix: Path, threads: int):
         )
     points = list(points)
     base = _SCENARIOS[cfg.parameters["base"]]
-    models = [base.model(p) for p in points]
-    distinct = list(dict.fromkeys(models))  # solved once each, for this sweep only
+    parts = [base.parts(p) for p in points]
+    # each distinct part is solved once, for this sweep only
+    distinct = list(dict.fromkeys(itertools.chain.from_iterable(parts)))
     workers = max(1, min(threads, len(distinct), os.cpu_count() or 1))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        solutions = pool.map(lambda m: base.solve(m, cfg.sampling), distinct)
+        solutions = pool.map(lambda part: base.solve(part, cfg.sampling), distinct)
         solved = dict(zip(distinct, solutions))
-    stats = [base.point(p, solved[m]) for p, m in zip(points, models)]
+    stats = [base.point(p, [solved[part] for part in ps]) for p, ps in zip(points, parts)]
 
     header = ["grid_index"] + names + ["plateau", "decay_rate", "switching_count"]
     rows = [

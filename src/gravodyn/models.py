@@ -5,11 +5,12 @@ Two builders share one matrix representation:
 * ``build_chooser`` — the source/screen/projection/band level scheme
   (a discrete state |Q0> coupled through |R0> and a projected band state
   |Kproj> into a flat band of N levels),
-* ``build_telegraph`` — a two-site adsorbate model where each site carries
-  a core state, a locally distorted resonance, one local gravonon mode and
-  a finite gravonon continuum. Nothing couples the sites, so in the sector
-  of one matter quantum and one gravonon quantum it is built as the block
-  of one site: that site's matter pair times that site's gravonon modes.
+* ``build_telegraph`` — one site of a two-site adsorbate model, where
+  each ``TelegraphSite`` carries a core state, a locally distorted
+  resonance, one local gravonon mode and a finite gravonon continuum.
+  Nothing couples the sites, so in the sector of one matter quantum and
+  one gravonon quantum the model is the block of each site alone: that
+  site's matter pair times that site's gravonon modes.
 
 Every off-diagonal element is written into a zeroed array in lockstep
 with its conjugate partner, with the same value, so the stored matrix is
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DEFAULT_CONFIG_CAP, ContractViolationError, SizeLimitError
+from .errors import ContractViolationError
 
 
 @dataclass(frozen=True)
@@ -63,43 +64,28 @@ class ChooserParams:
 
 
 @dataclass(frozen=True)
-class TelegraphParams:
-    """Two-site adsorbate model parameters.
+class TelegraphSite:
+    """One site of the two-site adsorbate model.
 
-    Each site i carries a core level (energy ``e_g_i``), a locally distorted
-    resonance (``e_w_i``) reachable by the hopping ``v_loc_i``, a local
-    gravonon mode (``eps_grav_i``) and a finite gravonon continuum
-    (``band_i``, ascending energies).  ``v_gw_i`` couples the local gravonon
-    to each continuum mode, gated by occupation of the distorted resonance
-    (the coupling multiplies n_w_i).
+    A core level (energy ``e_g``), a locally distorted resonance (``e_w``)
+    reachable by the hopping ``v_loc``, a local gravonon mode (``eps_grav``)
+    and a finite gravonon continuum (``band``, ascending energies). ``v_gw``
+    couples the local gravonon to each continuum mode, times n_w.
     """
 
-    e_g1: float
-    e_g2: float
-    e_w1: float
-    e_w2: float
-    v_loc_1: float
-    v_loc_2: float
-    eps_grav_1: float
-    eps_grav_2: float
-    band_1: tuple[float, ...] = ()
-    band_2: tuple[float, ...] = ()
-    v_gw_1: float = 0.0
-    v_gw_2: float = 0.0
+    e_g: float
+    e_w: float
+    v_loc: float
+    eps_grav: float
+    band: tuple[float, ...] = ()
+    v_gw: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "band_1", tuple(float(e) for e in self.band_1))
-        object.__setattr__(self, "band_2", tuple(float(e) for e in self.band_2))
-        for name in ("band_1", "band_2"):
-            band = getattr(self, name)
-            if any(not math.isfinite(e) for e in band):
-                raise ValueError(f"{name} entries must be finite")
-            if list(band) != sorted(band):
-                raise ValueError(f"{name} must be sorted ascending")
-
-    @property
-    def n_grav_modes(self):
-        return 2 + len(self.band_1) + len(self.band_2)
+        object.__setattr__(self, "band", tuple(float(e) for e in self.band))
+        if any(not math.isfinite(e) for e in self.band):
+            raise ValueError("band entries must be finite")
+        if list(self.band) != sorted(self.band):
+            raise ValueError("band must be sorted ascending")
 
 
 def _real_if_exact(entries):
@@ -158,36 +144,28 @@ def build_chooser(p: ChooserParams) -> HamiltonianMatrix:
 # telegraph model
 
 
-def build_telegraph(p: TelegraphParams, site) -> HamiltonianMatrix:
-    """Assemble the block of site ``site`` (1 or 2) of the two-site adsorbate.
+def build_telegraph(site: TelegraphSite) -> HamiltonianMatrix:
+    """Assemble the block of one site of the two-site adsorbate.
 
     In the sector of one matter quantum in (g1, w1, g2, w2) and one gravonon
-    quantum in the ``G = 2 + len(band_1) + len(band_2)`` modes, the model
+    quantum in the modes of both sites, the model
 
         H = sum_i [ E_g_i n_g_i + E_w_i n_w_i + V_loc_i (a+_g_i a_w_i + h.c.)
                     + eps_grav_i b+_grav_i b_grav_i + sum_k eps_k_i b+_k_i b_k_i
                     + V_gw_i n_w_i sum_k (b+_grav_i b_k_i + h.c.) ]
 
     couples no state of site i's block to a state outside it. The block's
-    basis is matter (w_i, g_i) times gravonon (band_i descending, local_i),
-    the order in which ``fock.enumerate_configs`` lists these states. Raises
-    :class:`SizeLimitError` when the sector's 4·G states exceed
-    ``errors.DEFAULT_CONFIG_CAP``, before allocating.
+    basis is matter (w, g) times gravonon (band descending, local), the
+    order in which ``fock.enumerate_configs`` lists these states.
     """
-    if 4 * p.n_grav_modes > DEFAULT_CONFIG_CAP:
-        raise SizeLimitError(f"configuration count exceeds cap of {DEFAULT_CONFIG_CAP}")
-    e_g, e_w, v_loc, eps_grav, band, v_gw = (
-        getattr(p, name.format(site))
-        for name in ("e_g{}", "e_w{}", "v_loc_{}", "eps_grav_{}", "band_{}", "v_gw_{}")
-    )
-    n = 1 + len(band)
-    h_matter = np.array([[e_w, v_loc], [v_loc, e_g]])
+    n = 1 + len(site.band)
+    h_matter = np.array([[site.e_w, site.v_loc], [site.v_loc, site.e_g]])
     # h[a, b, a', b'] = <a b|H|a' b'>; accumulating into zeros keeps every
     # element the sum the ladder-operator expansion gives, signed zeros too
     h = np.zeros((2, n, 2, n))
-    h[[0, 1], :, [0, 1], :] += np.diag([*band[::-1], eps_grav])
+    h[[0, 1], :, [0, 1], :] += np.diag([*site.band[::-1], site.eps_grav])
     grav = np.arange(n)
     h[:, grav, :, grav] += h_matter
-    h[0, -1, 0, :-1] += v_gw  # the local mode is last
-    h[0, :-1, 0, -1] += v_gw
+    h[0, -1, 0, :-1] += site.v_gw  # the local mode is last
+    h[0, :-1, 0, -1] += site.v_gw
     return HamiltonianMatrix(dim=2 * n, entries=h.reshape(2 * n, 2 * n))

@@ -15,8 +15,8 @@ def a_dag_a(family, i, j):
     return [(family, j, "lower"), (family, i, "raise")]
 
 
-def ladder_reference(p):
-    """The sector's configurations and the telegraph matrix over them.
+def ladder_reference(site_1, site_2):
+    """The sector's configurations and the telegraph matrix of two sites over them.
 
     Applies every term, with its Hermitian conjugate, to every configuration
     that ``fock.enumerate_configs`` lists for one matter quantum in the
@@ -29,25 +29,25 @@ def ladder_reference(p):
 
     Row and column j of the matrix belong to ``configs[j]``.
     """
-    n1, n2 = len(p.band_1), len(p.band_2)
+    n1, n2 = len(site_1.band), len(site_2.band)
     loc_1, loc_2 = 0, 1 + n1
     band_1 = range(1, 1 + n1)
     band_2 = range(2 + n1, 2 + n1 + n2)
     terms = [
-        (a_dag_a(MATTER, 0, 0), p.e_g1),
-        (a_dag_a(MATTER, 1, 1), p.e_w1),
-        (a_dag_a(MATTER, 2, 2), p.e_g2),
-        (a_dag_a(MATTER, 3, 3), p.e_w2),
-        (a_dag_a(MATTER, 0, 1), p.v_loc_1),
-        (a_dag_a(MATTER, 1, 0), p.v_loc_1),
-        (a_dag_a(MATTER, 2, 3), p.v_loc_2),
-        (a_dag_a(MATTER, 3, 2), p.v_loc_2),
-        (a_dag_a(GRAV, loc_1, loc_1), p.eps_grav_1),
-        (a_dag_a(GRAV, loc_2, loc_2), p.eps_grav_2),
+        (a_dag_a(MATTER, 0, 0), site_1.e_g),
+        (a_dag_a(MATTER, 1, 1), site_1.e_w),
+        (a_dag_a(MATTER, 2, 2), site_2.e_g),
+        (a_dag_a(MATTER, 3, 3), site_2.e_w),
+        (a_dag_a(MATTER, 0, 1), site_1.v_loc),
+        (a_dag_a(MATTER, 1, 0), site_1.v_loc),
+        (a_dag_a(MATTER, 2, 3), site_2.v_loc),
+        (a_dag_a(MATTER, 3, 2), site_2.v_loc),
+        (a_dag_a(GRAV, loc_1, loc_1), site_1.eps_grav),
+        (a_dag_a(GRAV, loc_2, loc_2), site_2.eps_grav),
     ]
-    terms += [(a_dag_a(GRAV, k, k), e) for k, e in zip(band_1, p.band_1)]
-    terms += [(a_dag_a(GRAV, k, k), e) for k, e in zip(band_2, p.band_2)]
-    for w, loc, band, v in ((1, loc_1, band_1, p.v_gw_1), (3, loc_2, band_2, p.v_gw_2)):
+    terms += [(a_dag_a(GRAV, k, k), e) for k, e in zip(band_1, site_1.band)]
+    terms += [(a_dag_a(GRAV, k, k), e) for k, e in zip(band_2, site_2.band)]
+    for w, loc, band, v in ((1, loc_1, band_1, site_1.v_gw), (3, loc_2, band_2, site_2.v_gw)):
         for k in band:
             terms.append((a_dag_a(MATTER, w, w) + a_dag_a(GRAV, loc, k), v))
             terms.append((a_dag_a(MATTER, w, w) + a_dag_a(GRAV, k, loc), v))

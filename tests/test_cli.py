@@ -23,7 +23,7 @@ from ladder_oracle import ladder_reference, occupied
 from gravodyn import cli
 from gravodyn.config import load_config, parse_config
 from gravodyn.errors import ConfigError
-from gravodyn.models import TelegraphParams
+from gravodyn.models import TelegraphSite
 from gravodyn.propagator import diagonalize, evolve
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "scripts" / "configs"
@@ -632,11 +632,11 @@ class TestCliRuns:
         assert (tmp_path / "nested" / "run.csv").exists()
 
 
-def full_matrix_channels(params, weight, times):
+def full_matrix_channels(sites, weight, times):
     """Reference: the two-site state evolved under the oracle's whole sector."""
-    configs, h = ladder_reference(params)
+    configs, h = ladder_reference(*sites)
     modes = [occupied(c) for c in configs]  # (matter, gravonon) mode of each state
-    loc_2 = 1 + len(params.band_1)
+    loc_2 = 1 + len(sites[0].band)
     psi0 = np.zeros(len(configs), dtype=complex)
     psi0[modes.index((1, 0))] = math.sqrt(weight)  # w1 with local mode 1
     psi0[modes.index((3, loc_2))] = math.sqrt(1.0 - weight)  # w2 with local mode 2
@@ -686,23 +686,24 @@ class TestTelegraphChannels:
         self, energies, v_loc, v_gw, band_1, band_2, weight
     ):
         e_g1, e_g2, e_w1, e_w2, eps_1, eps_2 = energies
-        params = TelegraphParams(
-            e_g1=e_g1, e_g2=e_g2, e_w1=e_w1, e_w2=e_w2,
-            v_loc_1=v_loc[0], v_loc_2=v_loc[1], eps_grav_1=eps_1, eps_grav_2=eps_2,
-            band_1=band_1, band_2=band_2, v_gw_1=v_gw[0], v_gw_2=v_gw[1],
+        sites = (
+            TelegraphSite(e_g=e_g1, e_w=e_w1, v_loc=v_loc[0], eps_grav=eps_1,
+                          band=band_1, v_gw=v_gw[0]),
+            TelegraphSite(e_g=e_g2, e_w=e_w2, v_loc=v_loc[1], eps_grav=eps_2,
+                          band=band_2, v_gw=v_gw[1]),
         )
         times = np.linspace(0.0, 10.0, 17)
-        blocks = cli.telegraph_channels(params, weight, times)
-        reference = full_matrix_channels(params, weight, times)
+        blocks = cli.telegraph_channels(sites, weight, times)
+        reference = full_matrix_channels(sites, weight, times)
         for block, full in zip(blocks, reference):
             np.testing.assert_allclose(block, full, rtol=0.0, atol=1e-12)
 
     def test_weight_outside_unit_interval_rejected(self):
-        params = cli.telegraph_params_from(
+        sites = cli.telegraph_params_from(
             load_config(EXAMPLES / "telegraph_switching.cfg").parameters
         )
         with pytest.raises(ConfigError, match="weight_site1"):
-            cli.telegraph_channels(params, 1.5, np.linspace(0.0, 1.0, 4))
+            cli.telegraph_channels(sites, 1.5, np.linspace(0.0, 1.0, 4))
 
     def test_switching_count_ignores_roundoff_at_a_tie(self):
         # both band channels are 0 at t = 0; roundoff of either sign there
@@ -722,10 +723,10 @@ class TestTelegraphChannels:
         calls = record_diagonalize_dims(monkeypatch)
         cfg = load_config(BENCH_CONFIGS / "telegraph_sweep.cfg")
         first = cli.run_scenario(cfg, out_prefix=tmp_path / "sweep")
-        # 4 distinct Hamiltonians in the 16 points, two site blocks each
-        assert calls == [42] * 8
+        # 16 points: 4 distinct site-1 blocks (v_gw_1) and one site-2 block
+        assert calls == [42] * 5
         second = cli.run_scenario(cfg, out_prefix=tmp_path / "sweep")
-        assert len(calls) == 16  # no solution outlives its run
+        assert len(calls) == 10  # no solution outlives its run
         assert first == second
         counts = [
             int(line.rsplit(",", 1)[1])
@@ -753,7 +754,7 @@ class TestTelegraphChannels:
 
     @pytest.mark.parametrize(
         "threads, cpus, workers",
-        [(1000, 3, 3), (1000, 64, 5), (2, 8, 2), (0, 8, 1), (-4, 8, 1), (1000, None, 1)],
+        [(1000, 3, 3), (1000, 64, 6), (2, 8, 2), (0, 8, 1), (-4, 8, 1), (1000, None, 1)],
     )
     def test_sweep_threads_clamped(self, tmp_path, monkeypatch, threads, cpus, workers):
         seen = []
@@ -765,7 +766,7 @@ class TestTelegraphChannels:
 
         monkeypatch.setattr(cli, "ThreadPoolExecutor", recording)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-        # 5 distinct Hamiltonians
+        # 6 distinct site blocks: one for site 1, one per v_gw_2 for site 2
         cfg = parse_config(sweep_text("telegraph", "0.01, 0.02, 0.03, 0.04, 0.05"))
         cli.run_scenario(cfg, out_prefix=tmp_path / "sweep", threads=threads)
         assert seen == [workers]

@@ -12,7 +12,7 @@ from gravodyn.errors import ContractViolationError
 from gravodyn.models import (
     ChooserParams,
     HamiltonianMatrix,
-    TelegraphParams,
+    TelegraphSite,
     build_chooser,
     build_telegraph,
 )
@@ -122,14 +122,11 @@ class TestHamiltonianMatrix:
         chooser = build_chooser(
             ChooserParams(v=0.1, w=0.2, n_band=4, delta=1.0, u=0.3, alpha=0.05)
         )
-        p = TelegraphParams(
-            e_g1=0.11, e_g2=0.13, e_w1=0.17, e_w2=0.19,
-            v_loc_1=0.023, v_loc_2=0.029,
-            eps_grav_1=0.031, eps_grav_2=0.037,
-            band_1=(0.01, 0.02), band_2=(0.015, 0.025),
-            v_gw_1=0.041, v_gw_2=0.043,
-        )
-        for h in (chooser, build_telegraph(p, 1), build_telegraph(p, 2)):
+        site_1 = TelegraphSite(e_g=0.11, e_w=0.17, v_loc=0.023, eps_grav=0.031,
+                               band=(0.01, 0.02), v_gw=0.041)
+        site_2 = TelegraphSite(e_g=0.13, e_w=0.19, v_loc=0.029, eps_grav=0.037,
+                               band=(0.015, 0.025), v_gw=0.043)
+        for h in (chooser, build_telegraph(site_1), build_telegraph(site_2)):
             assert h.entries.dtype == np.float64
             assert np.array_equal(h.entries, h.entries.T)
 
@@ -157,19 +154,20 @@ class TestTelegraph:
     def test_matches_ladder_reference_bytes(self, scalars, band_1, band_2):
         """Each site block is the ladder-operator oracle's sub-block to the
         byte, and the oracle couples no block state to a state outside it."""
-        p = TelegraphParams(*scalars[:8], band_1=band_1, band_2=band_2,
-                            v_gw_1=scalars[8], v_gw_2=scalars[9])
-        configs, full = ladder_reference(p)
+        # scalars alternate site 1, site 2 through (e_g, e_w, v_loc, eps_grav, v_gw)
+        site_1 = TelegraphSite(*scalars[0:8:2], band=band_1, v_gw=scalars[8])
+        site_2 = TelegraphSite(*scalars[1:8:2], band=band_2, v_gw=scalars[9])
+        configs, full = ladder_reference(site_1, site_2)
         position = {occupied(c): i for i, c in enumerate(configs)}
         n1 = 1 + len(band_1)
         sites = [  # site, (w_i, g_i), local mode, band modes
-            (1, (1, 0), 0, range(1, n1)),
-            (2, (3, 2), n1, range(n1 + 1, p.n_grav_modes)),
+            (site_1, (1, 0), 0, range(1, n1)),
+            (site_2, (3, 2), n1, range(n1 + 1, n1 + 1 + len(band_2))),
         ]
         for site, matter, loc, band in sites:
             index = [position[a, k] for a in matter for k in (*reversed(band), loc)]
             assert index == sorted(index)  # the block keeps the oracle's order
-            h = build_telegraph(p, site)
+            h = build_telegraph(site)
             assert h.dim == len(index)
             assert h.entries.tobytes() == full[np.ix_(index, index)].tobytes()
             outside = np.setdiff1d(np.arange(len(configs)), index)
@@ -177,29 +175,19 @@ class TestTelegraph:
             assert not full[np.ix_(outside, index)].any()
 
     def test_zero_couplings_diagonal(self):
-        p = TelegraphParams(
-            e_g1=1.0, e_g2=2.0, e_w1=3.0, e_w2=4.0,
-            v_loc_1=0.0, v_loc_2=0.0,
-            eps_grav_1=0.5, eps_grav_2=0.6,
-            band_1=(0.1, 0.2), band_2=(0.3, 0.4),
-            v_gw_1=0.0, v_gw_2=0.0,
-        )
-        for site, e_g, e_w, e_loc, band in ((1, 1.0, 3.0, 0.5, p.band_1),
-                                            (2, 2.0, 4.0, 0.6, p.band_2)):
-            h = build_telegraph(p, site).entries
+        for e_g, e_w, e_loc, band in ((1.0, 3.0, 0.5, (0.1, 0.2)),
+                                      (2.0, 4.0, 0.6, (0.3, 0.4))):
+            site = TelegraphSite(e_g=e_g, e_w=e_w, v_loc=0.0, eps_grav=e_loc,
+                                 band=band, v_gw=0.0)
+            h = build_telegraph(site).entries
             # basis: (w_i, g_i) times (band_i descending, local_i)
             expected = [e + eps for e in (e_w, e_g) for eps in (*band[::-1], e_loc)]
             np.testing.assert_allclose(np.diag(h), expected, rtol=0.0, atol=1e-15)
             assert np.array_equal(h, np.diag(np.diag(h)))
 
     def test_single_site_two_level_block(self):
-        p = TelegraphParams(
-            e_g1=0.2, e_g2=0.0, e_w1=-0.1, e_w2=0.0,
-            v_loc_1=0.05, v_loc_2=0.0,
-            eps_grav_1=0.0, eps_grav_2=0.0,
-        )
-        block = build_telegraph(p, 1)
-        assert block.dim == 2  # (w1, g1) times the local mode
+        block = build_telegraph(TelegraphSite(e_g=0.2, e_w=-0.1, v_loc=0.05, eps_grav=0.0))
+        assert block.dim == 2  # (w, g) times the local mode
         eig = np.linalg.eigvalsh(block.entries)
         mean = (0.2 - 0.1) / 2
         split = math.sqrt(((0.2 + 0.1) / 2) ** 2 + 0.05**2)
@@ -207,7 +195,4 @@ class TestTelegraph:
 
     def test_band_must_be_sorted(self):
         with pytest.raises(ValueError, match="ascending"):
-            TelegraphParams(
-                e_g1=0, e_g2=0, e_w1=0, e_w2=0, v_loc_1=0, v_loc_2=0,
-                eps_grav_1=0, eps_grav_2=0, band_1=(0.2, 0.1),
-            )
+            TelegraphSite(e_g=0, e_w=0, v_loc=0, eps_grav=0, band=(0.2, 0.1))
