@@ -6,9 +6,9 @@ produce bit-identical bytes (there is no randomness anywhere in the package
 and float formatting is fixed to 12 significant digits).
 
 Each scenario has one record in ``_SCENARIOS``: its run, its ``--check``
-and, for the sweep bases, the reduction of one sweep grid point. The three
-share one model builder per scenario, so they always see the same model
-(for telegraph, the same two site blocks).
+and, for the sweep bases, a point's independent model parts (telegraph:
+its two sites), one part's solve and one point's reduction. All share one
+model builder per scenario, so they always see the same model.
 
 Exit codes: 0 success, 2 config error, 3 numerical-contract violation,
 4 resource cap exceeded.
@@ -84,6 +84,10 @@ def _check_hamiltonian(ham):
 
 
 def _chooser_params(p):
+    if 3 + p["n_band"] > DEFAULT_CONFIG_CAP:
+        raise SizeLimitError(
+            f"[key 'n_band'] configuration count exceeds cap of {DEFAULT_CONFIG_CAP}"
+        )
     delta = p["delta"]
     if delta is None:
         _, delta = analytic.self_consistent_width(p["u"])

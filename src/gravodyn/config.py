@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import DEFAULT_CONFIG_CAP, ConfigError, SizeLimitError
 
 SWEEP_BASES = ("chooser", "telegraph")
 
@@ -49,7 +49,7 @@ _CHOOSER_PARAMS = {
     "v": FieldSpec("float", required=True),
     "w": FieldSpec("float", required=True),
     "u": FieldSpec("float", required=True),
-    "n_band": FieldSpec("int", required=True),
+    "n_band": FieldSpec("int", required=True, minimum=0),
     "delta": FieldSpec("float_or_auto", default=None),  # auto -> pi*|u|
     "alpha": FieldSpec("float", default=0.0),
 }
@@ -181,6 +181,9 @@ def _parse_floats(token, line, key):
         count = _parse_int(match.group(3), line, key)
         if count < 0:
             raise ConfigError("linspace count must be nonnegative", line=line, key=key)
+        if count > DEFAULT_CONFIG_CAP:  # checked before anything is allocated
+            raise SizeLimitError(f"[line {line}, key '{key}'] linspace count {count} "
+                                 f"exceeds cap of {DEFAULT_CONFIG_CAP}")
         return [float(x) for x in np.linspace(lo, hi, count)]
     return [_parse_float(part.strip(), line, key) for part in token.split(",")]
 

@@ -5,7 +5,7 @@ class ContractViolationError(RuntimeError):
     """A numerical invariant (Hermiticity, normalization, stability bound) was violated."""
 
 
-DEFAULT_CONFIG_CAP = 200_000  # basis states one model may have
+DEFAULT_CONFIG_CAP = 200_000  # basis states one model, or entries one linspace, may have
 
 
 class SizeLimitError(RuntimeError):

@@ -492,6 +492,7 @@ class TestCliRuns:
             ("meanfield_free_packet.cfg", "n_points = 8", "n_points"),
             ("chooser_demo.cfg", "n_times = -1", "n_times"),
             ("telegraph_switching.cfg", "n_times = -1", "n_times"),
+            ("chooser_demo.cfg", "n_band = -1", "n_band"),
         ],
     )
     def test_count_below_its_minimum_exits_2(self, tmp_path, capsys, name, line, key):
@@ -614,6 +615,48 @@ class TestCliRuns:
         assert capsys.readouterr().err == run_err
         assert list(tmp_path.glob("run*")) == []
 
+    @pytest.mark.parametrize("name", ["chooser_demo.cfg", "sweep_decay.cfg"])
+    def test_chooser_basis_cap_exits_4_naming_n_band(self, tmp_path, capsys, name):
+        # 3 + n_band states: 10 000 000 would be a 728 TiB dense matrix
+        text = (EXAMPLES / name).read_text()
+        text, count = re.subn(r"(?m)^n_band = .*$", "n_band = 10000000", text)
+        assert count == 1
+        cfg = self.write(tmp_path, text)
+        for args in ([cfg, "--out", str(tmp_path / "run")], [cfg, "--check"]):
+            assert cli.main(args) == 4
+            err = capsys.readouterr().err.splitlines()
+            assert err == [
+                "resource cap: [key 'n_band'] configuration count exceeds cap of 200000"
+            ]
+        assert list(tmp_path.glob("run*")) == []
+
+    def test_linspace_count_over_cap_exits_4_before_allocating(self, tmp_path, capsys):
+        # 1e12 entries are ~8 TB: the count must be refused before linspace runs
+        text = (EXAMPLES / "telegraph_switching.cfg").read_text().replace(
+            "band_1 = linspace(-1.0, 1.0, 20)", "band_1 = linspace(-1.0, 1.0, 1000000000000)"
+        )
+        cfg = self.write(tmp_path, text)
+        for args in ([cfg, "--out", str(tmp_path / "run")], [cfg, "--check"]):
+            assert cli.main(args) == 4
+            err = capsys.readouterr().err.splitlines()
+            assert err == [
+                "resource cap: [line 16, key 'band_1'] linspace count 1000000000000 "
+                "exceeds cap of 200000"
+            ]
+        assert list(tmp_path.glob("run*")) == []
+
+    @pytest.mark.parametrize("key", ["band_1", "band_2"])
+    def test_unsorted_band_exits_2_naming_its_key(self, tmp_path, capsys, key):
+        text = (EXAMPLES / "telegraph_switching.cfg").read_text()
+        text, count = re.subn(rf"(?m)^{key} = .*$", f"{key} = 0.2, 0.1", text)
+        assert count == 1
+        cfg = self.write(tmp_path, text)
+        for args in ([cfg, "--out", str(tmp_path / "run")], [cfg, "--check"]):
+            assert cli.main(args) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert err == [f"config error: [key '{key}'] band must be sorted ascending"]
+        assert list(tmp_path.glob("run*")) == []
+
     def test_runtime_path_does_not_import_the_reference_engine(self):
         # fock is the ladder-operator reference of the tests, not of a run
         code = "import sys, gravodyn.cli; print('gravodyn.fock' in sys.modules)"
@@ -630,6 +673,20 @@ class TestCliRuns:
         )
         assert cli.main([cfg]) == 0
         assert (tmp_path / "nested" / "run.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "script", sorted(EXAMPLES.parent.glob("*.py")), ids=lambda path: path.name
+)
+def test_experiment_script_runs(tmp_path, script):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, str(script)], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    if script.name == "switching_trace.py":
+        assert re.search(r"(?m)^crossings: 4 at t = ", result.stdout)  # the README's count
+    assert list(tmp_path.iterdir()) == []
 
 
 def full_matrix_channels(sites, weight, times):
