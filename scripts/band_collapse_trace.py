@@ -48,9 +48,9 @@ def main():
     dec = diagonalize(build_chooser(params))
     psi0 = np.zeros(3 + n_band, dtype=complex)
     psi0[0], psi0[1], psi0[2] = zero_state_coeffs(v, w)
-    states = evolve(dec, psi0, times)
-    weights = np.abs(states) ** 2
-    w_band = weights[:, 3:].sum(axis=1)
+    # only the head rows Q0, R0, Kproj; the band holds the rest of the norm
+    weights = np.abs(evolve(dec, psi0, times, rows=[0, 1, 2])) ** 2
+    w_band = np.vdot(psi0, psi0).real - weights.sum(axis=1)
     analytic = band_weight(times, u, w, gamma)
     finite = finite_band_weight(times, u, v, w, delta)
 

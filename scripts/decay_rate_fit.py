@@ -21,7 +21,7 @@ def fitted_rate(u, delta, n_band):
     psi0 = np.zeros(3 + n_band, dtype=complex)
     psi0[2] = 1.0
     times = np.linspace(0.5 / gamma, 2.5 / gamma, 400)
-    weight = np.abs(evolve(dec, psi0, times)[:, 2]) ** 2
+    weight = np.abs(evolve(dec, psi0, times, rows=[2])[:, 0]) ** 2
     slope, _ = np.polyfit(times, np.log(weight), 1)
     return -slope, gamma
 

@@ -114,8 +114,15 @@ def _chooser_times(params: ChooserParams, sampling):
     return gamma, np.linspace(0.0, t_final, sampling["n_times"])
 
 
+def _head_weights(ham, psi0, times, heads):
+    """Weights of the basis rows ``heads`` (rows: times), and the rest of the
+    conserved norm, ‖ψ0‖² − Σ heads, which the other rows hold."""
+    weights = np.abs(evolve(diagonalize(ham), psi0, times, rows=heads)) ** 2
+    return weights, np.vdot(psi0, psi0).real - weights.sum(axis=1)
+
+
 def _chooser_weights(params: ChooserParams, times):
-    """Basis-state weights (rows: times) evolved from the zero state."""
+    """|Q0>, |R0>, |Kproj> weights (rows: times) from the zero state, and w_band."""
     ham = build_chooser(params)
     psi0 = np.zeros(ham.dim, dtype=complex)
     if params.v == 0.0 and params.w == 0.0:
@@ -126,7 +133,7 @@ def _chooser_weights(params: ChooserParams, times):
         psi0[0], psi0[1], psi0[2] = analytic.zero_state_coeffs(
             params.v, params.w
         )
-    return np.abs(evolve(diagonalize(ham), psi0, times)) ** 2
+    return _head_weights(ham, psi0, times, [0, 1, 2])
 
 
 def _run_chooser(p, sampling, prefix: Path):
@@ -139,8 +146,7 @@ def _run_chooser(p, sampling, prefix: Path):
             "the report's deviation window t >= 1/gamma holds no sample",
             key="t_final" if short else "n_times",
         )
-    weights = _chooser_weights(params, times)
-    w_band = weights[:, 3:].sum(axis=1)
+    weights, w_band = _chooser_weights(params, times)
     rows = zip(times, weights[:, 0], weights[:, 1], weights[:, 2], w_band)
     csv_text = _csv(["t", "w_Q0", "w_R0", "w_Kproj", "w_band"], rows)
 
@@ -180,14 +186,13 @@ def _solve_chooser(params, sampling):
             "the decay-rate fit needs 2 samples in [0.5/gamma, 2.5/gamma]",
             key="n_times",
         )
-    weights = _chooser_weights(params, times)
+    weights, w_band = _chooser_weights(params, times)
     w_kproj = weights[fit_window, 2]
     if np.any(w_kproj <= 0.0):
         raise ContractViolationError(
             "[key 'v'] w_Kproj <= 0 in the decay-rate fit window "
             "[0.5/gamma, 2.5/gamma] (v = 0 starts in the uncoupled |Q0>)"
         )
-    w_band = weights[:, 3:].sum(axis=1)
     tail = times >= times[-1] * 0.8
     plateau = float(np.mean(w_band[tail]))
     slope, _ = np.polyfit(times[fit_window], np.log(w_kproj), 1)
@@ -231,9 +236,8 @@ def _evolve_site(site: TelegraphSite, times):
     n_grav = ham.dim // 2  # basis: (w, g) times (band..., local)
     psi0 = np.zeros(ham.dim)
     psi0[n_grav - 1] = 1.0
-    states = evolve(diagonalize(ham), psi0, times)
-    weights = (np.abs(states) ** 2).reshape(len(times), 2, n_grav).sum(axis=1)
-    return weights[:, :-1].sum(axis=1), weights[:, -1]
+    local, band = _head_weights(ham, psi0, times, [n_grav - 1, 2 * n_grav - 1])
+    return band, local.sum(axis=1)
 
 
 def _site_weights(weight_site1):

@@ -43,6 +43,7 @@ class FieldSpec:
     default: object = None
     choices: tuple[str, ...] | None = None
     minimum: int | None = None  # int kind: smallest accepted value
+    maximum: int | None = None  # int kind: a larger value exceeds a size cap
 
 
 _CHOOSER_PARAMS = {
@@ -74,14 +75,14 @@ _SCHEMAS = {
     "chooser": {
         "parameters": _CHOOSER_PARAMS,
         "sampling": {
-            "n_times": FieldSpec("int", default=2048, minimum=0),
+            "n_times": FieldSpec("int", default=2048, minimum=0, maximum=DEFAULT_CONFIG_CAP),
             "t_final": FieldSpec("float_or_auto", default=None),  # auto -> 5/gamma
         },
     },
     "telegraph": {
         "parameters": _TELEGRAPH_PARAMS,
         "sampling": {
-            "n_times": FieldSpec("int", default=2048, minimum=0),
+            "n_times": FieldSpec("int", default=2048, minimum=0, maximum=DEFAULT_CONFIG_CAP),
             "t_final": FieldSpec("float", required=True),
         },
     },
@@ -100,7 +101,7 @@ _SCHEMAS = {
         "parameters": {
             "x_min": FieldSpec("float", required=True),
             "x_max": FieldSpec("float", required=True),
-            "n_points": FieldSpec("int", required=True, minimum=16),
+            "n_points": FieldSpec("int", required=True, minimum=16, maximum=DEFAULT_CONFIG_CAP),
             "m": FieldSpec("float", default=1.0),
             "m_g": FieldSpec("float", default=1.0),
             "g_newton": FieldSpec("float", default=0.0),
@@ -197,6 +198,9 @@ def _parse_value(spec: FieldSpec, token, line, key):
             raise ConfigError(
                 f"must be at least {spec.minimum}, got {value}", line=line, key=key
             )
+        if spec.maximum is not None and value > spec.maximum:  # before allocating
+            raise SizeLimitError(f"[line {line}, key '{key}'] count {value} "
+                                 f"exceeds cap of {spec.maximum}")
         return value
     if spec.kind == "floats":
         return _parse_floats(token, line, key)

@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .errors import ConfigError, ContractViolationError
 from .propagator import TimeSeries
@@ -155,6 +154,7 @@ class _Kernel:
         zoff = z * off
         if not np.isfinite(zoff).all():
             raise ValueError("Crank–Nicolson off-diagonal is not finite")
+        from scipy.linalg import get_lapack_funcs  # only grid runs pay its import
         gtsv, = get_lapack_funcs(("gtsv",), (zoff,))
 
         def solve(f, u):

@@ -1,7 +1,8 @@
 """Exact-diagonalization time evolution.
 
 The solution of i dΨ/dt = HΨ is evaluated as the spectral sum
-Ψ(t) = Σ_k e^{−iλ_k t} v_k ⟨v_k|Ψ(0)⟩ over the full eigendecomposition.
+Ψ(t) = Σ_k e^{−iλ_k t} v_k ⟨v_k|Ψ(0)⟩ over the full eigendecomposition,
+on every basis row or only on the rows a reduction reads.
 All model bases here are at most a few thousand states, so full
 diagonalization is cheaper and more accurate than step integration
 (a small-step integrator survives only as a test oracle).
@@ -100,12 +101,14 @@ def _check_normalized(psi0):
     return psi0
 
 
-def evolve(d: SpectralDecomposition, psi0, times) -> np.ndarray:
+def evolve(d: SpectralDecomposition, psi0, times, rows=None) -> np.ndarray:
     """Propagate: rows are states Ψ(t) on the supplied time grid.
 
-    Ψ(t) = Σ_k e^{−iλ_k t} v_k ⟨v_k|Ψ(0)⟩; the initial state must be
-    normalized (contract violation otherwise) and the result stays
-    normalized to 1e-10 at every time. The states are complex also when
+    Ψ(t) = Σ_k e^{−iλ_k t} v_k ⟨v_k|Ψ(0)⟩ on the basis rows ``rows`` (all if
+    None); the initial state must be normalized (contract violation
+    otherwise). The full state keeps the norm ‖Ψ(0)‖ up to the eigenbasis
+    orthonormality defect (``--check`` measures it), so the other rows hold
+    ‖Ψ(0)‖² minus the weight on ``rows``. The states are complex also when
     the eigenvectors are real.
     """
     psi0 = _check_normalized(psi0)
@@ -115,6 +118,8 @@ def evolve(d: SpectralDecomposition, psi0, times) -> np.ndarray:
     phases = np.outer(-1j * d.eigenvalues, times)
     np.exp(phases, out=phases)
     phases *= coeff[:, np.newaxis]
+    if rows is not None:
+        vectors = vectors[rows]
     if np.iscomplexobj(vectors):
         return (vectors @ phases).T
     # A C-ordered complex (dim, times) block read as float64 is the real

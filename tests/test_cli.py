@@ -645,6 +645,32 @@ class TestCliRuns:
             ]
         assert list(tmp_path.glob("run*")) == []
 
+    @pytest.mark.parametrize(
+        "name, key, line",
+        [
+            ("chooser_demo.cfg", "n_times", 12),
+            ("telegraph_switching.cfg", "n_times", 23),
+            ("sweep_decay.cfg", "n_times", 15),
+            ("meanfield_free_packet.cfg", "n_points", 8),
+        ],
+    )
+    def test_sample_count_over_cap_exits_4_before_allocating(
+        self, tmp_path, capsys, name, key, line
+    ):
+        # 1e12 samples are ~8 TB per row: refused at parse time, before linspace
+        text = (EXAMPLES / name).read_text()
+        text, count = re.subn(rf"(?m)^{key} = .*$", f"{key} = 1000000000000", text)
+        assert count == 1
+        cfg = self.write(tmp_path, text)
+        for args in ([cfg, "--out", str(tmp_path / "run")], [cfg, "--check"]):
+            assert cli.main(args) == 4
+            err = capsys.readouterr().err.splitlines()
+            assert err == [
+                f"resource cap: [line {line}, key '{key}'] count 1000000000000 "
+                "exceeds cap of 200000"
+            ]
+        assert list(tmp_path.glob("run*")) == []
+
     @pytest.mark.parametrize("key", ["band_1", "band_2"])
     def test_unsorted_band_exits_2_naming_its_key(self, tmp_path, capsys, key):
         text = (EXAMPLES / "telegraph_switching.cfg").read_text()
@@ -659,12 +685,16 @@ class TestCliRuns:
 
     def test_runtime_path_does_not_import_the_reference_engine(self):
         # fock is the ladder-operator reference of the tests, not of a run
-        code = "import sys, gravodyn.cli; print('gravodyn.fock' in sys.modules)"
+        # and scipy, which only a meanfield stepper loads, costs every other run
+        code = (
+            "import sys, gravodyn.cli; print('gravodyn.fock' in sys.modules, "
+            "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
         result = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True
         )
-        assert result.stdout == "False\n"
+        assert result.stdout == "False []\n"
 
     def test_output_section_prefix_used_when_no_flag(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -687,6 +717,25 @@ def test_experiment_script_runs(tmp_path, script):
     if script.name == "switching_trace.py":
         assert re.search(r"(?m)^crossings: 4 at t = ", result.stdout)  # the README's count
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", ["chooser_demo.cfg", "telegraph_switching.cfg"])
+def test_head_weights_match_a_full_evolve_reduction(tmp_path, monkeypatch, name):
+    # a run evolves only the rows it reads; the rest of the norm stands for the others
+    calls = []
+    head_weights = cli._head_weights
+
+    def recorded(ham, psi0, times, heads):
+        calls.append((ham, psi0, times, heads, head_weights(ham, psi0, times, heads)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(cli, "_head_weights", recorded)
+    cli.run_scenario(load_config(EXAMPLES / name), out_prefix=tmp_path / "run")
+    assert len(calls) == (1 if name.startswith("chooser") else 2)  # telegraph: two sites
+    for ham, psi0, times, heads, (weights, rest) in calls:
+        full = np.abs(evolve(diagonalize(ham), psi0, times)) ** 2
+        assert np.max(np.abs(weights - full[:, heads])) <= 1e-14
+        assert np.max(np.abs(rest - np.delete(full, heads, axis=1).sum(axis=1))) <= 1e-14
 
 
 def full_matrix_channels(sites, weight, times):

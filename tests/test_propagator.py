@@ -196,6 +196,34 @@ class TestRealPath:
         assert np.max(np.abs(real - rk4_evolve(h, psi0, times))) < 1e-12
 
 
+class TestRows:
+    """``evolve(rows=...)`` is the full evolution read on those rows."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        dim=st.integers(1, 24),
+        seed=st.integers(0, 1000),
+        real=st.booleans(),
+        times=st.lists(st.floats(0, 50), min_size=1, max_size=5),
+    )
+    def test_rows_match_the_full_state_and_the_rest_of_the_norm(
+        self, data, dim, seed, real, times
+    ):
+        h = random_symmetric(dim, seed) if real else random_hermitian(dim, seed)
+        h = h / np.max(np.abs(np.linalg.eigvalsh(h)))  # eigenvalues in [-1, 1]
+        rows = data.draw(st.lists(st.integers(0, dim - 1), min_size=1, unique=True))
+        psi0 = random_state(dim, seed + 1)
+        d = diagonalize(h)
+        full = evolve(d, psi0, times)
+        heads = evolve(d, psi0, times, rows=rows)
+        assert heads.shape == (len(times), len(rows))
+        assert np.max(np.abs(heads - full[:, rows])) <= 1e-14
+        rest = np.vdot(psi0, psi0).real - np.sum(np.abs(heads) ** 2, axis=1)
+        others = np.sum(np.abs(np.delete(full, rows, axis=1)) ** 2, axis=1)
+        assert np.max(np.abs(rest - others)) <= 1e-14
+
+
 class TestTimeSeries:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
