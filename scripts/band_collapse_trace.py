@@ -32,7 +32,7 @@ from gravodyn.analytic import (
     gamma_from,
     zero_state_coeffs,
 )
-from gravodyn.models import ChooserParams, build_chooser
+from gravodyn.models import ChooserParams
 from gravodyn.propagator import diagonalize, evolve
 
 
@@ -45,7 +45,7 @@ def main():
           f"gamma={gamma:.4e}")
 
     times = np.linspace(0.0, 5.0 / gamma, 2048)
-    dec = diagonalize(build_chooser(params))
+    dec = diagonalize(params)  # solved as a star, never as a dense matrix
     psi0 = np.zeros(3 + n_band, dtype=complex)
     psi0[0], psi0[1], psi0[2] = zero_state_coeffs(v, w)
     # only the head rows Q0, R0, Kproj; the band holds the rest of the norm

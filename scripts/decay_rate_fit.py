@@ -10,14 +10,14 @@ log-log slope of rate vs u should be 2.
 import numpy as np
 
 from gravodyn.analytic import gamma_from
-from gravodyn.models import ChooserParams, build_chooser
+from gravodyn.models import ChooserParams
 from gravodyn.propagator import diagonalize, evolve
 
 
 def fitted_rate(u, delta, n_band):
     gamma = gamma_from(u, delta)
     params = ChooserParams(v=0.0, w=0.0, n_band=n_band, delta=delta, u=u)
-    dec = diagonalize(build_chooser(params))
+    dec = diagonalize(params)  # solved as a star, never as a dense matrix
     psi0 = np.zeros(3 + n_band, dtype=complex)
     psi0[2] = 1.0
     times = np.linspace(0.5 / gamma, 2.5 / gamma, 400)

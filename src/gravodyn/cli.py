@@ -32,7 +32,7 @@ from .config import ScenarioConfig, load_config
 from .errors import DEFAULT_CONFIG_CAP, ConfigError, ContractViolationError, SizeLimitError
 from .gravonon import SiteBasis, build_omega, diagonalize_modes
 from .models import ChooserParams, TelegraphSite, build_chooser, build_telegraph
-from .propagator import diagonalize, evolve
+from .propagator import RESIDUAL_TOL, dense_residual, diagonalize, evolve
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -61,11 +61,17 @@ def _csv(header, rows):
     return "\n".join(lines) + "\n"
 
 
-def _check_hamiltonian(ham):
-    """Check lines for a dense model: exact Hermiticity, spectrum, unitarity."""
+def _check_hamiltonian(ham, dec):
+    """Check lines for a model's dense matrix ``ham`` and the decomposition
+    ``dec`` its run uses: exact Hermiticity, the dense residual of ``dec``
+    (``diagonalize`` has enforced both contracts on its own path), and
+    unitary norm conservation."""
     if not np.array_equal(ham.entries, ham.entries.conj().T):
         raise ContractViolationError("Hamiltonian is not exactly Hermitian")
-    dec = diagonalize(ham)  # enforces residual/orthonormality contracts
+    if not dense_residual(ham.entries, dec.eigenvalues, dec.eigenvectors) <= RESIDUAL_TOL:
+        raise ContractViolationError(
+            f"dense eigenpair residual exceeds {RESIDUAL_TOL:.0e}·‖H‖"
+        )
     psi0 = np.zeros(ham.dim, dtype=complex)
     psi0[0] = 1.0
     states = evolve(dec, psi0, np.linspace(0.0, 1.0, 8))
@@ -114,30 +120,11 @@ def _chooser_times(params: ChooserParams, sampling):
     return gamma, np.linspace(0.0, t_final, sampling["n_times"])
 
 
-def _head_weights(ham, psi0, times, heads):
-    """Weights of the basis rows ``heads`` (rows: times), and the rest of the
-    conserved norm, ‖ψ0‖² − Σ heads, which the other rows hold."""
-    weights = np.abs(evolve(diagonalize(ham), psi0, times, rows=heads)) ** 2
-    return weights, np.vdot(psi0, psi0).real - weights.sum(axis=1)
-
-
-def _chooser_weights(params: ChooserParams, times):
-    """|Q0>, |R0>, |Kproj> weights (rows: times) from the zero state, and w_band."""
-    ham = build_chooser(params)
-    psi0 = np.zeros(ham.dim, dtype=complex)
-    if params.v == 0.0 and params.w == 0.0:
-        # w = 0 limit of the zero eigenvector: all weight on the projected
-        # band state; lets decay-rate studies start from a pure resonance.
-        psi0[2] = 1.0
-    else:
-        psi0[0], psi0[1], psi0[2] = analytic.zero_state_coeffs(
-            params.v, params.w
-        )
-    return _head_weights(ham, psi0, times, [0, 1, 2])
-
-
-def _run_chooser(p, sampling, prefix: Path):
-    params = _chooser_params(p)
+def _report_grid(params: ChooserParams, sampling):
+    """Width, time grid and dark-state residue (w/u)² of a chooser run's
+    report, once the report can be formed: its deviation window t >= 1/gamma
+    holds a sample and the residue is finite. A run and its ``--check``
+    both call this."""
     gamma, times = _chooser_times(params, sampling)
     if times.size == 0 or times[-1] < 1.0 / gamma:
         t_final = sampling["t_final"]
@@ -146,6 +133,53 @@ def _run_chooser(p, sampling, prefix: Path):
             "the report's deviation window t >= 1/gamma holds no sample",
             key="t_final" if short else "n_times",
         )
+    ratio = params.w / params.u
+    residue = ratio * ratio
+    if not math.isfinite(residue):
+        raise ConfigError("the dark-state residue (w/u)^2 overflows", key="u")
+    return gamma, times, residue
+
+
+def _fit_grid(params: ChooserParams, sampling):
+    """Time grid and decay-rate fit window [0.5/gamma, 2.5/gamma] of a
+    chooser sweep point, once the window holds 2 samples. A sweep's run and
+    its ``--check`` both call this."""
+    gamma, times = _chooser_times(params, sampling)
+    fit_window = (times >= 0.5 / gamma) & (times <= 2.5 / gamma)
+    if np.count_nonzero(fit_window) < 2:
+        raise ConfigError(
+            "the decay-rate fit needs 2 samples in [0.5/gamma, 2.5/gamma]",
+            key="n_times",
+        )
+    return times, fit_window
+
+
+def _head_weights(model, psi0, times, heads):
+    """Weights of the basis rows ``heads`` (rows: times), and the rest of the
+    conserved norm, ‖ψ0‖² − Σ heads, which the other rows hold. ``model``
+    is anything ``diagonalize`` takes."""
+    weights = np.abs(evolve(diagonalize(model), psi0, times, rows=heads)) ** 2
+    return weights, np.vdot(psi0, psi0).real - weights.sum(axis=1)
+
+
+def _chooser_weights(params: ChooserParams, times):
+    """|Q0>, |R0>, |Kproj> weights (rows: times) from the zero state, and
+    w_band; the model is solved as a star, never as a dense matrix."""
+    psi0 = np.zeros(3 + params.n_band, dtype=complex)
+    if params.v == 0.0 and params.w == 0.0:
+        # w = 0 limit of the zero eigenvector: all weight on the projected
+        # band state; lets decay-rate studies start from a pure resonance.
+        psi0[2] = 1.0
+    else:
+        psi0[0], psi0[1], psi0[2] = analytic.zero_state_coeffs(
+            params.v, params.w
+        )
+    return _head_weights(params, psi0, times, [0, 1, 2])
+
+
+def _run_chooser(p, sampling, prefix: Path):
+    params = _chooser_params(p)
+    gamma, times, residue = _report_grid(params, sampling)
     weights, w_band = _chooser_weights(params, times)
     rows = zip(times, weights[:, 0], weights[:, 1], weights[:, 2], w_band)
     csv_text = _csv(["t", "w_Q0", "w_R0", "w_Kproj", "w_band"], rows)
@@ -155,7 +189,7 @@ def _run_chooser(p, sampling, prefix: Path):
     deviation = float(np.max(np.abs(w_band[window] - analytic_band[window])))
     tail = times >= times[-1] * 0.8
     plateau = float(np.mean(w_band[tail]))
-    target = 1.0 - (params.w / params.u) ** 2
+    target = 1.0 - residue
     report = "scenario = chooser\n" + "".join(
         f"{key} = {_fmt(value)}\n"
         for key, value in (
@@ -172,20 +206,16 @@ def _run_chooser(p, sampling, prefix: Path):
     }
 
 
-def _check_chooser(p, sampling):
+def _check_chooser(p, sampling, sweep=False):
+    """Check lines for the star solve a run uses, against the dense matrix;
+    first the time grid that run (a plain run, or a sweep point) reads."""
     params = _chooser_params(p)
-    _chooser_times(params, sampling)
-    return _check_hamiltonian(build_chooser(params))
+    (_fit_grid if sweep else _report_grid)(params, sampling)
+    return _check_hamiltonian(build_chooser(params), diagonalize(params))
 
 
 def _solve_chooser(params, sampling):
-    gamma, times = _chooser_times(params, sampling)
-    fit_window = (times >= 0.5 / gamma) & (times <= 2.5 / gamma)
-    if np.count_nonzero(fit_window) < 2:
-        raise ConfigError(
-            "the decay-rate fit needs 2 samples in [0.5/gamma, 2.5/gamma]",
-            key="n_times",
-        )
+    times, fit_window = _fit_grid(params, sampling)
     weights, w_band = _chooser_weights(params, times)
     w_kproj = weights[fit_window, 2]
     if np.any(w_kproj <= 0.0):
@@ -295,20 +325,29 @@ def _run_telegraph(p, sampling, prefix: Path):
     return {_out(prefix, ".csv"): csv_text}
 
 
-def _check_telegraph(p, sampling):
+def _check_telegraph(p, sampling, sweep=False):
+    """Check lines for both site blocks; a sweep point's time grid first."""
     _site_weights(p["weight_site1"])
+    if sweep:
+        _plateau_grid(sampling)
     for site in telegraph_params_from(p):  # the two blocks the run evolves
-        lines = _check_hamiltonian(build_telegraph(site))
+        ham = build_telegraph(site)
+        lines = _check_hamiltonian(ham, diagonalize(ham))
     return lines
 
 
-def _solve_telegraph(site, sampling):
+def _plateau_grid(sampling):
+    """The time grid of a telegraph sweep point, once it holds the sample the
+    plateau percentile needs. A sweep's run and its ``--check`` call this."""
     if sampling["n_times"] < 1:
         raise ConfigError(
             "the plateau percentile needs at least one sample", key="n_times"
         )
-    times = np.linspace(0.0, sampling["t_final"], sampling["n_times"])
-    return _evolve_site(site, times)
+    return np.linspace(0.0, sampling["t_final"], sampling["n_times"])
+
+
+def _solve_telegraph(site, sampling):
+    return _evolve_site(site, _plateau_grid(sampling))
 
 
 def _point_telegraph(p, solutions):
@@ -443,7 +482,9 @@ def _check_dimensional(p, sampling):
 
 class _Scenario(NamedTuple):
     run: Callable  # (parameters, sampling, prefix) -> {path: text}
-    check: Callable  # (parameters, sampling) -> check lines
+    # (parameters, sampling) -> check lines; sweep bases take sweep=True for
+    # a sweep point, whose run reads another time window than a plain run
+    check: Callable
     # sweep bases: points that share an independent part of their model share its solve
     parts: Callable | None = None  # (parameters) -> tuple of hashable parts
     solve: Callable | None = None  # (part, sampling) -> solution
@@ -517,7 +558,7 @@ def _check(cfg: ScenarioConfig):
         point = next(_grid_points(cfg)[1], None)
         if point is None:
             return ["check: sweep grid is empty, nothing to check"]
-        return _SCENARIOS[cfg.parameters["base"]].check(point, cfg.sampling)
+        return _SCENARIOS[cfg.parameters["base"]].check(point, cfg.sampling, sweep=True)
     return _SCENARIOS[cfg.scenario].check(cfg.parameters, cfg.sampling)
 
 

@@ -13,18 +13,32 @@ orthonormality) are checked in real arithmetic, and ``evolve`` applies the
 real eigenvectors with real matrix products. Complex input takes the same
 steps in complex arithmetic. States are complex either way.
 
+The chooser model is never formed as a matrix on the run path: given its
+``ChooserParams``, ``diagonalize`` solves it as a star (the hub |Kproj>
+coupled to the band levels and to the rotated Q0–R0 pair) in O(N²)
+instead of O(N³). Weights and coincident levels are deflated first; the
+other eigenvalues are the roots of the secular equation, found by a
+vectorized rational iteration (R.-C. Li, LAPACK Working Note 89, 1994),
+and their eigenvectors follow in closed form with Löwner weights
+(Gu & Eisenstat 1994; Stor, Slapničar & Barlow, arXiv:1302.7203). The
+residual contract is measured by applying H through the star, the
+orthonormality contract by the same VᵀV product as for dense input.
+Every ``SpectralDecomposition`` that ``diagonalize`` returns carries both
+measured margins.
+
 Everything is deterministic: there is no random number generator anywhere
 in this package, and repeated runs are bit-identical.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolationError
-from .models import HamiltonianMatrix, _real_if_exact
+from .models import ChooserParams, HamiltonianMatrix, _real_if_exact
 
 NORM_TOL = 1e-10
 ORTHO_TOL = 1e-12
@@ -33,10 +47,17 @@ RESIDUAL_TOL = 1e-10
 
 @dataclass
 class SpectralDecomposition:
-    """Eigenpairs of a Hermitian matrix: ascending eigenvalues, orthonormal columns."""
+    """Eigenpairs of a Hermitian matrix: ascending eigenvalues, orthonormal columns.
+
+    ``residual`` is the worst measured ‖H·v − λv‖ over ‖H‖ = max |λ| and
+    ``ortho_defect`` the largest entry of |VᴴV − 1|, as ``diagonalize``
+    checked them (NaN for a decomposition made elsewhere).
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    residual: float = math.nan
+    ortho_defect: float = math.nan
 
     @property
     def dim(self):
@@ -61,36 +82,334 @@ class TimeSeries:
             self.channels[name] = values
 
 
-def diagonalize(h: HamiltonianMatrix | np.ndarray) -> SpectralDecomposition:
+def diagonalize(h: HamiltonianMatrix | np.ndarray | ChooserParams) -> SpectralDecomposition:
     """Eigendecompose a Hermitian matrix, verifying the spectral contract.
 
     Input with no nonzero imaginary part is decomposed as a real-symmetric
     matrix (real eigenvectors); the contracts are checked in the input's
-    own arithmetic. Raises ContractViolationError if the input is not
-    Hermitian (symmetric, when real) entrywise, if eigenvector residuals
-    exceed 1e-10 times the spectral norm, or if the eigenbasis is not
-    orthonormal to 1e-12.
+    own arithmetic. A ``ChooserParams`` is solved as a star from its
+    secular equation (see ``_star``) without forming the matrix. Raises
+    ContractViolationError if the input is not Hermitian (symmetric, when
+    real) entrywise, if eigenvector residuals exceed 1e-10 times the
+    spectral norm, or if the eigenbasis is not orthonormal to 1e-12.
     """
+    if isinstance(h, ChooserParams):
+        return _verified(*_star(h))
     entries = h.entries if isinstance(h, HamiltonianMatrix) else _real_if_exact(h)
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ContractViolationError("matrix must be square")
     if not np.array_equal(entries, entries.conj().T):
         raise ContractViolationError("matrix is not Hermitian entrywise")
     eigenvalues, eigenvectors = np.linalg.eigh(entries)
-    scale = float(np.max(np.abs(eigenvalues))) if len(eigenvalues) else 0.0
+    return _verified(
+        eigenvalues, eigenvectors, dense_residual(entries, eigenvalues, eigenvectors)
+    )
+
+
+def _relative(column_residuals, eigenvalues):
+    """The worst column residual over ‖H‖ = max |λ|."""
+    if not len(eigenvalues):
+        return 0.0
+    scale = float(np.max(np.abs(eigenvalues)))
+    return float(np.max(column_residuals)) / max(scale, 1e-300)
+
+
+def dense_residual(entries, eigenvalues, eigenvectors) -> float:
+    """Worst eigenpair residual ‖H·v − λv‖ over ‖H‖ = max |λ|, from the dense H."""
     residual = entries @ eigenvectors - eigenvectors * eigenvalues
-    max_residual = float(np.max(np.linalg.norm(residual, axis=0))) if len(eigenvalues) else 0.0
-    if max_residual > RESIDUAL_TOL * max(scale, 1e-300):
+    return _relative(np.linalg.norm(residual, axis=0), eigenvalues)
+
+
+def _verified(eigenvalues, eigenvectors, residual) -> SpectralDecomposition:
+    """The decomposition with its measured margins, once both contracts hold."""
+    if not residual <= RESIDUAL_TOL:  # NaN fails too
         raise ContractViolationError(
-            f"eigenpair residual {max_residual:.3e} exceeds {RESIDUAL_TOL:.0e}·‖H‖"
+            f"eigenpair residual {residual:.3e}·‖H‖ exceeds {RESIDUAL_TOL:.0e}·‖H‖"
         )
     gram = eigenvectors.conj().T @ eigenvectors
-    ortho_defect = float(np.max(np.abs(gram - np.eye(len(eigenvalues)))))
-    if ortho_defect > ORTHO_TOL:
+    gram[np.diag_indices_from(gram)] -= 1.0
+    ortho_defect = float(np.max(np.abs(gram))) if gram.size else 0.0
+    if not ortho_defect <= ORTHO_TOL:
         raise ContractViolationError(
             f"eigenbasis orthonormality defect {ortho_defect:.3e} exceeds {ORTHO_TOL:.0e}"
         )
-    return SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+    return SpectralDecomposition(eigenvalues, eigenvectors, residual, ortho_defect)
+
+
+# ---------------------------------------------------------------------------
+# the chooser as a star
+
+
+_EPS = float(np.finfo(float).eps)
+_DEFLATE_TOL = 8.0 * _EPS  # relative to the largest entry
+# a root whose model step is below this, relative to its offset, has converged:
+# the step's own error is of its square (the model matches F and F')
+_STEP_TOL = 1e-9
+_MAX_SWEEPS = 64  # secular root-finder sweeps before a contract violation
+
+
+def _star(p: ChooserParams):
+    """Eigenpairs of the chooser model and their residual, in O(N²).
+
+    Rotating the Q0–R0 pair into its eigenbasis (Q0 ± R0)/√2 at ±v turns
+    the model into a star: the hub |Kproj> (diagonal α) coupled to leaves,
+    the pair's two vectors with weights ±w/√2 (Q0 and R0 themselves when
+    v = 0) and the band levels with weight u/√N. After deflation
+    (``_deflate``) every eigenvalue is a leaf's level or a root λ of the
+    secular equation (``_secular_roots``), whose eigenvector has hub
+    component −1 and leaf components z_j/(d_j − λ). Everything is solved in
+    units of an exact power of two, so no step over- or underflows. Returns
+    ascending eigenvalues, the eigenvectors in the basis [Q0, R0, Kproj,
+    band...] and the worst relative residual of H applied to them through
+    the star, never as a dense product.
+    """
+    dim = 3 + p.n_band
+    band = p.band_energies()
+    coupling = p.u / math.sqrt(p.n_band) if p.n_band else 0.0
+    half = math.sqrt(0.5)
+    if p.v == 0.0:
+        pair_poles, pair_weights = (0.0, 0.0), (0.0, p.w)
+    else:
+        pair_poles, pair_weights = (p.v, -p.v), (half * p.w, -half * p.w)
+    rows = np.r_[0, 1, 3:dim]  # each leaf's basis row
+    poles = np.concatenate([pair_poles, band])
+    weights = np.concatenate([pair_weights, np.full(p.n_band, coupling)])
+    top = max(abs(p.alpha), float(np.max(np.abs(poles))), float(np.max(np.abs(weights))))
+    scale = math.ldexp(0.5, math.frexp(top)[1]) if top > 0.0 else 1.0  # top/scale in [1, 2)
+    poles /= scale
+    weights /= scale
+    alpha = p.alpha / scale
+
+    kept, d, z, deflated, levels, rotations = _deflate(poles, weights)
+    origins, tau, leaves = _secular_roots(d, np.abs(z), alpha)
+    leaves *= np.sign(z)  # a leaf with weight −|z| is the leaf of +|z|, negated
+    values = np.concatenate([origins + tau, levels])
+    order = np.argsort(values, kind="stable")
+    values = values[order]
+    column = np.empty(dim, dtype=int)
+    column[order] = np.arange(dim)
+    roots, others = column[: len(tau)], column[len(tau):]
+
+    # built by eigenvector rows; the eigenvectors are the columns of its transpose
+    vectors = np.zeros((dim, dim))
+    norm = 1.0 / np.sqrt(1.0 + np.einsum("ij,ij->i", leaves, leaves))
+    vectors[roots, 2] = -norm
+    leaves *= norm[:, np.newaxis]
+    vectors[np.ix_(roots, rows[kept])] = leaves
+    del leaves
+    vectors[others, rows[deflated]] = 1.0
+    for a, b, c, s in reversed(rotations):
+        ra, rb = vectors[:, rows[a]], vectors[:, rows[b]]
+        vectors[:, rows[a]], vectors[:, rows[b]] = c * ra + s * rb, c * rb - s * ra
+    if p.v != 0.0:
+        plus, minus = vectors[:, 0], vectors[:, 1]
+        vectors[:, 0], vectors[:, 1] = half * (plus + minus), half * (plus - minus)
+
+    # (H − λ)·v in units of ``scale``, row by row of the star, for every v
+    v, w, u = p.v / scale, p.w / scale, coupling / scale
+    q0, r0, k = vectors[:, 0], vectors[:, 1], vectors[:, 2]
+    squares = (v * r0 - values * q0) ** 2
+    squares += (v * q0 + w * k - values * r0) ** 2
+    squares += (w * r0 + (alpha - values) * k + u * vectors[:, 3:].sum(axis=1)) ** 2
+    rest = np.subtract.outer(-values, -band / scale)
+    rest *= vectors[:, 3:]
+    rest += u * k[:, np.newaxis]
+    squares += np.einsum("ij,ij->i", rest, rest)
+    del rest
+    return values * scale, vectors.T, _relative(np.sqrt(squares), values)
+
+
+def _deflate(poles, weights):
+    """Sort the leaves and set apart those the root search must not see.
+
+    A leaf whose weight is at most ``_DEFLATE_TOL`` keeps its level as an
+    eigenvalue, and so does one of two leaves whose levels are too close to
+    tell apart: a Givens rotation of the pair (as in LAPACK ``dlaed2``)
+    moves all their weight onto the other, neglecting an off-diagonal
+    element below the same tolerance. Returns the remaining leaves (indices,
+    ascending levels, weights), the set-apart leaves and their levels, and
+    the rotations (leaf a, leaf b, c, s) in the order they were made.
+    """
+    order = np.argsort(poles, kind="stable").tolist()
+    d, z = poles.tolist(), weights.tolist()
+    kept, deflated, rotations = [], [], []
+    for j in order:
+        if abs(z[j]) <= _DEFLATE_TOL:
+            deflated.append(j)
+            continue
+        if kept:
+            i = kept[-1]
+            r = math.hypot(z[i], z[j])
+            c, s = z[j] / r, z[i] / r
+            if abs((d[j] - d[i]) * c * s) <= _DEFLATE_TOL:
+                d[i], d[j] = c * c * d[i] + s * s * d[j], s * s * d[i] + c * c * d[j]
+                z[i], z[j] = 0.0, r
+                rotations.append((i, j, c, s))
+                deflated.append(kept.pop())
+        kept.append(j)
+    d, z = np.array(d), np.array(z)
+    return kept, d[kept], z[kept], deflated, d[deflated], rotations
+
+
+def _differences(d, origins, tau, out):
+    """d_j − λ for λ = origin + τ (rows: roots), taken as (d_j − origin) − τ,
+    which keeps its relative accuracy next to the origin."""
+    np.subtract(d, origins[:, np.newaxis], out=out)
+    out -= tau[:, np.newaxis]
+    return out
+
+
+def _secular_roots(d, z, alpha):
+    """Roots of F(λ) = λ − α + Σ_j z_j²/(d_j − λ) for ascending poles d and
+    positive weights z, and their eigenvectors' leaf components.
+
+    F rises from −∞ to +∞ between neighbouring poles and beyond each end,
+    so there is one root below d[0], one in each gap and one above d[-1].
+    Each root is found as an offset τ from the pole it is nearest (an
+    interior root's midpoint value tells which). Every sweep evaluates F
+    and F' on the roots not yet converged and steps to the root of a
+    rational model matching both (``_model_root``); it bisects the bracket
+    instead when that root leaves the bracket or the last step did not
+    halve |F|. A root has converged when |F| is within its rounding bound
+    or the model step is below ``_STEP_TOL``. Returns each root's origin
+    and offset, and the leaf components ẑ_j/(d_j − λ) of its eigenvector
+    (rows: roots), with the weights ẑ for which the computed roots are
+    exact (``_lowner_weights``), so that the eigenvectors are orthogonal to
+    working accuracy even where F's rounding leaves λ accurate to ~ε‖H‖
+    only.
+    """
+    n = len(d)
+    if n == 0:
+        return np.array([alpha]), np.zeros(1), np.empty((1, 0))
+    index = np.arange(n + 1)
+    left, right = np.maximum(index - 1, 0), np.minimum(index, n - 1)  # neighbour poles
+    interior = (index > 0) & (index < n)
+    origin = left.copy()
+    gap = d[right] - d[left]
+    lo, hi, tau = np.zeros(n + 1), gap.copy(), 0.5 * gap
+    # outside the poles, all weight at the end pole gives a bound and a first guess
+    for end, sign in ((0, -1.0), (n, 1.0)):
+        tau[end] = sign * _positive_root(sign * (d[origin[end]] - alpha), float(z @ z))
+        lo[end], hi[end] = sorted((0.0, tau[end]))
+    last_f = np.full(n + 1, np.inf)
+
+    work, upper = np.empty((n + 1, n)), np.empty((n + 1, n))
+    active = index
+    for sweep in range(_MAX_SWEEPS):
+        i = active
+        diff = _differences(d, d[origin[i]], tau[i], work[: len(i)])
+        leaves = np.divide(z, diff, out=diff)
+        above = np.maximum(leaves, 0.0, out=upper[: len(i)])  # the poles d_j > λ
+        psi, psi_above = leaves @ z, above @ z
+        dpsi, dpsi_above = (np.einsum("ij,ij->i", m, m) for m in (leaves, above))
+        f = (d[origin[i]] - alpha + tau[i]) + psi
+        if sweep == 0:  # interior roots start at the midpoint, from the left pole
+            move = interior & (f < 0.0)
+            origin[move] = right[move]
+            tau[move] -= gap[move]
+            lo[move], hi[move] = -gap[move], 0.0
+        o, t = origin[i], tau[i]
+        c0 = d[o] - alpha
+        lo[i] = np.where(f < 0.0, t, lo[i])
+        hi[i] = np.where(f < 0.0, hi[i], t)
+        far = np.where(o == left[i], right[i], left[i])
+        model = _model_root(
+            d[left[i]] - d[o], d[right[i]] - d[o], t, c0, psi,
+            np.maximum(dpsi - dpsi_above, 0.0), dpsi_above, z[o], z[far], i == 0, i == n,
+        )
+        inside = (model > lo[i]) & (model < hi[i])
+        bound = np.abs(c0) + np.abs(t) + (2.0 * psi_above - psi)  # Σ of |terms| of F
+        exact = np.abs(f) <= 8.0 * _EPS * bound
+        small = np.abs(model - t) <= _STEP_TOL * np.abs(t)
+        # the model's root, unless the last one did not halve |F|: then bisect
+        # once and retry the model
+        take = inside & (small | (np.abs(f) <= 0.5 * last_f[i]))
+        step = np.where(take, model, 0.5 * (lo[i] + hi[i]))
+        tau[i] = np.where(exact | (small & ~inside), t, step)
+        last_f[i] = np.where(take, np.abs(f), np.inf)
+        active = i[~(exact | small)]
+        if not len(active):
+            del upper
+            origins = d[origin]
+            diff = _differences(d, origins, tau, work)
+            return origins, tau, np.divide(_lowner_weights(d, diff), diff, out=diff)
+    raise ContractViolationError(
+        f"{len(active)} secular roots did not converge in {_MAX_SWEEPS} sweeps"
+    )
+
+
+def _lowner_weights(d, diff):
+    """The positive weights ẑ for which the computed roots are exact.
+
+    ``diff[i, j]`` = d_j − λ_i for the n + 1 roots λ_i interlacing the n
+    poles d_j. By Löwner's formula (M. Gu & S. C. Eisenstat, SIAM J. Matrix
+    Anal. Appl. 15, 1266 (1994)) ẑ_j² = Π_i |d_j − λ_i| / Π_{k≠j} |d_j − d_k|.
+    Each interior root λ_i is paired with its neighbouring pole on d_j's
+    side (d_{i−1} when j ≥ i, d_i when j < i), so no partial product
+    over- or underflows.
+    """
+    n = len(d)
+    ratio = np.empty((n - 1, n))
+    np.subtract(d, d[:-1, np.newaxis], out=ratio)  # d_j − d_{i−1}
+    below = np.arange(n) < np.arange(1, n)[:, np.newaxis]
+    np.subtract(d, d[1:, np.newaxis], out=ratio, where=below)  # d_j − d_i for j < i
+    np.divide(diff[1:n], ratio, out=ratio)
+    return np.sqrt(np.abs(np.prod(ratio, axis=0) * diff[0] * diff[n]))
+
+
+def _positive_root(b, s):
+    """The positive root of μ² + bμ − s = 0 for s > 0, free of cancellation."""
+    sq = np.sqrt(b * b + 4.0 * s)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(b >= 0.0, 2.0 * s / (b + sq), 0.5 * (sq - b))
+
+
+def _model_root(dl, dr, t, c0, psi, dpsi_l, dpsi_r, z_origin, z_far, first, last):
+    """Root of the rational model of F at offset ``t`` from the origin pole.
+
+    ``dl``, ``dr`` are the neighbouring poles' offsets (one of them 0, the
+    origin), ``z_origin`` and ``z_far`` their weights, ``c0 + t + psi`` is
+    F, and ``dpsi_l``, ``dpsi_r`` are the two sides' parts of F' − 1 (each
+    at least its neighbour's own term, which rounding in the split may
+    lose). Between the neighbours each side's sum becomes a + S/(d_side − η),
+    value and slope matched at ``t``, with λ − α joining the side away from
+    the origin (Li's middle way). Where the origin's own term is under half of its
+    side's slope, the rest of that side does not act like a pole at the
+    origin: the origin's term stays exact and the rest of F becomes one
+    pole at the other neighbour (Li's fixed weight). Outside the poles
+    (``first``, ``last``) the sum becomes a + S/(0 − η) and λ − α stays.
+    """
+    with np.errstate(all="ignore"):
+        from_left = dl == 0.0
+        far = np.where(from_left, dr, dl)
+        own = (z_origin / t) ** 2  # the slope of the origin's term
+        slope_origin = np.maximum(np.where(from_left, dpsi_l, dpsi_r), own)
+        slope_far = np.maximum(np.where(from_left, dpsi_r, dpsi_l), (z_far / (far - t)) ** 2) + 1.0
+        fixed = own < 0.5 * slope_origin
+        slope_far = np.where(fixed, slope_far + slope_origin - own, slope_far)
+        s_origin = np.where(fixed, z_origin * z_origin, t * t * slope_origin)
+        a = c0 + t + psi - (far - t) * slope_far
+        a = np.where(fixed, a + z_origin * z_origin / t, a + t * slope_origin)
+        # a − s_origin/η + s_far/(far − η) = 0 is a·η² − b·η + c = 0
+        b = a * far + s_origin + (far - t) ** 2 * slope_far
+        c = s_origin * far
+        q = 0.5 * (b + np.copysign(np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0)), b))
+        eta, other = c / q, q / a  # the root between 0 and ``far`` is one of these
+        eta = np.where((eta > np.minimum(far, 0.0)) & (eta < np.maximum(far, 0.0)), eta, other)
+        # outside: η² + b·η − s = 0 on the root's side, from (c0 + psi + t·dpsi)
+        # + η − t²·dpsi/η = 0, or, where the origin's term is under half of
+        # F' − 1, from that term exact and the rest of F linear in η
+        dpsi = dpsi_l + dpsi_r
+        rest_slope = 1.0 + dpsi - own
+        fixed = own < 0.5 * dpsi
+        b = np.where(
+            fixed, (c0 + psi + 2.0 * z_origin * z_origin / t - t * dpsi) / rest_slope,
+            c0 + psi + t * dpsi,
+        )
+        s = np.where(fixed, z_origin * z_origin / rest_slope, t * t * dpsi)
+        sign = np.where(last, 1.0, -1.0)
+        outer = sign * _positive_root(sign * b, s)
+    return np.where(first | last, outer, eta)
 
 
 def _check_normalized(psi0):

@@ -20,10 +20,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from ladder_oracle import ladder_reference, occupied
 
-from gravodyn import cli
+from gravodyn import cli, models
 from gravodyn.config import load_config, parse_config
 from gravodyn.errors import ConfigError
-from gravodyn.models import TelegraphSite
+from gravodyn.models import ChooserParams, TelegraphSite
 from gravodyn.propagator import diagonalize, evolve
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "scripts" / "configs"
@@ -272,7 +272,11 @@ class TestCliRuns:
         values = {"chooser": "1e-3, 2e-3", "telegraph": "0.05, 0.1"}[base]
         cfg = self.write(tmp_path, sweep_text(base, values, f"n_times = {n_times}\n"))
         assert cli.main([cfg, "--out", str(tmp_path / "run")]) == 2
-        assert "key 'n_times'" in capsys.readouterr().err
+        run_err = capsys.readouterr().err
+        assert "key 'n_times'" in run_err
+        # --check reads the sweep point's time grid as its run does
+        assert cli.main([cfg, "--check"]) == 2
+        assert capsys.readouterr().err == run_err
         assert list(tmp_path.glob("run*")) == []
 
     def test_basis_cap_exits_4_without_outputs(self, tmp_path, capsys):
@@ -599,18 +603,31 @@ class TestCliRuns:
         assert list(tmp_path.glob("run*")) == []
 
     @pytest.mark.parametrize(
-        "name, old, new",
+        "name, old, new, key",
         [
-            ("telegraph_switching.cfg", "weight_site1 = 0.6", "weight_site1 = 2.0"),
-            ("chooser_demo.cfg", "n_band = 200\ndelta = auto ", "n_band = 0\ndelta = 0.0 "),
+            (
+                "telegraph_switching.cfg", "weight_site1 = 0.6", "weight_site1 = 2.0",
+                "weight_site1",
+            ),
+            (
+                "chooser_demo.cfg", "n_band = 200\ndelta = auto ", "n_band = 0\ndelta = 0.0 ",
+                "delta",
+            ),
+            # the report's window t >= 1/gamma holds no sample
+            ("chooser_demo.cfg", "n_times = 2048", "n_times = 1", "n_times"),
+            # (w/u)^2 overflows: once an OverflowError traceback from the report
+            ("chooser_demo.cfg", "u = 1e-3", "u = 1e-160", "u"),
+            # the decay-rate fit window [0.5/gamma, 2.5/gamma] holds one sample
+            ("sweep_decay.cfg", "n_times = 2048", "n_times = 2", "n_times"),
         ],
     )
-    def test_check_rejects_what_the_run_rejects(self, tmp_path, capsys, name, old, new):
+    def test_check_rejects_what_the_run_rejects(self, tmp_path, capsys, name, old, new, key):
         text = (EXAMPLES / name).read_text()
         assert old in text
         cfg = self.write(tmp_path, text.replace(old, new))
         assert cli.main([cfg, "--out", str(tmp_path / "run")]) == 2
         run_err = capsys.readouterr().err
+        assert f"key '{key}'" in run_err
         assert cli.main([cfg, "--check"]) == 2
         assert capsys.readouterr().err == run_err
         assert list(tmp_path.glob("run*")) == []
@@ -736,6 +753,30 @@ def test_head_weights_match_a_full_evolve_reduction(tmp_path, monkeypatch, name)
         full = np.abs(evolve(diagonalize(ham), psi0, times)) ** 2
         assert np.max(np.abs(weights - full[:, heads])) <= 1e-14
         assert np.max(np.abs(rest - np.delete(full, heads, axis=1).sum(axis=1))) <= 1e-14
+
+
+def test_chooser_runs_never_form_the_dense_matrix(tmp_path, monkeypatch):
+    # the chooser is solved as a star: no dense matrix, no dense eigensolver
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense chooser path taken")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(cli, "build_chooser", refuse)
+    monkeypatch.setattr(models, "build_chooser", refuse)
+    plain = load_config(EXAMPLES / "chooser_demo.cfg")
+    sweep = parse_config(sweep_text("chooser", "1e-3, 2e-3"))
+    for cfg in (plain, sweep):
+        assert cli.run_scenario(cfg, out_prefix=tmp_path / "run")
+
+
+def test_chooser_check_tests_the_star_against_the_dense_matrix(monkeypatch, capsys):
+    solved, built = [], []
+    solve, build = cli.diagonalize, cli.build_chooser
+    monkeypatch.setattr(cli, "diagonalize", lambda m: solved.append(m) or solve(m))
+    monkeypatch.setattr(cli, "build_chooser", lambda p: built.append(p) or build(p))
+    assert cli.main([str(EXAMPLES / "chooser_demo.cfg"), "--check"]) == 0
+    assert len(solved) == len(built) == 1
+    assert solved == built and isinstance(solved[0], ChooserParams)
 
 
 def full_matrix_channels(sites, weight, times):

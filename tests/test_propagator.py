@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gravodyn import cli, propagator
 from gravodyn.errors import ContractViolationError
 from gravodyn.models import ChooserParams, build_chooser
 from gravodyn.propagator import (
+    ORTHO_TOL,
+    RESIDUAL_TOL,
     SpectralDecomposition,
     TimeSeries,
     diagonalize,
@@ -222,6 +225,70 @@ class TestRows:
         rest = np.vdot(psi0, psi0).real - np.sum(np.abs(heads) ** 2, axis=1)
         others = np.sum(np.abs(np.delete(full, rows, axis=1)) ** 2, axis=1)
         assert np.max(np.abs(rest - others)) <= 1e-14
+
+
+@st.composite
+def chooser_models(draw):
+    """Chooser parameters with the cases the star solver must deflate or
+    iterate on: zero couplings (v = 0 makes the Q0–R0 pair's poles
+    coincide), v on a band level, odd n_band (a level at 0), n_band = 0,
+    alpha != 0 and strong coupling u >> delta."""
+    coupling = st.just(0.0) | st.floats(0.01, 3.0) | st.floats(-3.0, -0.01)
+    n_band = draw(st.integers(0, 40))
+    delta = draw(st.floats(0.05, 4.0))
+    v, w, u, alpha = (draw(coupling) for _ in range(4))
+    case = draw(st.sampled_from(["drawn", "v on a level", "strong"]))
+    if case == "v on a level" and n_band:
+        v = float(draw(st.sampled_from(list(np.linspace(-delta / 2, delta / 2, n_band)))))
+    if case == "strong":
+        u = 50.0 * delta
+    return ChooserParams(v=v, w=w, n_band=n_band, delta=delta, u=u, alpha=alpha)
+
+
+class TestStar:
+    """``diagonalize(ChooserParams)`` solves the chooser as a star."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(p=chooser_models())
+    @example(p=ChooserParams(v=0.0, w=0.0, n_band=40, delta=0.02, u=1e-3))
+    @example(p=ChooserParams(v=0.0, w=0.0, n_band=3, delta=1.0, u=0.0, alpha=0.5))
+    @example(p=ChooserParams(v=0.0, w=0.5, n_band=5, delta=2.0, u=1.0))  # v = 0 on level 0
+    @example(p=ChooserParams(v=0.5, w=0.5, n_band=3, delta=1.0, u=0.4, alpha=0.1))
+    @example(p=ChooserParams(v=3.0, w=4.0, n_band=0))
+    # λ only to ~ε‖H‖ near a pole: orthogonal through the Löwner weights
+    @example(p=ChooserParams(v=-2.4511, w=7.5593, n_band=5, delta=0.1324, u=0.0189))
+    # the two models alternate in a wide gap: bisection breaks the cycle
+    @example(
+        p=ChooserParams(v=1.4624, w=-0.3161, n_band=39, delta=0.0565, u=-0.1843, alpha=1.4693)
+    )
+    # roots ~1e-22 from poles of weight ~1e-12, beside poles of weight ~1
+    @example(p=ChooserParams(v=0.3, w=1e-4, n_band=3, delta=0.02, u=1e-12))
+    @example(p=ChooserParams(v=0.0, w=1.0, n_band=7, delta=0.02, u=1e-12))
+    def test_matches_the_dense_decomposition(self, p):
+        star, dense = diagonalize(p), diagonalize(build_chooser(p))
+        for d in (star, dense):
+            assert 0.0 <= d.residual <= RESIDUAL_TOL
+            assert 0.0 <= d.ortho_defect <= ORTHO_TOL
+        norm = max(np.max(np.abs(dense.eigenvalues)), 1e-300)
+        assert np.max(np.abs(star.eigenvalues - dense.eigenvalues)) <= 1e-12 * norm
+        assert np.all(np.diff(star.eigenvalues) >= 0.0)
+        psi0 = np.zeros(3 + p.n_band, dtype=complex)
+        psi0[[0, 2]] = 0.6, -0.8
+        times = np.linspace(0.0, 20.0 / norm, 9)
+        heads, rest = cli._head_weights(p, psi0, times, [0, 1, 2])
+        dense_heads, dense_rest = cli._head_weights(build_chooser(p), psi0, times, [0, 1, 2])
+        assert np.max(np.abs(heads - dense_heads)) <= 1e-12
+        assert np.max(np.abs(rest - dense_rest)) <= 1e-12
+
+    def test_dense_margins_are_kept(self):
+        d = diagonalize(random_hermitian(12, seed=5))
+        assert 0.0 < d.residual <= RESIDUAL_TOL
+        assert 0.0 < d.ortho_defect <= ORTHO_TOL
+
+    def test_unconverged_roots_are_a_contract_violation(self, monkeypatch):
+        monkeypatch.setattr(propagator, "_MAX_SWEEPS", 1)
+        with pytest.raises(ContractViolationError, match="did not converge in 1 sweeps"):
+            diagonalize(ChooserParams(v=0.0, w=0.0, n_band=40, delta=0.02, u=1e-3))
 
 
 class TestTimeSeries:
