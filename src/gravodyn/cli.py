@@ -61,23 +61,30 @@ def _csv(header, rows):
     return "\n".join(lines) + "\n"
 
 
-def _check_hamiltonian(ham, dec):
-    """Check lines for a model's dense matrix ``ham`` and the decomposition
-    ``dec`` its run uses: exact Hermiticity, the dense residual of ``dec``
-    (``diagonalize`` has enforced both contracts on its own path), and
-    unitary norm conservation."""
-    if not np.array_equal(ham.entries, ham.entries.conj().T):
-        raise ContractViolationError("Hamiltonian is not exactly Hermitian")
-    if not dense_residual(ham.entries, dec.eigenvalues, dec.eigenvectors) <= RESIDUAL_TOL:
-        raise ContractViolationError(
-            f"dense eigenpair residual exceeds {RESIDUAL_TOL:.0e}·‖H‖"
-        )
-    psi0 = np.zeros(ham.dim, dtype=complex)
-    psi0[0] = 1.0
-    states = evolve(dec, psi0, np.linspace(0.0, 1.0, 8))
-    norms = np.linalg.norm(states, axis=1)
-    if np.max(np.abs(norms - 1.0)) > 1e-10:
-        raise ContractViolationError("norm not conserved to 1e-10")
+def _check_parts(parts):
+    """Check lines for the independent model parts a run solves (a chooser
+    model, solved as a star; telegraph sites, each a dense block), each
+    against its dense matrix: exact Hermiticity, the dense residual of the
+    decomposition the run uses (``diagonalize`` has enforced both contracts
+    on its own path), and unitary norm conservation."""
+    for part in parts:
+        if isinstance(part, ChooserParams):
+            ham, dec = build_chooser(part), diagonalize(part)
+        else:
+            ham = build_telegraph(part)
+            dec = diagonalize(ham)
+        if not np.array_equal(ham.entries, ham.entries.conj().T):
+            raise ContractViolationError("Hamiltonian is not exactly Hermitian")
+        if not dense_residual(ham.entries, dec.eigenvalues, dec.eigenvectors) <= RESIDUAL_TOL:
+            raise ContractViolationError(
+                f"dense eigenpair residual exceeds {RESIDUAL_TOL:.0e}·‖H‖"
+            )
+        psi0 = np.zeros(ham.dim, dtype=complex)
+        psi0[0] = 1.0
+        states = evolve(dec, psi0, np.linspace(0.0, 1.0, 8))
+        norms = np.linalg.norm(states, axis=1)
+        if np.max(np.abs(norms - 1.0)) > 1e-10:
+            raise ContractViolationError("norm not conserved to 1e-10")
     return [
         "check: exact Hermiticity ok",
         "check: spectral decomposition residuals ok",
@@ -99,8 +106,6 @@ def _chooser_params(p):
         _, delta = analytic.self_consistent_width(p["u"])
         if not 0.0 < delta < math.inf:
             raise ConfigError("delta = auto (pi*|u|) needs a finite u != 0", key="u")
-    elif delta <= 0:
-        raise ConfigError("delta must be positive", key="delta")
     return ChooserParams(
         v=p["v"], w=p["w"], n_band=p["n_band"], delta=delta, u=p["u"],
         alpha=p["alpha"],
@@ -206,12 +211,19 @@ def _run_chooser(p, sampling, prefix: Path):
     }
 
 
-def _check_chooser(p, sampling, sweep=False):
-    """Check lines for the star solve a run uses, against the dense matrix;
-    first the time grid that run (a plain run, or a sweep point) reads."""
+def _check_chooser(p, sampling):
+    """Check lines for the star solve a run uses; first its report grid."""
     params = _chooser_params(p)
-    (_fit_grid if sweep else _report_grid)(params, sampling)
-    return _check_hamiltonian(build_chooser(params), diagonalize(params))
+    _report_grid(params, sampling)
+    return _check_parts([params])
+
+
+def _chooser_part(p, sampling):
+    """A chooser sweep point's one part, its whole model, once its fit
+    window holds the samples the solve needs."""
+    params = _chooser_params(p)
+    _fit_grid(params, sampling)
+    return (params,)
 
 
 def _solve_chooser(params, sampling):
@@ -270,16 +282,10 @@ def _evolve_site(site: TelegraphSite, times):
     return band, local.sum(axis=1)
 
 
-def _site_weights(weight_site1):
-    if not 0.0 <= weight_site1 <= 1.0:
-        raise ConfigError("weight_site1 must lie in [0, 1]", key="weight_site1")
-    return weight_site1, 1.0 - weight_site1
-
-
 def _weigh(solutions, weight_site1):
     """(w·P1, (1-w)·P2, w·L1, (1-w)·L2) from the two sites' (P, L)."""
     (band_1, loc_1), (band_2, loc_2) = solutions
-    w_1, w_2 = _site_weights(weight_site1)
+    w_1, w_2 = weight_site1, 1.0 - weight_site1
     return w_1 * band_1, w_2 * band_2, w_1 * loc_1, w_2 * loc_2
 
 
@@ -325,29 +331,12 @@ def _run_telegraph(p, sampling, prefix: Path):
     return {_out(prefix, ".csv"): csv_text}
 
 
-def _check_telegraph(p, sampling, sweep=False):
-    """Check lines for both site blocks; a sweep point's time grid first."""
-    _site_weights(p["weight_site1"])
-    if sweep:
-        _plateau_grid(sampling)
-    for site in telegraph_params_from(p):  # the two blocks the run evolves
-        ham = build_telegraph(site)
-        lines = _check_hamiltonian(ham, diagonalize(ham))
-    return lines
-
-
-def _plateau_grid(sampling):
-    """The time grid of a telegraph sweep point, once it holds the sample the
-    plateau percentile needs. A sweep's run and its ``--check`` call this."""
-    if sampling["n_times"] < 1:
-        raise ConfigError(
-            "the plateau percentile needs at least one sample", key="n_times"
-        )
-    return np.linspace(0.0, sampling["t_final"], sampling["n_times"])
+def _check_telegraph(p, sampling):
+    return _check_parts(telegraph_params_from(p))  # the two blocks the run evolves
 
 
 def _solve_telegraph(site, sampling):
-    return _evolve_site(site, _plateau_grid(sampling))
+    return _evolve_site(site, np.linspace(0.0, sampling["t_final"], sampling["n_times"]))
 
 
 def _point_telegraph(p, solutions):
@@ -396,8 +385,6 @@ def _check_gravonon_modes(p, sampling):
 def _packet(p, x, field):
     """Gaussian of ``field`` ("packet" or "zeta") with a finite, positive grid norm."""
     key = field + "_width"
-    if p[key] <= 0:
-        raise ConfigError("packet width must be positive", key=key)
     with np.errstate(all="ignore"):
         try:
             packet = meanfield.gaussian_packet(
@@ -421,9 +408,6 @@ def _grid_state(p):
         raise ConfigError("x_max must exceed x_min", key="x_max")
     if not math.isfinite(p["x_max"] - p["x_min"]):
         raise ConfigError("the grid span x_max - x_min overflows", key="x_max")
-    for key in ("m", "m_g"):
-        if p[key] <= 0:
-            raise ConfigError("masses must be positive", key=key)
     x = np.linspace(p["x_min"], p["x_max"], p["n_points"])
     psi = _packet(p, x, "packet")
     zeta = np.zeros_like(psi) if p["zeta_width"] is None else _packet(p, x, "zeta")
@@ -482,11 +466,10 @@ def _check_dimensional(p, sampling):
 
 class _Scenario(NamedTuple):
     run: Callable  # (parameters, sampling, prefix) -> {path: text}
-    # (parameters, sampling) -> check lines; sweep bases take sweep=True for
-    # a sweep point, whose run reads another time window than a plain run
-    check: Callable
-    # sweep bases: points that share an independent part of their model share its solve
-    parts: Callable | None = None  # (parameters) -> tuple of hashable parts
+    check: Callable  # (parameters, sampling) -> check lines
+    # sweep bases: points that share an independent part of their model share
+    # its solve; building a point's parts runs every check its solve would
+    parts: Callable | None = None  # (parameters, sampling) -> tuple of hashable parts
     solve: Callable | None = None  # (part, sampling) -> solution
     point: Callable | None = None  # (parameters, its parts' solutions) -> row statistics
 
@@ -494,11 +477,11 @@ class _Scenario(NamedTuple):
 _SCENARIOS = {
     "chooser": _Scenario(
         _run_chooser, _check_chooser,
-        lambda p: (_chooser_params(p),), _solve_chooser, _point_chooser,
+        _chooser_part, _solve_chooser, _point_chooser,
     ),
     "telegraph": _Scenario(
         _run_telegraph, _check_telegraph,
-        telegraph_params_from, _solve_telegraph, _point_telegraph,
+        lambda p, sampling: telegraph_params_from(p), _solve_telegraph, _point_telegraph,
     ),
     "gravonon-modes": _Scenario(_run_gravonon_modes, _check_gravonon_modes),
     "meanfield": _Scenario(_run_meanfield, _check_meanfield),
@@ -510,28 +493,31 @@ _SCENARIOS = {
 # sweep
 
 
-def _grid_points(cfg: ScenarioConfig):
-    """Axis names, and each grid point's parameters in a fixed order.
+def _grid(cfg: ScenarioConfig):
+    """Axis names, each grid point's parameters in a fixed order, and each
+    point's parts. A sweep's run and its ``--check`` both call this.
 
     A point's parameters are the sweep's fixed keys with that point's axis
-    values on top; the points are produced lazily.
+    values on top. ``grid_cap`` is checked on the axis lengths before any
+    point is built, and building every point's parts checks every point as
+    its solve would, so ``--check`` rejects each grid the run rejects.
     """
     names = sorted(cfg.sweep_axes)
-    combos = itertools.product(*(cfg.sweep_axes[name] for name in names))
-    return names, ({**cfg.parameters, **dict(zip(names, c))} for c in combos)
-
-
-def _run_sweep(cfg: ScenarioConfig, prefix: Path, threads: int):
-    names, points = _grid_points(cfg)
     size = math.prod(len(cfg.sweep_axes[name]) for name in names)
     cap = cfg.parameters["grid_cap"]
     if size > cap:
         raise SizeLimitError(
             f"sweep grid has {size} points, exceeding grid_cap={cap}"
         )
-    points = list(points)
+    combos = itertools.product(*(cfg.sweep_axes[name] for name in names))
+    points = [{**cfg.parameters, **dict(zip(names, c))} for c in combos]
     base = _SCENARIOS[cfg.parameters["base"]]
-    parts = [base.parts(p) for p in points]
+    return names, points, [base.parts(p, cfg.sampling) for p in points]
+
+
+def _run_sweep(cfg: ScenarioConfig, prefix: Path, threads: int):
+    names, points, parts = _grid(cfg)
+    base = _SCENARIOS[cfg.parameters["base"]]
     # each distinct part is solved once, for this sweep only
     distinct = list(dict.fromkeys(itertools.chain.from_iterable(parts)))
     workers = max(1, min(threads, len(distinct), os.cpu_count() or 1))
@@ -553,12 +539,13 @@ def _run_sweep(cfg: ScenarioConfig, prefix: Path, threads: int):
 
 
 def _check(cfg: ScenarioConfig):
-    """Invariant suite on the configured model (a sweep: its first point)."""
+    """Invariant suite on the configured model (a sweep: every point's
+    parameters and time window, then the model at its first point)."""
     if cfg.scenario == "sweep":
-        point = next(_grid_points(cfg)[1], None)
-        if point is None:
+        parts = _grid(cfg)[2]
+        if not parts:
             return ["check: sweep grid is empty, nothing to check"]
-        return _SCENARIOS[cfg.parameters["base"]].check(point, cfg.sampling, sweep=True)
+        return _check_parts(parts[0])
     return _SCENARIOS[cfg.scenario].check(cfg.parameters, cfg.sampling)
 
 

@@ -42,8 +42,11 @@ class FieldSpec:
     required: bool = False
     default: object = None
     choices: tuple[str, ...] | None = None
-    minimum: int | None = None  # int kind: smallest accepted value
-    maximum: int | None = None  # int kind: a larger value exceeds a size cap
+    # accepted range of a number, or of each entry of a float list
+    minimum: float | None = None  # inclusive
+    maximum: float | None = None  # inclusive
+    above: float | None = None  # exclusive lower bound
+    cap: int | None = None  # int kind: a larger value exceeds a size cap (exit 4)
 
 
 _CHOOSER_PARAMS = {
@@ -51,7 +54,7 @@ _CHOOSER_PARAMS = {
     "w": FieldSpec("float", required=True),
     "u": FieldSpec("float", required=True),
     "n_band": FieldSpec("int", required=True, minimum=0),
-    "delta": FieldSpec("float_or_auto", default=None),  # auto -> pi*|u|
+    "delta": FieldSpec("float_or_auto", default=None, above=0.0),  # auto -> pi*|u|
     "alpha": FieldSpec("float", default=0.0),
 }
 
@@ -68,31 +71,31 @@ _TELEGRAPH_PARAMS = {
     "band_2": FieldSpec("floats", required=True),
     "v_gw_1": FieldSpec("float", required=True),
     "v_gw_2": FieldSpec("float", required=True),
-    "weight_site1": FieldSpec("float", default=0.5),
+    "weight_site1": FieldSpec("float", default=0.5, minimum=0.0, maximum=1.0),
 }
 
 _SCHEMAS = {
     "chooser": {
         "parameters": _CHOOSER_PARAMS,
         "sampling": {
-            "n_times": FieldSpec("int", default=2048, minimum=0, maximum=DEFAULT_CONFIG_CAP),
+            "n_times": FieldSpec("int", default=2048, minimum=0, cap=DEFAULT_CONFIG_CAP),
             "t_final": FieldSpec("float_or_auto", default=None),  # auto -> 5/gamma
         },
     },
     "telegraph": {
         "parameters": _TELEGRAPH_PARAMS,
         "sampling": {
-            "n_times": FieldSpec("int", default=2048, minimum=0, maximum=DEFAULT_CONFIG_CAP),
+            "n_times": FieldSpec("int", default=2048, minimum=1, cap=DEFAULT_CONFIG_CAP),
             "t_final": FieldSpec("float", required=True),
         },
     },
     "gravonon-modes": {
         "parameters": {
             "positions": FieldSpec("floats", required=True),
-            "envelope_width": FieldSpec("float", required=True),
+            "envelope_width": FieldSpec("float", required=True, above=0.0),
             "vgrav": FieldSpec("floats", required=True),
             "theta": FieldSpec("float", default=1.0),
-            "m_g": FieldSpec("float", default=1.0),
+            "m_g": FieldSpec("float", default=1.0, above=0.0),
             "v_o": FieldSpec("float", default=0.0),
         },
         "sampling": {},
@@ -101,18 +104,19 @@ _SCHEMAS = {
         "parameters": {
             "x_min": FieldSpec("float", required=True),
             "x_max": FieldSpec("float", required=True),
-            "n_points": FieldSpec("int", required=True, minimum=16, maximum=DEFAULT_CONFIG_CAP),
-            "m": FieldSpec("float", default=1.0),
-            "m_g": FieldSpec("float", default=1.0),
+            "n_points": FieldSpec("int", required=True, minimum=16, cap=DEFAULT_CONFIG_CAP),
+            "m": FieldSpec("float", default=1.0, above=0.0),
+            "m_g": FieldSpec("float", default=1.0, above=0.0),
             "g_newton": FieldSpec("float", default=0.0),
             "d_spatial": FieldSpec("int", default=3),
             "v_o": FieldSpec("float", default=0.0),
             "softening": FieldSpec("float_or_auto", default=None),
             "packet_center": FieldSpec("float", required=True),
-            "packet_width": FieldSpec("float", required=True),
+            "packet_width": FieldSpec("float", required=True, above=0.0),
             "packet_momentum": FieldSpec("float", default=0.0),
             "zeta_center": FieldSpec("float", default=0.0),
-            "zeta_width": FieldSpec("float_or_auto", default=None),  # auto -> no zeta field
+            # auto -> no zeta field
+            "zeta_width": FieldSpec("float_or_auto", default=None, above=0.0),
             "zeta_momentum": FieldSpec("float", default=0.0),
         },
         "sampling": {
@@ -123,9 +127,9 @@ _SCHEMAS = {
     },
     "dimensional": {
         "parameters": {
-            "g_newton": FieldSpec("float", default=1e-40),
-            "c": FieldSpec("float", default=137.036),
-            "radii": FieldSpec("floats", default=(1e4, 1e3, 1e2, 10.0)),
+            "g_newton": FieldSpec("float", default=1e-40, above=0.0),
+            "c": FieldSpec("float", default=137.036, above=0.0),
+            "radii": FieldSpec("floats", default=(1e4, 1e3, 1e2, 10.0), above=0.0),
         },
         "sampling": {},
     },
@@ -135,7 +139,7 @@ SCENARIO_NAMES = (*_SCHEMAS, "sweep")
 
 _SWEEP_FIXED = {
     "base": FieldSpec("str", required=True, choices=SWEEP_BASES),
-    "grid_cap": FieldSpec("int", default=1024),
+    "grid_cap": FieldSpec("int", default=1024, cap=DEFAULT_CONFIG_CAP),
 }
 
 
@@ -189,25 +193,16 @@ def _parse_floats(token, line, key):
     return [_parse_float(part.strip(), line, key) for part in token.split(",")]
 
 
+def _check_range(spec: FieldSpec, value, line, key):
+    if spec.above is not None and value <= spec.above:
+        raise ConfigError(f"must exceed {spec.above}, got {value}", line=line, key=key)
+    if spec.minimum is not None and value < spec.minimum:
+        raise ConfigError(f"must be at least {spec.minimum}, got {value}", line=line, key=key)
+    if spec.maximum is not None and value > spec.maximum:
+        raise ConfigError(f"must be at most {spec.maximum}, got {value}", line=line, key=key)
+
+
 def _parse_value(spec: FieldSpec, token, line, key):
-    if spec.kind == "float":
-        return _parse_float(token, line, key)
-    if spec.kind == "int":
-        value = _parse_int(token, line, key)
-        if spec.minimum is not None and value < spec.minimum:
-            raise ConfigError(
-                f"must be at least {spec.minimum}, got {value}", line=line, key=key
-            )
-        if spec.maximum is not None and value > spec.maximum:  # before allocating
-            raise SizeLimitError(f"[line {line}, key '{key}'] count {value} "
-                                 f"exceeds cap of {spec.maximum}")
-        return value
-    if spec.kind == "floats":
-        return _parse_floats(token, line, key)
-    if spec.kind == "float_or_auto":
-        if token == "auto":
-            return None
-        return _parse_float(token, line, key)
     if spec.kind == "str":
         if spec.choices is not None and token not in spec.choices:
             raise ConfigError(
@@ -216,7 +211,20 @@ def _parse_value(spec: FieldSpec, token, line, key):
                 key=key,
             )
         return token
-    raise AssertionError(f"unhandled field kind {spec.kind}")
+    if spec.kind == "float_or_auto" and token == "auto":
+        return None
+    if spec.kind == "floats":
+        value = _parse_floats(token, line, key)
+    elif spec.kind == "int":
+        value = _parse_int(token, line, key)
+        if spec.cap is not None and value > spec.cap:  # before allocating
+            raise SizeLimitError(f"[line {line}, key '{key}'] count {value} "
+                                 f"exceeds cap of {spec.cap}")
+    else:
+        value = _parse_float(token, line, key)
+    for number in value if spec.kind == "floats" else [value]:
+        _check_range(spec, number, line, key)
+    return value
 
 
 def _tokenize(text):
@@ -239,14 +247,15 @@ def _sweep_schema(base):
     """Sweep parameter schema: fixed keys, base keys, and sweep_<key> axes.
 
     Base-scenario keys lose their required flag here; a scalar float key may
-    instead be provided as a sweep axis, and the combined presence check runs
-    after the axes are separated out. Integer and list keys have no axis.
+    instead be provided as a sweep axis, whose every value must lie in the
+    key's range, and the combined presence check runs after the axes are
+    separated out. Integer and list keys have no axis.
     """
     schema = dict(_SWEEP_FIXED)
     for key, spec in _SCHEMAS[base]["parameters"].items():
         schema[key] = replace(spec, required=False)
         if spec.kind in ("float", "float_or_auto"):
-            schema["sweep_" + key] = FieldSpec("floats")
+            schema["sweep_" + key] = replace(schema[key], kind="floats", default=None)
     return schema
 
 

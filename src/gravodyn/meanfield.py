@@ -198,7 +198,7 @@ def stepper(s: GridState, dt):
     (psi, zeta)``. ``--check`` builds it too, so it fails where a run would.
     """
     if dt == 0:
-        raise ValueError("dt must be nonzero")
+        raise ConfigError("dt must be nonzero", key="dt")
     check_stability(s, abs(dt))
     kernel = _Kernel(s)
     u_psi, u_zeta = kernel.u_psi, kernel.u_zeta

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from ladder_oracle import ladder_reference, occupied
 
-from gravodyn import cli, models
+from gravodyn import cli, config, models
 from gravodyn.config import load_config, parse_config
 from gravodyn.errors import ConfigError
 from gravodyn.models import ChooserParams, TelegraphSite
@@ -67,6 +67,62 @@ def sweep_text(base, values, sampling=""):
         f"scenario = sweep\n[parameters]\nbase = {base}\n{fixed}"
         f"sweep_{axis} = {values}\n[sampling]\nt_final = {t_final}\n{sampling}"
     )
+
+
+SHIPPED = {  # a shipped config of each scenario
+    "chooser": EXAMPLES / "chooser_demo.cfg",
+    "telegraph": EXAMPLES / "telegraph_switching.cfg",
+    "gravonon-modes": EXAMPLES / "gravonon_chain.cfg",
+    "meanfield": EXAMPLES / "meanfield_free_packet.cfg",
+    "dimensional": EXAMPLES / "dimensional_table.cfg",
+}
+SHIPPED_SWEEPS = {  # a shipped sweep over each base
+    "chooser": EXAMPLES / "sweep_decay.cfg",
+    "telegraph": BENCH_CONFIGS / "telegraph_sweep.cfg",
+}
+
+
+def set_key(text, section, key, value):
+    """``text`` with ``key = value`` in ``section`` (in place of any line
+    setting ``key``), and the number of that line."""
+    text = re.sub(rf"(?m)^{key} = .*\n", "", text)
+    text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+    return text, text.splitlines().index(f"{key} = {value}") + 1
+
+
+def just_outside(spec):
+    """A value just outside each bound of ``spec``."""
+    if spec.above is not None:
+        yield spec.above
+    if spec.minimum is not None:
+        yield spec.minimum - 1 if spec.kind == "int" else math.nextafter(spec.minimum, -math.inf)
+    if spec.maximum is not None:
+        yield spec.maximum + 1 if spec.kind == "int" else math.nextafter(spec.maximum, math.inf)
+
+
+def out_of_range_cases():
+    """(config text, section, key, value) with the value just outside a bound
+    in ``config._SCHEMAS``: in a shipped config, and in the key's sweep axis
+    where it has one."""
+    for scenario, sections in config._SCHEMAS.items():
+        axes = config._sweep_schema(scenario) if scenario in SHIPPED_SWEEPS else {}
+        for section, schema in sections.items():
+            for key, spec in schema.items():
+                for value in just_outside(spec):
+                    value = f"10.0, {value!r}" if spec.kind == "floats" else repr(value)
+                    yield pytest.param(
+                        SHIPPED[scenario].read_text(), section, key, value,
+                        id=f"{scenario}-{key}={value}",
+                    )
+                    if "sweep_" + key in axes:
+                        inside = 1.0 if spec.default is None else spec.default
+                        text = re.sub(  # the key is swept, not fixed
+                            rf"(?m)^{key} = .*\n", "", SHIPPED_SWEEPS[scenario].read_text()
+                        )
+                        yield pytest.param(
+                            text, section, "sweep_" + key, f"{inside!r}, {value}",
+                            id=f"sweep-{scenario}-{key}={value}",
+                        )
 
 
 class TestConfigParser:
@@ -223,7 +279,7 @@ class TestCliRuns:
         assert cli.main([cfg, "--out", str(tmp_path / "run")]) == 3
         assert list(tmp_path.glob("run*")) == []
 
-    def test_grid_cap_exits_4_without_outputs(self, tmp_path):
+    def test_grid_cap_exits_4_without_outputs(self, tmp_path, capsys):
         cfg = self.write(
             tmp_path,
             "scenario = sweep\n[parameters]\nbase = chooser\ngrid_cap = 4\n"
@@ -231,6 +287,11 @@ class TestCliRuns:
             "sweep_u = linspace(1e-4, 1e-3, 5)\n[sampling]\nt_final = auto\n",
         )
         assert cli.main([cfg, "--out", str(tmp_path / "run")]) == 4
+        run_err = capsys.readouterr().err
+        assert "sweep grid has 5 points, exceeding grid_cap=4" in run_err
+        # --check expands the grid the run does, through the same cap
+        assert cli.main([cfg, "--check"]) == 4
+        assert capsys.readouterr().err == run_err
         assert list(tmp_path.glob("run*")) == []
 
     def test_grid_cap_fires_before_the_grid_is_built(self, tmp_path, capsys):
@@ -473,6 +534,7 @@ class TestCliRuns:
             ("x_max = -40.0", "x_max"),
             ("m = 0", "m"),
             ("m_g = -1", "m_g"),
+            ("dt = 0", "dt"),  # raised by meanfield.stepper
         ],
     )
     def test_meanfield_bad_grid_or_mass_exits_2_naming_key(
@@ -509,6 +571,25 @@ class TestCliRuns:
         assert cli.main([cfg, "--check"]) == 2
         assert f"key '{key}'] must be at least" in capsys.readouterr().err
         assert list(tmp_path.glob("run*")) == []
+
+    @pytest.mark.parametrize("text, section, key, value", out_of_range_cases())
+    def test_value_outside_its_schema_range_exits_2_naming_line_and_key(
+        self, tmp_path, capsys, text, section, key, value
+    ):
+        text, line = set_key(text, section, key, value)
+        cfg = self.write(tmp_path, text)
+        for args in ([cfg, "--out", str(tmp_path / "run")], [cfg, "--check"]):
+            assert cli.main(args) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"config error: [line {line}, key '{key}']")
+        assert list(tmp_path.glob("run*")) == []
+
+    @pytest.mark.parametrize("weight", ["0", "1"])
+    def test_weight_site1_on_its_inclusive_bounds_runs(self, tmp_path, weight):
+        text, _ = set_key(SHIPPED["telegraph"].read_text(), "parameters", "weight_site1", weight)
+        cfg = self.write(tmp_path, text)
+        assert cli.main([cfg, "--out", str(tmp_path / "run")]) == 0
+        assert cli.main([cfg, "--check"]) == 0
 
     def test_meanfield_gravity_profile_at_r_zero_exits_2(self, tmp_path, capsys):
         # 513 points on [-40, 40] put a node at x = 0; with no softening the
@@ -560,23 +641,24 @@ class TestCliRuns:
         assert list(tmp_path.glob("run*")) == []
 
     @pytest.mark.parametrize(
-        "name, values, key",
+        "name, values, where",
         [
-            ("chooser_demo.cfg", {"delta": "0.0"}, "delta"),
-            ("chooser_demo.cfg", {"delta": "-1.0"}, "delta"),
-            ("chooser_demo.cfg", {"n_band": "0", "delta": "0.0"}, "delta"),
-            ("chooser_demo.cfg", {"u": "0.0"}, "u"),  # delta = auto is pi*|u| = 0
-            ("chooser_demo.cfg", {"u": "1e308"}, "u"),  # pi*|u| overflows
+            # a bound of the schema: refused at parse time, naming the line
+            ("chooser_demo.cfg", {"delta": "0.0"}, "line 9, key 'delta'"),
+            ("chooser_demo.cfg", {"delta": "-1.0"}, "line 9, key 'delta'"),
+            ("chooser_demo.cfg", {"n_band": "0", "delta": "0.0"}, "line 9, key 'delta'"),
+            ("chooser_demo.cfg", {"u": "0.0"}, "key 'u'"),  # delta = auto is pi*|u| = 0
+            ("chooser_demo.cfg", {"u": "1e308"}, "key 'u'"),  # pi*|u| overflows
             # x_max - x_min overflows before the grid is built
-            ("meanfield_free_packet.cfg", {"x_min": "-1e308", "x_max": "1e308"}, "x_max"),
+            ("meanfield_free_packet.cfg", {"x_min": "-1e308", "x_max": "1e308"}, "key 'x_max'"),
             # sigma^2 underflows to 0; 1/(4 m_g sigma^2) overflows
-            ("gravonon_chain.cfg", {"envelope_width": "1e-170"}, "envelope_width"),
-            ("gravonon_chain.cfg", {"envelope_width": "1e-200"}, "envelope_width"),
-            ("gravonon_chain.cfg", {"m_g": "1e-320"}, "m_g"),
+            ("gravonon_chain.cfg", {"envelope_width": "1e-170"}, "key 'envelope_width'"),
+            ("gravonon_chain.cfg", {"envelope_width": "1e-200"}, "key 'envelope_width'"),
+            ("gravonon_chain.cfg", {"m_g": "1e-320"}, "key 'm_g'"),
         ],
     )
     def test_value_out_of_float_range_exits_2_naming_key(
-        self, tmp_path, capsys, name, values, key
+        self, tmp_path, capsys, name, values, where
     ):
         text = (EXAMPLES / name).read_text()
         for k, v in values.items():
@@ -588,7 +670,7 @@ class TestCliRuns:
                 warnings.simplefilter("error")  # a numpy RuntimeWarning fails
                 assert cli.main(args) == 2
             err = capsys.readouterr().err.splitlines()
-            assert len(err) == 1 and err[0].startswith(f"config error: [key '{key}']")
+            assert len(err) == 1 and err[0].startswith(f"config error: [{where}]")
         assert list(tmp_path.glob("run*")) == []
 
     @pytest.mark.parametrize("radii", ["1e60", "0.0, 1.0", "10.0, -1.0"])
@@ -619,6 +701,18 @@ class TestCliRuns:
             ("chooser_demo.cfg", "u = 1e-3", "u = 1e-160", "u"),
             # the decay-rate fit window [0.5/gamma, 2.5/gamma] holds one sample
             ("sweep_decay.cfg", "n_times = 2048", "n_times = 2", "n_times"),
+            # a sweep's --check expands every grid point, not just the first:
+            # delta = auto is pi*|u| = 0 at the second point
+            (
+                "sweep_decay.cfg", "delta = 0.02\nsweep_u = 5e-4, 1e-3, 2e-3",
+                "delta = auto\nsweep_u = 1e-3, 0.0", "u",
+            ),
+            # the second point's fit window starts at 0.5/gamma = 1.6e7 > t_final
+            (
+                "sweep_decay.cfg", "sweep_u = 5e-4, 1e-3, 2e-3\n\n[sampling]\nn_times = 2048\n"
+                "t_final = auto", "sweep_u = 1e-3, 1e-5\n\n[sampling]\nn_times = 2048\n"
+                "t_final = 5e4", "n_times",
+            ),
         ],
     )
     def test_check_rejects_what_the_run_rejects(self, tmp_path, capsys, name, old, new, key):
@@ -663,27 +757,30 @@ class TestCliRuns:
         assert list(tmp_path.glob("run*")) == []
 
     @pytest.mark.parametrize(
-        "name, key, line",
+        "name, key, line, value",
         [
-            ("chooser_demo.cfg", "n_times", 12),
-            ("telegraph_switching.cfg", "n_times", 23),
-            ("sweep_decay.cfg", "n_times", 15),
-            ("meanfield_free_packet.cfg", "n_points", 8),
+            ("chooser_demo.cfg", "n_times", 12, 1000000000000),
+            ("telegraph_switching.cfg", "n_times", 23, 1000000000000),
+            ("sweep_decay.cfg", "n_times", 15, 1000000000000),
+            ("meanfield_free_packet.cfg", "n_points", 8, 1000000000000),
+            # a grid_cap above the cap would let two long axes build their
+            # product before any cap fires
+            ("sweep_decay.cfg", "grid_cap", 7, 200001),
         ],
     )
     def test_sample_count_over_cap_exits_4_before_allocating(
-        self, tmp_path, capsys, name, key, line
+        self, tmp_path, capsys, name, key, line, value
     ):
         # 1e12 samples are ~8 TB per row: refused at parse time, before linspace
         text = (EXAMPLES / name).read_text()
-        text, count = re.subn(rf"(?m)^{key} = .*$", f"{key} = 1000000000000", text)
+        text, count = re.subn(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
         assert count == 1
         cfg = self.write(tmp_path, text)
         for args in ([cfg, "--out", str(tmp_path / "run")], [cfg, "--check"]):
             assert cli.main(args) == 4
             err = capsys.readouterr().err.splitlines()
             assert err == [
-                f"resource cap: [line {line}, key '{key}'] count 1000000000000 "
+                f"resource cap: [line {line}, key '{key}'] count {value} "
                 "exceeds cap of 200000"
             ]
         assert list(tmp_path.glob("run*")) == []
@@ -720,6 +817,14 @@ class TestCliRuns:
         )
         assert cli.main([cfg]) == 0
         assert (tmp_path / "nested" / "run.csv").exists()
+
+
+def test_config_scenario_names_match_the_runner_records():
+    # config cannot import cli, so it keeps its own list of names
+    assert set(config.SCENARIO_NAMES) == set(cli._SCENARIOS) | {"sweep"}
+    assert set(config.SWEEP_BASES) == {
+        name for name, record in cli._SCENARIOS.items() if record.parts is not None
+    }
 
 
 @pytest.mark.parametrize(
@@ -844,13 +949,6 @@ class TestTelegraphChannels:
         reference = full_matrix_channels(sites, weight, times)
         for block, full in zip(blocks, reference):
             np.testing.assert_allclose(block, full, rtol=0.0, atol=1e-12)
-
-    def test_weight_outside_unit_interval_rejected(self):
-        sites = cli.telegraph_params_from(
-            load_config(EXAMPLES / "telegraph_switching.cfg").parameters
-        )
-        with pytest.raises(ConfigError, match="weight_site1"):
-            cli.telegraph_channels(sites, 1.5, np.linspace(0.0, 1.0, 4))
 
     def test_switching_count_ignores_roundoff_at_a_tie(self):
         # both band channels are 0 at t = 0; roundoff of either sign there
