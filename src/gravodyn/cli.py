@@ -218,11 +218,20 @@ def _check_chooser(p, sampling):
     return _check_parts([params])
 
 
+_NO_KPROJ = (
+    "[key 'v'] w_Kproj <= 0 in the decay-rate fit window "
+    "[0.5/gamma, 2.5/gamma] (v = 0 starts in the uncoupled |Q0>)"
+)
+
+
 def _chooser_part(p, sampling):
     """A chooser sweep point's one part, its whole model, once its fit
-    window holds the samples the solve needs."""
+    window holds the samples the solve needs and its zero state reaches
+    |Kproj>: with v = 0 and w != 0 it lies wholly on the uncoupled |Q0>."""
     params = _chooser_params(p)
     _fit_grid(params, sampling)
+    if params.v == 0.0 and params.w != 0.0:
+        raise ContractViolationError(_NO_KPROJ)
     return (params,)
 
 
@@ -231,10 +240,7 @@ def _solve_chooser(params, sampling):
     weights, w_band = _chooser_weights(params, times)
     w_kproj = weights[fit_window, 2]
     if np.any(w_kproj <= 0.0):
-        raise ContractViolationError(
-            "[key 'v'] w_Kproj <= 0 in the decay-rate fit window "
-            "[0.5/gamma, 2.5/gamma] (v = 0 starts in the uncoupled |Q0>)"
-        )
+        raise ContractViolationError(_NO_KPROJ)
     tail = times >= times[-1] * 0.8
     plateau = float(np.mean(w_band[tail]))
     slope, _ = np.polyfit(times[fit_window], np.log(w_kproj), 1)
@@ -350,6 +356,10 @@ def _point_telegraph(p, solutions):
 
 
 def _site_basis(p):
+    if len(p["vgrav"]) != len(p["positions"]):
+        raise ConfigError("one coupling value per site required", key="vgrav")
+    if not np.all(np.diff(p["positions"]) > 0.0):
+        raise ConfigError("positions must be strictly increasing", key="positions")
     basis = SiteBasis(
         positions=tuple(p["positions"]),
         envelope_width=p["envelope_width"],

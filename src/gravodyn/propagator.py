@@ -2,7 +2,9 @@
 
 The solution of i dΨ/dt = HΨ is evaluated as the spectral sum
 Ψ(t) = Σ_k e^{−iλ_k t} v_k ⟨v_k|Ψ(0)⟩ over the full eigendecomposition,
-on every basis row or only on the rows a reduction reads.
+on every basis row or only on the rows a reduction reads, at the times
+tₖ = t₀ + k·h of a uniform grid. Its phases are factored into a coarse
+and a fine step, so ``exp`` runs on ~2·dim·√n entries, not dim·n.
 All model bases here are at most a few thousand states, so full
 diagonalization is cheaper and more accurate than step integration
 (a small-step integrator survives only as a test oracle).
@@ -412,6 +414,13 @@ def _model_root(dl, dr, t, c0, psi, dpsi_l, dpsi_r, z_origin, z_far, first, last
     return np.where(first | last, outer, eta)
 
 
+# ---------------------------------------------------------------------------
+# time evolution
+
+
+_GRID_TOL = 8.0 * _EPS  # a uniform grid's drift from t₀ + k·h, relative to max |t|
+
+
 def _check_normalized(psi0):
     psi0 = np.asarray(psi0, dtype=complex)
     norm = float(np.linalg.norm(psi0))
@@ -420,31 +429,69 @@ def _check_normalized(psi0):
     return psi0
 
 
+def _uniform_grid(times):
+    """First time and step (t₀, h) of a grid tₖ = t₀ + k·h, to rounding.
+
+    Any one or two times qualify (h = 0 for one). Raises ValueError for a
+    non-uniform grid, and for a non-finite time, whose drift is NaN.
+    """
+    n = len(times)
+    t0 = float(times[0]) if n else 0.0
+    with np.errstate(invalid="ignore"):  # inf − inf
+        h = float(times[-1] - t0) / (n - 1) if n > 1 else 0.0
+        drift = np.max(np.abs(times - (t0 + np.arange(n) * h)), initial=0.0)
+    if not drift <= _GRID_TOL * np.max(np.abs(times), initial=0.0):  # NaN fails too
+        raise ValueError("evolve needs a finite, uniform time grid t_k = t_0 + k*h")
+    return t0, h
+
+
+def _product(matrix, block):
+    """matrix @ block for a C-ordered complex block. A real matrix is applied
+    with one real product: the block read as float64 holds the real and
+    imaginary parts interleaved, so no complex copy of the matrix is made."""
+    if np.iscomplexobj(matrix):
+        return matrix @ block
+    return (matrix @ block.view(float)).view(complex)
+
+
 def evolve(d: SpectralDecomposition, psi0, times, rows=None) -> np.ndarray:
-    """Propagate: rows are states Ψ(t) on the supplied time grid.
+    """Propagate: rows are states Ψ(t) on the supplied uniform time grid.
 
     Ψ(t) = Σ_k e^{−iλ_k t} v_k ⟨v_k|Ψ(0)⟩ on the basis rows ``rows`` (all if
-    None); the initial state must be normalized (contract violation
-    otherwise). The full state keeps the norm ‖Ψ(0)‖ up to the eigenbasis
-    orthonormality defect (``--check`` measures it), so the other rows hold
-    ‖Ψ(0)‖² minus the weight on ``rows``. The states are complex also when
-    the eigenvectors are real.
+    None), at times tₖ = t₀ + k·h: ``np.linspace`` output, or any one or two
+    times (ValueError for any other grid, see ``_uniform_grid``). The initial
+    state must be normalized (contract violation otherwise). The full state
+    keeps the norm ‖Ψ(0)‖ up to the eigenbasis orthonormality defect
+    (``--check`` measures it), so the other rows hold ‖Ψ(0)‖² minus the
+    weight on ``rows``. The states are complex also when the eigenvectors
+    are real.
+
+    The phases are factored: with k = a·B + b and B = ⌈√n⌉,
+    e^{−iλ(t₀+kh)} = e^{−iλ(t₀+aBh)}·e^{−iλbh}, so ``exp`` runs on two
+    (dim × ~√n) blocks only. Their products, scaled by ⟨v_k|Ψ(0)⟩, form
+    the phases of a run of coarse steps a at a time, and one matrix product
+    applies ``V[rows]`` to them. A run spans at least as many times as
+    there are rows: a few rows never need a (dim × n) block, and all rows
+    still make a few large products.
     """
     psi0 = _check_normalized(psi0)
     times = np.asarray(times, dtype=float)
-    vectors = d.eigenvectors
-    coeff = vectors.conj().T @ psi0
-    phases = np.outer(-1j * d.eigenvalues, times)
-    np.exp(phases, out=phases)
-    phases *= coeff[:, np.newaxis]
-    if rows is not None:
-        vectors = vectors[rows]
-    if np.iscomplexobj(vectors):
-        return (vectors @ phases).T
-    # A C-ordered complex (dim, times) block read as float64 is the real
-    # (dim, 2·times) block of interleaved real and imaginary parts, so one
-    # real product applies V to both parts.
-    return (vectors @ phases.view(float)).view(complex).T
+    t0, h = _uniform_grid(times)
+    vectors = d.eigenvectors if rows is None else d.eigenvectors[rows]
+    n = len(times)
+    fine = math.isqrt(n - 1) + 1 if n else 1  # B = ⌈√n⌉
+    coarse = -(-n // fine)
+    rate = -1j * d.eigenvalues
+    starts = np.exp(np.outer(rate, t0 + fine * h * np.arange(coarse)))
+    starts *= _product(d.eigenvectors.conj().T, psi0[:, np.newaxis])  # ⟨v_k|Ψ(0)⟩
+    steps = np.exp(np.outer(rate, h * np.arange(fine)))
+    run = max(1, -(-len(vectors) // fine))  # coarse steps per product
+    states = np.empty((len(vectors), coarse * fine), dtype=complex)
+    for a in range(0, coarse, run):
+        block = starts[:, a:a + run, np.newaxis] * steps[:, np.newaxis, :]
+        block = block.reshape(d.dim, -1)
+        states[:, a * fine:a * fine + block.shape[1]] = _product(vectors, block)
+    return states[:, :n].T
 
 
 def total_norms(states) -> np.ndarray:

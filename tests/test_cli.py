@@ -685,45 +685,70 @@ class TestCliRuns:
         assert list(tmp_path.glob("run*")) == []
 
     @pytest.mark.parametrize(
-        "name, old, new, key",
+        "name, old, new, key, code",
         [
             (
                 "telegraph_switching.cfg", "weight_site1 = 0.6", "weight_site1 = 2.0",
-                "weight_site1",
+                "weight_site1", 2,
             ),
             (
                 "chooser_demo.cfg", "n_band = 200\ndelta = auto ", "n_band = 0\ndelta = 0.0 ",
-                "delta",
+                "delta", 2,
             ),
             # the report's window t >= 1/gamma holds no sample
-            ("chooser_demo.cfg", "n_times = 2048", "n_times = 1", "n_times"),
+            ("chooser_demo.cfg", "n_times = 2048", "n_times = 1", "n_times", 2),
             # (w/u)^2 overflows: once an OverflowError traceback from the report
-            ("chooser_demo.cfg", "u = 1e-3", "u = 1e-160", "u"),
+            ("chooser_demo.cfg", "u = 1e-3", "u = 1e-160", "u", 2),
             # the decay-rate fit window [0.5/gamma, 2.5/gamma] holds one sample
-            ("sweep_decay.cfg", "n_times = 2048", "n_times = 2", "n_times"),
+            ("sweep_decay.cfg", "n_times = 2048", "n_times = 2", "n_times", 2),
             # a sweep's --check expands every grid point, not just the first:
             # delta = auto is pi*|u| = 0 at the second point
             (
                 "sweep_decay.cfg", "delta = 0.02\nsweep_u = 5e-4, 1e-3, 2e-3",
-                "delta = auto\nsweep_u = 1e-3, 0.0", "u",
+                "delta = auto\nsweep_u = 1e-3, 0.0", "u", 2,
             ),
             # the second point's fit window starts at 0.5/gamma = 1.6e7 > t_final
             (
                 "sweep_decay.cfg", "sweep_u = 5e-4, 1e-3, 2e-3\n\n[sampling]\nn_times = 2048\n"
                 "t_final = auto", "sweep_u = 1e-3, 1e-5\n\n[sampling]\nn_times = 2048\n"
-                "t_final = 5e4", "n_times",
+                "t_final = 5e4", "n_times", 2,
+            ),
+            # v = 0, w != 0: the zero state lies on the uncoupled |Q0>, and the
+            # fit reads w_Kproj = 0
+            (
+                "sweep_decay.cfg",
+                "w = 0.0\nn_band = 1024\ndelta = 0.02\nsweep_u = 5e-4, 1e-3, 2e-3",
+                "w = 1e-4\nn_band = 10\ndelta = 0.02\nsweep_u = 1e-3, 2e-3", "v", 3,
             ),
         ],
     )
-    def test_check_rejects_what_the_run_rejects(self, tmp_path, capsys, name, old, new, key):
+    def test_check_rejects_what_the_run_rejects(
+        self, tmp_path, capsys, name, old, new, key, code
+    ):
         text = (EXAMPLES / name).read_text()
         assert old in text
         cfg = self.write(tmp_path, text.replace(old, new))
-        assert cli.main([cfg, "--out", str(tmp_path / "run")]) == 2
+        assert cli.main([cfg, "--out", str(tmp_path / "run")]) == code
         run_err = capsys.readouterr().err
         assert f"key '{key}'" in run_err
-        assert cli.main([cfg, "--check"]) == 2
+        assert cli.main([cfg, "--check"]) == code
         assert capsys.readouterr().err == run_err
+        assert list(tmp_path.glob("run*")) == []
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("positions", "0.0, -2.0, 0.0, 2.0, 4.0"), ("positions", "-4.0, -2.0, -2.0, 2.0, 4.0"),
+         ("vgrav", "0.1")],
+    )
+    def test_gravonon_bad_site_list_exits_2_naming_key(self, tmp_path, capsys, key, value):
+        text = (EXAMPLES / "gravonon_chain.cfg").read_text()
+        text, count = re.subn(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+        assert count == 1
+        cfg = self.write(tmp_path, text)
+        for args in ([cfg, "--out", str(tmp_path / "run")], [cfg, "--check"]):
+            assert cli.main(args) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith(f"config error: [key '{key}']")
         assert list(tmp_path.glob("run*")) == []
 
     @pytest.mark.parametrize("name", ["chooser_demo.cfg", "sweep_decay.cfg"])

@@ -1,6 +1,7 @@
 """Tests for spectral time evolution."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,7 +105,7 @@ class TestEvolve:
     def test_zero_hamiltonian(self):
         d = diagonalize(np.zeros((4, 4), dtype=complex))
         psi0 = random_state(4, seed=5)
-        states = evolve(d, psi0, [0.0, 1.0, 7.3])
+        states = evolve(d, psi0, np.linspace(0.0, 7.3, 4))
         for s in states:
             assert np.allclose(s, psi0, atol=1e-14)
 
@@ -121,6 +122,40 @@ class TestEvolve:
         d = diagonalize(np.zeros((3, 3), dtype=complex))
         with pytest.raises(ContractViolationError):
             evolve(d, np.array([1.0, 1.0, 0.0]), [0.0])
+
+    @pytest.mark.parametrize(
+        "times",
+        [[0.0, 1.0, 7.3], [0.0, 1.0, 2.0, 3.1], [0.0, math.nan], [math.nan], [0.0, math.inf]],
+    )
+    def test_rejects_a_non_uniform_or_non_finite_grid(self, times):
+        d = diagonalize(random_hermitian(3, seed=6))
+        with pytest.raises(ValueError, match="uniform time grid"):
+            evolve(d, random_state(3, seed=7), times)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 1000),
+        real=st.booleans(),
+        t0=st.floats(-50, 50),
+        t_final=st.floats(-50, 50),
+        n=st.integers(1, 300),
+    )
+    def test_factored_phases_match_the_spectral_sum(self, seed, real, t0, t_final, n):
+        h = random_symmetric(12, seed) if real else random_hermitian(12, seed)
+        h = h / np.max(np.abs(np.linalg.eigvalsh(h)))  # eigenvalues in [-1, 1]
+        psi0 = random_state(12, seed + 1)
+        d = diagonalize(h)
+        times = np.linspace(t0, t_final, n)
+        coeff = d.eigenvectors.conj().T @ psi0
+        direct = d.eigenvectors @ (np.exp(-1j * np.outer(d.eigenvalues, times)) * coeff[:, None])
+        # each phase λ·t is rounded at |λ·t| <= 50 in both: ~1e-14 per term
+        assert np.max(np.abs(evolve(d, psi0, times) - direct.T)) <= 1e-12
+
+    def test_empty_grid(self):
+        d = diagonalize(random_hermitian(4, seed=8))
+        psi0 = random_state(4, seed=9)
+        assert evolve(d, psi0, []).shape == (0, 4)
+        assert evolve(d, psi0, [], rows=[1, 3]).shape == (0, 2)
 
     def test_against_rk4_oracle(self):
         h = random_hermitian(10, seed=11)
@@ -208,11 +243,14 @@ class TestRows:
         dim=st.integers(1, 24),
         seed=st.integers(0, 1000),
         real=st.booleans(),
-        times=st.lists(st.floats(0, 50), min_size=1, max_size=5),
+        t0=st.floats(0, 50),
+        t_final=st.floats(0, 50),
+        n=st.integers(1, 5),
     )
     def test_rows_match_the_full_state_and_the_rest_of_the_norm(
-        self, data, dim, seed, real, times
+        self, data, dim, seed, real, t0, t_final, n
     ):
+        times = np.linspace(t0, t_final, n)
         h = random_symmetric(dim, seed) if real else random_hermitian(dim, seed)
         h = h / np.max(np.abs(np.linalg.eigvalsh(h)))  # eigenvalues in [-1, 1]
         rows = data.draw(st.lists(st.integers(0, dim - 1), min_size=1, unique=True))
@@ -225,6 +263,21 @@ class TestRows:
         rest = np.vdot(psi0, psi0).real - np.sum(np.abs(heads) ** 2, axis=1)
         others = np.sum(np.abs(np.delete(full, rows, axis=1)) ** 2, axis=1)
         assert np.max(np.abs(rest - others)) <= 1e-14
+
+    def test_rows_allocate_no_states_by_times_block(self):
+        p = ChooserParams(v=0.0, w=0.0, n_band=1024, delta=0.02, u=1e-3)
+        d = diagonalize(p)
+        psi0 = np.zeros(d.dim, dtype=complex)
+        psi0[2] = 1.0
+        times = np.linspace(0.0, 5e4, 2048)
+        block = 16 * d.dim * len(times)  # one complex (dim × n_times) array: 33.6 MB
+        tracemalloc.start()
+        try:
+            evolve(d, psi0, times, rows=[0, 1, 2])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < block / 4
 
 
 @st.composite
