@@ -120,6 +120,8 @@ def _chooser_times(params: ChooserParams, sampling):
         if t_final is None:
             raise ConfigError("t_final = auto needs u != 0", key="t_final")
         raise ConfigError("the time windows in units of 1/gamma need u != 0", key="u")
+    if not math.isfinite(gamma):
+        raise ConfigError("the decay width gamma = pi*u^2/delta overflows", key="u")
     if t_final is None:
         t_final = 5.0 / gamma
     return gamma, np.linspace(0.0, t_final, sampling["n_times"])

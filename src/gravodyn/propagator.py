@@ -3,17 +3,17 @@
 The solution of i dΨ/dt = HΨ is evaluated as the spectral sum
 Ψ(t) = Σ_k e^{−iλ_k t} v_k ⟨v_k|Ψ(0)⟩ over the full eigendecomposition,
 on every basis row or only on the rows a reduction reads, at the times
-tₖ = t₀ + k·h of a uniform grid. Its phases are factored into a coarse
-and a fine step, so ``exp`` runs on ~2·dim·√n entries, not dim·n.
+tₖ = t₀ + k·h of a uniform grid: coarse phase steps are folded into the
+rows' eigenvectors, and one matrix product applies the fine ones (``evolve``).
 All model bases here are at most a few thousand states, so full
 diagonalization is cheaper and more accurate than step integration
 (a small-step integrator survives only as a test oracle).
 
 A matrix whose imaginary part is exactly zero stays real throughout: it is
 decomposed by real ``eigh``, its contracts (exact symmetry, residual,
-orthonormality) are checked in real arithmetic, and ``evolve`` applies the
-real eigenvectors with real matrix products. Complex input takes the same
-steps in complex arithmetic. States are complex either way.
+orthonormality) are checked in real arithmetic, and ``evolve`` projects on
+the real eigenvectors with a real matrix product. Complex input takes the
+same steps in complex arithmetic. States are complex either way.
 
 The chooser model is never formed as a matrix on the run path: given its
 ``ChooserParams``, ``diagonalize`` solves it as a star (the hub |Kproj>
@@ -118,8 +118,10 @@ def _relative(column_residuals, eigenvalues):
 
 def dense_residual(entries, eigenvalues, eigenvectors) -> float:
     """Worst eigenpair residual ‖H·v − λv‖ over ‖H‖ = max |λ|, from the dense H."""
-    residual = entries @ eigenvectors - eigenvectors * eigenvalues
-    return _relative(np.linalg.norm(residual, axis=0), eigenvalues)
+    # in units of a power of two near ‖H‖ (exact), so no square over- or underflows
+    scale = math.ldexp(0.5, math.frexp(np.max(np.abs(eigenvalues), initial=0.0))[1])
+    residual = (entries @ eigenvectors - eigenvectors * eigenvalues) / scale
+    return _relative(np.linalg.norm(residual, axis=0), eigenvalues / scale)
 
 
 def _verified(eigenvalues, eigenvectors, residual) -> SpectralDecomposition:
@@ -419,6 +421,7 @@ def _model_root(dl, dr, t, c0, psi, dpsi_l, dpsi_r, z_origin, z_far, first, last
 
 
 _GRID_TOL = 8.0 * _EPS  # a uniform grid's drift from t₀ + k·h, relative to max |t|
+_GRID_FLOOR = 2.0 * float(np.finfo(float).smallest_subnormal)  # per time: a subnormal h rounds
 
 
 def _check_normalized(psi0):
@@ -440,7 +443,8 @@ def _uniform_grid(times):
     with np.errstate(invalid="ignore"):  # inf − inf
         h = float(times[-1] - t0) / (n - 1) if n > 1 else 0.0
         drift = np.max(np.abs(times - (t0 + np.arange(n) * h)), initial=0.0)
-    if not drift <= _GRID_TOL * np.max(np.abs(times), initial=0.0):  # NaN fails too
+    bound = max(_GRID_TOL * np.max(np.abs(times), initial=0.0), _GRID_FLOOR * n)
+    if not drift <= bound:  # NaN fails too
         raise ValueError("evolve needs a finite, uniform time grid t_k = t_0 + k*h")
     return t0, h
 
@@ -466,32 +470,26 @@ def evolve(d: SpectralDecomposition, psi0, times, rows=None) -> np.ndarray:
     weight on ``rows``. The states are complex also when the eigenvectors
     are real.
 
-    The phases are factored: with k = a·B + b and B = ⌈√n⌉,
-    e^{−iλ(t₀+kh)} = e^{−iλ(t₀+aBh)}·e^{−iλbh}, so ``exp`` runs on two
-    (dim × ~√n) blocks only. Their products, scaled by ⟨v_k|Ψ(0)⟩, form
-    the phases of a run of coarse steps a at a time, and one matrix product
-    applies ``V[rows]`` to them. A run spans at least as many times as
-    there are rows: a few rows never need a (dim × n) block, and all rows
-    still make a few large products.
+    The phases are factored: with k = a·B + b,
+    Ψ_r(t₀+kh) = Σ_k [V_rk·⟨v_k|Ψ(0)⟩·e^{−iλ_k(t₀+aBh)}]·e^{−iλ_k·bh}. The
+    brackets for every row r and coarse step a form one (rows·⌈n/B⌉ × dim)
+    matrix; one matrix product with the fine phases (dim × B) gives every
+    state. B ≈ √(n·(rows+1)), evened out to ⌈n/⌈n/B⌉⌉ ≤ n, balances the
+    ``exp`` blocks against the brackets: a few rows need no (dim × n) block.
     """
     psi0 = _check_normalized(psi0)
     times = np.asarray(times, dtype=float)
     t0, h = _uniform_grid(times)
     vectors = d.eigenvectors if rows is None else d.eigenvectors[rows]
     n = len(times)
-    fine = math.isqrt(n - 1) + 1 if n else 1  # B = ⌈√n⌉
-    coarse = -(-n // fine)
+    coarse = -(-n // (math.isqrt(n * (len(vectors) + 1) - 1) + 1)) if n else 0
+    fine = -(-n // coarse) if n else 1  # B
     rate = -1j * d.eigenvalues
-    starts = np.exp(np.outer(rate, t0 + fine * h * np.arange(coarse)))
-    starts *= _product(d.eigenvectors.conj().T, psi0[:, np.newaxis])  # ⟨v_k|Ψ(0)⟩
+    starts = np.exp(np.outer(t0 + fine * h * np.arange(coarse), rate))
+    starts *= _product(d.eigenvectors.conj().T, psi0[:, np.newaxis]).T  # ⟨v_k|Ψ(0)⟩
+    bracket = (vectors[:, np.newaxis, :] * starts).reshape(-1, d.dim)
     steps = np.exp(np.outer(rate, h * np.arange(fine)))
-    run = max(1, -(-len(vectors) // fine))  # coarse steps per product
-    states = np.empty((len(vectors), coarse * fine), dtype=complex)
-    for a in range(0, coarse, run):
-        block = starts[:, a:a + run, np.newaxis] * steps[:, np.newaxis, :]
-        block = block.reshape(d.dim, -1)
-        states[:, a * fine:a * fine + block.shape[1]] = _product(vectors, block)
-    return states[:, :n].T
+    return (bracket @ steps).reshape(len(vectors), coarse * fine)[:, :n].T
 
 
 def total_norms(states) -> np.ndarray:

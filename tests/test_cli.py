@@ -591,6 +591,24 @@ class TestCliRuns:
         assert cli.main([cfg, "--out", str(tmp_path / "run")]) == 0
         assert cli.main([cfg, "--check"]) == 0
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            # a subnormal time step, rounded to whole subnormal units
+            ("sampling", "t_final", "1e-310"),
+            # entries whose squares overflow in an unscaled residual
+            ("parameters", "v_gw_1", "1e300"),
+            ("parameters", "e_g1", "1e300"),
+        ],
+    )
+    def test_telegraph_at_the_edges_of_float_range_runs(self, tmp_path, section, key, value):
+        text, _ = set_key(SHIPPED["telegraph"].read_text(), section, key, value)
+        cfg = self.write(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails
+            assert cli.main([cfg, "--out", str(tmp_path / "run")]) == 0
+            assert cli.main([cfg, "--check"]) == 0
+
     def test_meanfield_gravity_profile_at_r_zero_exits_2(self, tmp_path, capsys):
         # 513 points on [-40, 40] put a node at x = 0; with no softening the
         # profile g / r^(D-2) is 0/0 there
@@ -649,6 +667,10 @@ class TestCliRuns:
             ("chooser_demo.cfg", {"n_band": "0", "delta": "0.0"}, "line 9, key 'delta'"),
             ("chooser_demo.cfg", {"u": "0.0"}, "key 'u'"),  # delta = auto is pi*|u| = 0
             ("chooser_demo.cfg", {"u": "1e308"}, "key 'u'"),  # pi*|u| overflows
+            # gamma = pi*u^2/delta overflows (t_final = 5/gamma would be 0)
+            ("chooser_demo.cfg", {"u": "1e154"}, "key 'u'"),
+            ("chooser_demo.cfg", {"u": "1e200", "delta": "0.02"}, "key 'u'"),
+            ("sweep_decay.cfg", {"sweep_u": "1e300"}, "key 'u'"),
             # x_max - x_min overflows before the grid is built
             ("meanfield_free_packet.cfg", {"x_min": "-1e308", "x_max": "1e308"}, "key 'x_max'"),
             # sigma^2 underflows to 0; 1/(4 m_g sigma^2) overflows

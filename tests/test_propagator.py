@@ -138,9 +138,12 @@ class TestEvolve:
         real=st.booleans(),
         t0=st.floats(-50, 50),
         t_final=st.floats(-50, 50),
-        n=st.integers(1, 300),
+        n=st.integers(1, 2100),
+        rows=st.none() | st.lists(st.integers(0, 11), min_size=1, max_size=3, unique=True),
     )
-    def test_factored_phases_match_the_spectral_sum(self, seed, real, t0, t_final, n):
+    # a subnormal span: its step is rounded to whole subnormal units
+    @example(seed=0, real=False, t0=0.0, t_final=6.780773377419546e-308, n=96, rows=None)
+    def test_factored_phases_match_the_spectral_sum(self, seed, real, t0, t_final, n, rows):
         h = random_symmetric(12, seed) if real else random_hermitian(12, seed)
         h = h / np.max(np.abs(np.linalg.eigvalsh(h)))  # eigenvalues in [-1, 1]
         psi0 = random_state(12, seed + 1)
@@ -148,8 +151,9 @@ class TestEvolve:
         times = np.linspace(t0, t_final, n)
         coeff = d.eigenvectors.conj().T @ psi0
         direct = d.eigenvectors @ (np.exp(-1j * np.outer(d.eigenvalues, times)) * coeff[:, None])
+        direct = direct.T if rows is None else direct[rows].T
         # each phase λ·t is rounded at |λ·t| <= 50 in both: ~1e-14 per term
-        assert np.max(np.abs(evolve(d, psi0, times) - direct.T)) <= 1e-12
+        assert np.max(np.abs(evolve(d, psi0, times, rows=rows) - direct)) <= 1e-12
 
     def test_empty_grid(self):
         d = diagonalize(random_hermitian(4, seed=8))
@@ -337,6 +341,16 @@ class TestStar:
         d = diagonalize(random_hermitian(12, seed=5))
         assert 0.0 < d.residual <= RESIDUAL_TOL
         assert 0.0 < d.ortho_defect <= ORTHO_TOL
+
+    @pytest.mark.parametrize("power", [-900, 1000])
+    def test_dense_residual_is_the_same_at_any_scale(self, power):
+        # unscaled, its squares would underflow to 0 or overflow to inf
+        h = random_hermitian(12, seed=5)
+        d = diagonalize(h)
+        margin = propagator.dense_residual(h, d.eigenvalues, d.eigenvectors)
+        unit = math.ldexp(1.0, power)
+        scaled = propagator.dense_residual(h * unit, d.eigenvalues * unit, d.eigenvectors)
+        assert scaled == margin > 0.0
 
     def test_unconverged_roots_are_a_contract_violation(self, monkeypatch):
         monkeypatch.setattr(propagator, "_MAX_SWEEPS", 1)
