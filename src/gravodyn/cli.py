@@ -29,7 +29,13 @@ import numpy as np
 
 from . import analytic, dimensional, meanfield
 from .config import ScenarioConfig, load_config
-from .errors import DEFAULT_CONFIG_CAP, ConfigError, ContractViolationError, SizeLimitError
+from .errors import (
+    DEFAULT_CONFIG_CAP,
+    DEFAULT_MEMORY_CAP,
+    ConfigError,
+    ContractViolationError,
+    SizeLimitError,
+)
 from .gravonon import SiteBasis, build_omega, diagonalize_modes
 from .models import ChooserParams, TelegraphSite, build_chooser, build_telegraph
 from .propagator import RESIDUAL_TOL, dense_residual, diagonalize, evolve
@@ -69,6 +75,7 @@ def _check_parts(parts):
     on its own path), and unitary norm conservation."""
     for part in parts:
         if isinstance(part, ChooserParams):
+            _check_memory(part.n_band, 0, dense=True)
             ham, dec = build_chooser(part), diagonalize(part)
         else:
             ham = build_telegraph(part)
@@ -96,11 +103,39 @@ def _check_parts(parts):
 # chooser
 
 
-def _chooser_params(p):
+def _chooser_bytes(n_band, n_times, dense):
+    """Estimated peak bytes of one chooser model, from tracemalloc peaks.
+
+    A run holds the eigenvectors and the Gram matrix of the orthonormality
+    check (2 × 8·dim²), the solve's workspace (two blocks of 65 rows of
+    dim), ``evolve``'s phase blocks for the three head rows (16·3·dim·B
+    with B ≈ √(4·n_times)) and ~400 bytes per sample for the weights and
+    the CSV. ``dense`` (``--check``) adds the dense matrix and the dense
+    residual product: 4 × 8·dim² in all.
+    """
+    dim = 3 + n_band
+    fine = math.isqrt(4 * n_times - 1) + 1 if n_times else 1
+    squares = 4 if dense else 2
+    return 8 * squares * dim * dim + 16 * dim * (65 + 3 * fine) + 400 * n_times
+
+
+def _check_memory(n_band, n_times, dense=False):
+    need = _chooser_bytes(n_band, n_times, dense)
+    if need > DEFAULT_MEMORY_CAP:
+        raise SizeLimitError(
+            f"[key 'n_band'] estimated memory of {need} bytes exceeds cap of "
+            f"{DEFAULT_MEMORY_CAP} bytes"
+        )
+
+
+def _chooser_params(p, sampling):
+    """The chooser model of a config, once its basis and its estimated
+    memory are under their caps, before anything is built."""
     if 3 + p["n_band"] > DEFAULT_CONFIG_CAP:
         raise SizeLimitError(
             f"[key 'n_band'] configuration count exceeds cap of {DEFAULT_CONFIG_CAP}"
         )
+    _check_memory(p["n_band"], sampling["n_times"])
     delta = p["delta"]
     if delta is None:
         _, delta = analytic.self_consistent_width(p["u"])
@@ -185,7 +220,7 @@ def _chooser_weights(params: ChooserParams, times):
 
 
 def _run_chooser(p, sampling, prefix: Path):
-    params = _chooser_params(p)
+    params = _chooser_params(p, sampling)
     gamma, times, residue = _report_grid(params, sampling)
     weights, w_band = _chooser_weights(params, times)
     rows = zip(times, weights[:, 0], weights[:, 1], weights[:, 2], w_band)
@@ -215,7 +250,7 @@ def _run_chooser(p, sampling, prefix: Path):
 
 def _check_chooser(p, sampling):
     """Check lines for the star solve a run uses; first its report grid."""
-    params = _chooser_params(p)
+    params = _chooser_params(p, sampling)
     _report_grid(params, sampling)
     return _check_parts([params])
 
@@ -230,7 +265,7 @@ def _chooser_part(p, sampling):
     """A chooser sweep point's one part, its whole model, once its fit
     window holds the samples the solve needs and its zero state reaches
     |Kproj>: with v = 0 and w != 0 it lies wholly on the uncoupled |Q0>."""
-    params = _chooser_params(p)
+    params = _chooser_params(p, sampling)
     _fit_grid(params, sampling)
     if params.v == 0.0 and params.w != 0.0:
         raise ContractViolationError(_NO_KPROJ)

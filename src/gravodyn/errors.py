@@ -6,6 +6,7 @@ class ContractViolationError(RuntimeError):
 
 
 DEFAULT_CONFIG_CAP = 200_000  # basis states one model, or entries one linspace, may have
+DEFAULT_MEMORY_CAP = 2**30  # estimated bytes one chooser model's run or --check may need
 
 
 class SizeLimitError(RuntimeError):

@@ -132,11 +132,8 @@ def build_chooser(p: ChooserParams) -> HamiltonianMatrix:
     h[1, 2] = h[2, 1] = p.w
     h[2, 2] = p.alpha
     if n > 0:
-        w_band = p.u / math.sqrt(n)
-        eps = p.band_energies()
-        for k in range(n):
-            h[2, 3 + k] = h[3 + k, 2] = w_band
-            h[3 + k, 3 + k] = eps[k]
+        h[2, 3:] = h[3:, 2] = p.u / math.sqrt(n)
+        np.fill_diagonal(h[3:, 3:], p.band_energies())
     return HamiltonianMatrix(dim=dim, entries=h)
 
 

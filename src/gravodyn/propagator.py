@@ -25,6 +25,12 @@ and their eigenvectors follow in closed form with Löwner weights
 (Gu & Eisenstat 1994; Stor, Slapničar & Barlow, arXiv:1302.7203). The
 residual contract is measured by applying H through the star, the
 orthonormality contract by the same VᵀV product as for dense input.
+Each O(N²) kernel (a secular sweep's sums, the Löwner products, the
+eigenvector rows, the star residual) runs over blocks of ``_BLOCK`` roots
+in one small workspace allocated once per solve, and writes each block's
+eigenvector rows straight into the one dim × dim array of eigenvectors:
+the per-root bookkeeping stays vectorized over all roots, and the only
+other dim × dim array is the Gram matrix of the orthonormality check.
 Every ``SpectralDecomposition`` that ``diagonalize`` returns carries both
 measured margins.
 
@@ -132,7 +138,12 @@ def _verified(eigenvalues, eigenvectors, residual) -> SpectralDecomposition:
         )
     gram = eigenvectors.conj().T @ eigenvectors
     gram[np.diag_indices_from(gram)] -= 1.0
-    ortho_defect = float(np.max(np.abs(gram))) if gram.size else 0.0
+    if not gram.size:
+        ortho_defect = 0.0
+    elif np.iscomplexobj(gram):
+        ortho_defect = float(np.max(np.abs(gram)))
+    else:  # max |G − 1| without a |G| copy; np.maximum keeps a NaN
+        ortho_defect = float(np.maximum(gram.max(), -gram.min()))
     if not ortho_defect <= ORTHO_TOL:
         raise ContractViolationError(
             f"eigenbasis orthonormality defect {ortho_defect:.3e} exceeds {ORTHO_TOL:.0e}"
@@ -161,11 +172,15 @@ def _star(p: ChooserParams):
     v = 0) and the band levels with weight u/√N. After deflation
     (``_deflate``) every eigenvalue is a leaf's level or a root λ of the
     secular equation (``_secular_roots``), whose eigenvector has hub
-    component −1 and leaf components z_j/(d_j − λ). Everything is solved in
-    units of an exact power of two, so no step over- or underflows. Returns
-    ascending eigenvalues, the eigenvectors in the basis [Q0, R0, Kproj,
-    band...] and the worst relative residual of H applied to them through
-    the star, never as a dense product.
+    component −1 and leaf components z_j/(d_j − λ) (``_root_rows``).
+    Everything is solved in units of an exact power of two, so no step
+    over- or underflows. Returns ascending eigenvalues, the eigenvectors in
+    the basis [Q0, R0, Kproj, band...] and the worst relative residual of H
+    applied to them through the star, never as a dense product.
+
+    Every O(N²) kernel runs over blocks of ``_BLOCK`` roots (or eigenvector
+    rows) in one workspace allocated here, so a solve holds no dim × dim
+    array but the eigenvectors.
     """
     dim = 3 + p.n_band
     band = p.band_energies()
@@ -184,9 +199,9 @@ def _star(p: ChooserParams):
     weights /= scale
     alpha = p.alpha / scale
 
+    work = np.empty((2, (_BLOCK + 1) * dim))  # two blocks of up to _BLOCK + 1 rows
     kept, d, z, deflated, levels, rotations = _deflate(poles, weights)
-    origins, tau, leaves = _secular_roots(d, np.abs(z), alpha)
-    leaves *= np.sign(z)  # a leaf with weight −|z| is the leaf of +|z|, negated
+    origins, tau, lowner = _secular_roots(d, np.abs(z), alpha, work)
     values = np.concatenate([origins + tau, levels])
     order = np.argsort(values, kind="stable")
     values = values[order]
@@ -196,11 +211,8 @@ def _star(p: ChooserParams):
 
     # built by eigenvector rows; the eigenvectors are the columns of its transpose
     vectors = np.zeros((dim, dim))
-    norm = 1.0 / np.sqrt(1.0 + np.einsum("ij,ij->i", leaves, leaves))
-    vectors[roots, 2] = -norm
-    leaves *= norm[:, np.newaxis]
-    vectors[np.ix_(roots, rows[kept])] = leaves
-    del leaves
+    # a leaf with weight −|z| is the leaf of +|z|, negated
+    _root_rows(d, lowner * np.sign(z), origins, tau, vectors, roots, rows[kept], work)
     vectors[others, rows[deflated]] = 1.0
     for a, b, c, s in reversed(rotations):
         ra, rb = vectors[:, rows[a]], vectors[:, rows[b]]
@@ -215,11 +227,12 @@ def _star(p: ChooserParams):
     squares = (v * r0 - values * q0) ** 2
     squares += (v * q0 + w * k - values * r0) ** 2
     squares += (w * r0 + (alpha - values) * k + u * vectors[:, 3:].sum(axis=1)) ** 2
-    rest = np.subtract.outer(-values, -band / scale)
-    rest *= vectors[:, 3:]
-    rest += u * k[:, np.newaxis]
-    squares += np.einsum("ij,ij->i", rest, rest)
-    del rest
+    minus_band = -band / scale
+    for s, e in _blocks(dim):  # the band rows, a block of eigenvectors at a time
+        rest = np.subtract(-values[s:e, np.newaxis], minus_band, out=_block(work, 0, e - s, p.n_band))
+        rest *= vectors[s:e, 3:]
+        rest += u * k[s:e, np.newaxis]
+        squares[s:e] += np.einsum("ij,ij->i", rest, rest)
     return values * scale, vectors.T, _relative(np.sqrt(squares), values)
 
 
@@ -255,6 +268,19 @@ def _deflate(poles, weights):
     return kept, d[kept], z[kept], deflated, d[deflated], rotations
 
 
+_BLOCK = 64  # roots (or eigenvector rows) per block of the O(N²) kernels
+
+
+def _blocks(count):
+    """(start, stop) of consecutive blocks of at most ``_BLOCK`` rows."""
+    return ((s, min(s + _BLOCK, count)) for s in range(0, count, _BLOCK))
+
+
+def _block(work, k, rows, cols):
+    """Workspace ``k`` as a contiguous (rows × cols) array."""
+    return work[k, : rows * cols].reshape(rows, cols)
+
+
 def _differences(d, origins, tau, out):
     """d_j − λ for λ = origin + τ (rows: roots), taken as (d_j − origin) − τ,
     which keeps its relative accuracy next to the origin."""
@@ -263,28 +289,43 @@ def _differences(d, origins, tau, out):
     return out
 
 
-def _secular_roots(d, z, alpha):
+def _sums(d, z, origins, tau, work):
+    """ψ = Σ_j z_j²/(d_j − λ), its part over the poles d_j > λ, and the same
+    two parts of ψ' = Σ_j z_j²/(d_j − λ)², for the roots λ = origin + τ,
+    a block of roots at a time."""
+    n = len(d)
+    sums = np.empty((4, len(tau)))
+    for s, e in _blocks(len(tau)):
+        diff = _differences(d, origins[s:e], tau[s:e], _block(work, 0, e - s, n))
+        leaves = np.divide(z, diff, out=diff)
+        above = np.maximum(leaves, 0.0, out=_block(work, 1, e - s, n))
+        sums[0, s:e], sums[1, s:e] = leaves @ z, above @ z
+        sums[2, s:e] = np.einsum("ij,ij->i", leaves, leaves)
+        sums[3, s:e] = np.einsum("ij,ij->i", above, above)
+    return sums
+
+
+def _secular_roots(d, z, alpha, work):
     """Roots of F(λ) = λ − α + Σ_j z_j²/(d_j − λ) for ascending poles d and
-    positive weights z, and their eigenvectors' leaf components.
+    positive weights z.
 
     F rises from −∞ to +∞ between neighbouring poles and beyond each end,
     so there is one root below d[0], one in each gap and one above d[-1].
     Each root is found as an offset τ from the pole it is nearest (an
     interior root's midpoint value tells which). Every sweep evaluates F
-    and F' on the roots not yet converged and steps to the root of a
-    rational model matching both (``_model_root``); it bisects the bracket
-    instead when that root leaves the bracket or the last step did not
-    halve |F|. A root has converged when |F| is within its rounding bound
-    or the model step is below ``_STEP_TOL``. Returns each root's origin
-    and offset, and the leaf components ẑ_j/(d_j − λ) of its eigenvector
-    (rows: roots), with the weights ẑ for which the computed roots are
-    exact (``_lowner_weights``), so that the eigenvectors are orthogonal to
-    working accuracy even where F's rounding leaves λ accurate to ~ε‖H‖
+    and F' on the roots not yet converged (``_sums``) and steps to the root
+    of a rational model matching both (``_model_root``); it bisects the
+    bracket instead when that root leaves the bracket or the last step did
+    not halve |F|. A root has converged when |F| is within its rounding
+    bound or the model step is below ``_STEP_TOL``. Returns each root's
+    origin and offset, and the weights ẑ for which the computed roots are
+    exact (``_lowner_weights``): with them the eigenvectors are orthogonal
+    to working accuracy even where F's rounding leaves λ accurate to ~ε‖H‖
     only.
     """
     n = len(d)
     if n == 0:
-        return np.array([alpha]), np.zeros(1), np.empty((1, 0))
+        return np.array([alpha]), np.zeros(1), np.empty(0)
     index = np.arange(n + 1)
     left, right = np.maximum(index - 1, 0), np.minimum(index, n - 1)  # neighbour poles
     interior = (index > 0) & (index < n)
@@ -297,15 +338,10 @@ def _secular_roots(d, z, alpha):
         lo[end], hi[end] = sorted((0.0, tau[end]))
     last_f = np.full(n + 1, np.inf)
 
-    work, upper = np.empty((n + 1, n)), np.empty((n + 1, n))
     active = index
     for sweep in range(_MAX_SWEEPS):
         i = active
-        diff = _differences(d, d[origin[i]], tau[i], work[: len(i)])
-        leaves = np.divide(z, diff, out=diff)
-        above = np.maximum(leaves, 0.0, out=upper[: len(i)])  # the poles d_j > λ
-        psi, psi_above = leaves @ z, above @ z
-        dpsi, dpsi_above = (np.einsum("ij,ij->i", m, m) for m in (leaves, above))
+        psi, psi_above, dpsi, dpsi_above = _sums(d, z, d[origin[i]], tau[i], work)
         f = (d[origin[i]] - alpha + tau[i]) + psi
         if sweep == 0:  # interior roots start at the midpoint, from the left pole
             move = interior & (f < 0.0)
@@ -333,32 +369,50 @@ def _secular_roots(d, z, alpha):
         last_f[i] = np.where(take, np.abs(f), np.inf)
         active = i[~(exact | small)]
         if not len(active):
-            del upper
             origins = d[origin]
-            diff = _differences(d, origins, tau, work)
-            return origins, tau, np.divide(_lowner_weights(d, diff), diff, out=diff)
+            return origins, tau, _lowner_weights(d, origins, tau, work)
     raise ContractViolationError(
         f"{len(active)} secular roots did not converge in {_MAX_SWEEPS} sweeps"
     )
 
 
-def _lowner_weights(d, diff):
-    """The positive weights ẑ for which the computed roots are exact.
+def _lowner_weights(d, origins, tau, work):
+    """The positive weights ẑ for which the roots λ = origin + τ are exact.
 
-    ``diff[i, j]`` = d_j − λ_i for the n + 1 roots λ_i interlacing the n
-    poles d_j. By Löwner's formula (M. Gu & S. C. Eisenstat, SIAM J. Matrix
-    Anal. Appl. 15, 1266 (1994)) ẑ_j² = Π_i |d_j − λ_i| / Π_{k≠j} |d_j − d_k|.
-    Each interior root λ_i is paired with its neighbouring pole on d_j's
-    side (d_{i−1} when j ≥ i, d_i when j < i), so no partial product
-    over- or underflows.
+    The n + 1 roots λ_i interlace the n poles d_j. By Löwner's formula
+    (M. Gu & S. C. Eisenstat, SIAM J. Matrix Anal. Appl. 15, 1266 (1994))
+    ẑ_j² = Π_i |d_j − λ_i| / Π_{k≠j} |d_j − d_k|. Each interior root λ_i
+    is paired with its neighbouring pole on d_j's side (d_{i−1} when j ≥ i,
+    d_i when j < i), so no partial product over- or underflows. The product
+    runs over the interior roots in order, a block of roots at a time.
     """
     n = len(d)
-    ratio = np.empty((n - 1, n))
-    np.subtract(d, d[:-1, np.newaxis], out=ratio)  # d_j − d_{i−1}
-    below = np.arange(n) < np.arange(1, n)[:, np.newaxis]
-    np.subtract(d, d[1:, np.newaxis], out=ratio, where=below)  # d_j − d_i for j < i
-    np.divide(diff[1:n], ratio, out=ratio)
-    return np.sqrt(np.abs(np.prod(ratio, axis=0) * diff[0] * diff[n]))
+    product = np.ones(n)
+    for s, e in _blocks(n - 1):  # the interior roots s + 1 ... e
+        ratio = _block(work, 1, e - s + 1, n)  # row 0 carries the product so far
+        ratio[0] = product
+        np.subtract(d, d[s:e, np.newaxis], out=ratio[1:])  # d_j − d_{i−1}
+        below = np.arange(n) < np.arange(s + 1, e + 1)[:, np.newaxis]
+        np.subtract(d, d[s + 1:e + 1, np.newaxis], out=ratio[1:], where=below)  # d_j − d_i
+        diff = _differences(d, origins[s + 1:e + 1], tau[s + 1:e + 1], _block(work, 0, e - s, n))
+        np.divide(diff, ratio[1:], out=ratio[1:])
+        np.prod(ratio, axis=0, out=product)
+    ends = _differences(d, origins[[0, n]], tau[[0, n]], np.empty((2, n)))
+    return np.sqrt(np.abs(product * ends[0] * ends[1]))
+
+
+def _root_rows(d, weights, origins, tau, vectors, roots, columns, work):
+    """Write each root's eigenvector into row ``roots[i]`` of ``vectors``:
+    hub (column 2) −1 and leaves (``columns``) weights_j/(d_j − λ_i),
+    normalized, a block of roots at a time."""
+    n = len(d)
+    for s, e in _blocks(len(tau)):
+        diff = _differences(d, origins[s:e], tau[s:e], _block(work, 0, e - s, n))
+        leaves = np.divide(weights, diff, out=diff)
+        norm = 1.0 / np.sqrt(1.0 + np.einsum("ij,ij->i", leaves, leaves))
+        vectors[roots[s:e], 2] = -norm
+        leaves *= norm[:, np.newaxis]
+        vectors[np.ix_(roots[s:e], columns)] = leaves
 
 
 def _positive_root(b, s):

@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -787,6 +788,46 @@ class TestCliRuns:
                 "resource cap: [key 'n_band'] configuration count exceeds cap of 200000"
             ]
         assert list(tmp_path.glob("run*")) == []
+
+    @pytest.mark.parametrize("name", ["chooser_demo.cfg", "sweep_decay.cfg"])
+    def test_chooser_memory_cap_exits_4_before_allocating(self, tmp_path, capsys, name):
+        # 3 + 20 000 states are under the basis cap, but a solve would hold
+        # two dim × dim arrays: ~6.4 GB, refused before anything is built
+        text = (EXAMPLES / name).read_text()
+        text, count = re.subn(r"(?m)^n_band = .*$", "n_band = 20000", text)
+        assert count == 1
+        cfg = self.write(tmp_path, text)
+        tracemalloc.start()
+        try:
+            for args in ([cfg, "--out", str(tmp_path / "run")], [cfg, "--check"]):
+                assert cli.main(args) == 4
+                err = capsys.readouterr().err.splitlines()
+                assert len(err) == 1
+                assert err[0].startswith("resource cap: [key 'n_band'] estimated memory of ")
+                assert err[0].endswith(f"exceeds cap of {cli.DEFAULT_MEMORY_CAP} bytes")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert list(tmp_path.glob("run*")) == []
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_chooser_memory_estimate_bounds_the_measured_peak(self, tmp_path, dense):
+        text = (EXAMPLES / "chooser_collapse.cfg").read_text()
+        text, count = re.subn(r"(?m)^n_band = .*$", "n_band = 512", text)
+        assert count == 1
+        cfg = load_config(self.write(tmp_path, text))
+        estimate = cli._chooser_bytes(512, cfg.sampling["n_times"], dense)
+        tracemalloc.start()
+        try:
+            if dense:
+                cli._check(cfg)
+            else:
+                cli.run_scenario(cfg, out_prefix=tmp_path / "run")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.5 * estimate < peak <= estimate
 
     def test_linspace_count_over_cap_exits_4_before_allocating(self, tmp_path, capsys):
         # 1e12 entries are ~8 TB: the count must be refused before linspace runs

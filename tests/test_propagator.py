@@ -289,9 +289,17 @@ def chooser_models(draw):
     """Chooser parameters with the cases the star solver must deflate or
     iterate on: zero couplings (v = 0 makes the Q0–R0 pair's poles
     coincide), v on a band level, odd n_band (a level at 0), n_band = 0,
-    alpha != 0 and strong coupling u >> delta."""
+    alpha != 0, strong coupling u >> delta, and n_band around one and two
+    blocks of the solver's O(N²) kernels."""
     coupling = st.just(0.0) | st.floats(0.01, 3.0) | st.floats(-3.0, -0.01)
-    n_band = draw(st.integers(0, 40))
+    # and sizes around one and two blocks of roots, so that deflated leaves
+    # and rotations land inside and across blocks
+    block = propagator._BLOCK
+    n_band = draw(
+        st.integers(0, 40)
+        | st.integers(block - 3, block + 3)
+        | st.sampled_from([2 * block - 1, 2 * block + 1])
+    )
     delta = draw(st.floats(0.05, 4.0))
     v, w, u, alpha = (draw(coupling) for _ in range(4))
     case = draw(st.sampled_from(["drawn", "v on a level", "strong"]))
@@ -321,6 +329,12 @@ class TestStar:
     # roots ~1e-22 from poles of weight ~1e-12, beside poles of weight ~1
     @example(p=ChooserParams(v=0.3, w=1e-4, n_band=3, delta=0.02, u=1e-12))
     @example(p=ChooserParams(v=0.0, w=1.0, n_band=7, delta=0.02, u=1e-12))
+    # ±v on the 3rd and 62nd of 64 levels: two rotations, the roots of the
+    # 64 kept leaves fill one block and one more
+    @example(p=ChooserParams(v=float(np.linspace(-0.5, 0.5, 64)[61]), w=0.3, n_band=64,
+                             delta=1.0, u=0.5))
+    # v = 0 on the middle level of 129: a rotation in the second block
+    @example(p=ChooserParams(v=0.0, w=0.7, n_band=129, delta=1.0, u=0.2, alpha=0.1))
     def test_matches_the_dense_decomposition(self, p):
         star, dense = diagonalize(p), diagonalize(build_chooser(p))
         for d in (star, dense):
@@ -336,6 +350,24 @@ class TestStar:
         dense_heads, dense_rest = cli._head_weights(build_chooser(p), psi0, times, [0, 1, 2])
         assert np.max(np.abs(heads - dense_heads)) <= 1e-12
         assert np.max(np.abs(rest - dense_rest)) <= 1e-12
+
+    def test_solve_holds_no_dim_squared_array_but_vectors_and_gram(self):
+        p = ChooserParams(v=0.0, w=0.0, n_band=1024, delta=0.02, u=1e-3)
+        diagonalize(p)  # warm up: lazy imports and caches are not the solve's
+        tracemalloc.start()
+        try:
+            d = diagonalize(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * d.eigenvectors.nbytes  # 8·dim²
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_eigenvectors_holding_a_nan_fail_the_orthonormality_contract(self, dtype):
+        vectors = np.eye(5, dtype=dtype)
+        vectors[3, 1] = np.nan
+        with pytest.raises(ContractViolationError, match="orthonormality defect nan"):
+            propagator._verified(np.arange(5.0), vectors, 0.0)
 
     def test_dense_margins_are_kept(self):
         d = diagonalize(random_hermitian(12, seed=5))
