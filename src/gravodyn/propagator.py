@@ -138,12 +138,10 @@ def _verified(eigenvalues, eigenvectors, residual) -> SpectralDecomposition:
         )
     gram = eigenvectors.conj().T @ eigenvectors
     gram[np.diag_indices_from(gram)] -= 1.0
-    if not gram.size:
-        ortho_defect = 0.0
-    elif np.iscomplexobj(gram):
-        ortho_defect = float(np.max(np.abs(gram)))
-    else:  # max |G − 1| without a |G| copy; np.maximum keeps a NaN
-        ortho_defect = float(np.maximum(gram.max(), -gram.min()))
+    if np.iscomplexobj(gram):
+        gram = np.abs(gram)
+    # max |G − 1|, for real G without a |G| copy; a NaN propagates
+    ortho_defect = float(np.maximum(gram.max(initial=0.0), 0.0 - gram.min(initial=0.0)))
     if not ortho_defect <= ORTHO_TOL:
         raise ContractViolationError(
             f"eigenbasis orthonormality defect {ortho_defect:.3e} exceeds {ORTHO_TOL:.0e}"
@@ -179,8 +177,7 @@ def _star(p: ChooserParams):
     applied to them through the star, never as a dense product.
 
     Every O(N²) kernel runs over blocks of ``_BLOCK`` roots (or eigenvector
-    rows) in one workspace allocated here, so a solve holds no dim × dim
-    array but the eigenvectors.
+    rows) in one workspace allocated here.
     """
     dim = 3 + p.n_band
     band = p.band_energies()
@@ -229,7 +226,8 @@ def _star(p: ChooserParams):
     squares += (w * r0 + (alpha - values) * k + u * vectors[:, 3:].sum(axis=1)) ** 2
     minus_band = -band / scale
     for s, e in _blocks(dim):  # the band rows, a block of eigenvectors at a time
-        rest = np.subtract(-values[s:e, np.newaxis], minus_band, out=_block(work, 0, e - s, p.n_band))
+        rest = _block(work, 0, e - s, p.n_band)
+        np.subtract(-values[s:e, np.newaxis], minus_band, out=rest)
         rest *= vectors[s:e, 3:]
         rest += u * k[s:e, np.newaxis]
         squares[s:e] += np.einsum("ij,ij->i", rest, rest)

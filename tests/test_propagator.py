@@ -292,9 +292,7 @@ def chooser_models(draw):
     alpha != 0, strong coupling u >> delta, and n_band around one and two
     blocks of the solver's O(N²) kernels."""
     coupling = st.just(0.0) | st.floats(0.01, 3.0) | st.floats(-3.0, -0.01)
-    # and sizes around one and two blocks of roots, so that deflated leaves
-    # and rotations land inside and across blocks
-    block = propagator._BLOCK
+    block = propagator._BLOCK  # deflated leaves and rotations inside and across blocks
     n_band = draw(
         st.integers(0, 40)
         | st.integers(block - 3, block + 3)
