@@ -52,19 +52,19 @@ def _out(prefix: Path, ext: str) -> Path:
     return Path(str(prefix) + ext)
 
 
-def _fmt(value):
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if value is None:
-        return ""
-    return _FLOAT_FMT % float(value)
-
-
-def _csv(header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _csv(header, columns):
+    """CSV text of equal-length columns through one row format: an int
+    column as %d, a float column as %.11e and a column of None (a statistic
+    the sweep's base does not have) as empty fields."""
+    formats, values = [], []
+    for column in map(np.asarray, columns):
+        if column.dtype == object:
+            formats.append("")
+        else:
+            formats.append("%d" if column.dtype.kind in "iu" else _FLOAT_FMT)
+            values.append(column.tolist())
+    rows = map(",".join(formats).__mod__, zip(*values))
+    return "\n".join([",".join(header), *rows]) + "\n"
 
 
 def _check_parts(parts):
@@ -223,8 +223,7 @@ def _run_chooser(p, sampling, prefix: Path):
     params = _chooser_params(p, sampling)
     gamma, times, residue = _report_grid(params, sampling)
     weights, w_band = _chooser_weights(params, times)
-    rows = zip(times, weights[:, 0], weights[:, 1], weights[:, 2], w_band)
-    csv_text = _csv(["t", "w_Q0", "w_R0", "w_Kproj", "w_band"], rows)
+    csv_text = _csv(["t", "w_Q0", "w_R0", "w_Kproj", "w_band"], (times, *weights.T, w_band))
 
     analytic_band = analytic.band_weight(times, params.u, params.w, gamma)
     window = times >= 1.0 / gamma
@@ -233,7 +232,7 @@ def _run_chooser(p, sampling, prefix: Path):
     plateau = float(np.mean(w_band[tail]))
     target = 1.0 - residue
     report = "scenario = chooser\n" + "".join(
-        f"{key} = {_fmt(value)}\n"
+        f"{key} = {_FLOAT_FMT % value}\n"
         for key, value in (
             ("gamma", gamma),
             ("delta", params.delta),
@@ -369,7 +368,7 @@ def _run_telegraph(p, sampling, prefix: Path):
     channels = telegraph_channels(telegraph_params_from(p), p["weight_site1"], times)
     csv_text = _csv(
         ["t", "w_band_site1", "w_band_site2", "w_loc_site1", "w_loc_site2"],
-        zip(times, *channels),
+        (times, *channels),
     )
     return {_out(prefix, ".csv"): csv_text}
 
@@ -413,8 +412,9 @@ def _site_basis(p):
 
 def _run_gravonon_modes(p, sampling, prefix: Path):
     spectrum = diagonalize_modes(build_omega(_site_basis(p)))
-    rows = [(i, f) for i, f in enumerate(spectrum.frequencies)]
-    return {_out(prefix, ".csv"): _csv(["mode_index", "frequency"], rows)}
+    frequencies = spectrum.frequencies
+    columns = (np.arange(len(frequencies)), frequencies)
+    return {_out(prefix, ".csv"): _csv(["mode_index", "frequency"], columns)}
 
 
 def _check_gravonon_modes(p, sampling):
@@ -470,12 +470,8 @@ def _run_meanfield(p, sampling, prefix: Path):
         _grid_state(p), sampling["dt"], sampling["n_steps"],
         sample_every=sampling["sample_every"],
     )
-    names = list(series.channels)
-    rows = [
-        (t,) + tuple(series.channels[name][i] for name in names)
-        for i, t in enumerate(series.times)
-    ]
-    return {_out(prefix, ".csv"): _csv(["t"] + names, rows)}
+    columns = (series.times, *series.channels.values())
+    return {_out(prefix, ".csv"): _csv(["t", *series.channels], columns)}
 
 
 def _check_meanfield(p, sampling):
@@ -496,10 +492,8 @@ def _g11_rows(p):
 
 
 def _run_dimensional(p, sampling, prefix: Path):
-    rows = _g11_rows(p)
-    return {
-        _out(prefix, ".csv"): _csv(["a", "g11", "g11_over_pi7"], rows)
-    }
+    columns = zip(*_g11_rows(p))
+    return {_out(prefix, ".csv"): _csv(["a", "g11", "g11_over_pi7"], columns)}
 
 
 def _check_dimensional(p, sampling):
@@ -565,20 +559,29 @@ def _grid(cfg: ScenarioConfig):
 def _run_sweep(cfg: ScenarioConfig, prefix: Path, threads: int):
     names, points, parts = _grid(cfg)
     base = _SCENARIOS[cfg.parameters["base"]]
-    # each distinct part is solved once, for this sweep only
+    # each distinct part is solved once, for this sweep only; the workers
+    # together hold at most the memory cap of chooser models at once
     distinct = list(dict.fromkeys(itertools.chain.from_iterable(parts)))
-    workers = max(1, min(threads, len(distinct), os.cpu_count() or 1))
+    per_worker = max(
+        (_chooser_bytes(part.n_band, cfg.sampling["n_times"], False)
+         for part in distinct if isinstance(part, ChooserParams)),
+        default=1,
+    )
+    workers = max(1, min(
+        threads, len(distinct), os.cpu_count() or 1, DEFAULT_MEMORY_CAP // per_worker
+    ))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         solutions = pool.map(lambda part: base.solve(part, cfg.sampling), distinct)
         solved = dict(zip(distinct, solutions))
     stats = [base.point(p, [solved[part] for part in ps]) for p, ps in zip(points, parts)]
 
     header = ["grid_index"] + names + ["plateau", "decay_rate", "switching_count"]
-    rows = [
-        (i, *(p[name] for name in names), *stat)
-        for i, (p, stat) in enumerate(zip(points, stats))
+    columns = [
+        range(len(points)),
+        *([p[name] for p in points] for name in names),
+        *([stat[k] for stat in stats] for k in range(3)),
     ]
-    return {_out(prefix, ".csv"): _csv(header, rows)}
+    return {_out(prefix, ".csv"): _csv(header, columns)}
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,9 @@ The chooser model is never formed as a matrix on the run path: given its
 coupled to the band levels and to the rotated Q0–R0 pair) in O(N²)
 instead of O(N³). Weights and coincident levels are deflated first; the
 other eigenvalues are the roots of the secular equation, found by a
-vectorized rational iteration (R.-C. Li, LAPACK Working Note 89, 1994),
-and their eigenvectors follow in closed form with Löwner weights
+vectorized rational iteration (R.-C. Li, LAPACK Working Note 89, 1994;
+the few roots its two-pole models do not suit take a three-pole model, as
+in LAPACK ``dlaed6``), and their eigenvectors follow in closed form with Löwner weights
 (Gu & Eisenstat 1994; Stor, Slapničar & Barlow, arXiv:1302.7203). The
 residual contract is measured by applying H through the star, the
 orthonormality contract by the same VᵀV product as for dense input.
@@ -312,9 +313,11 @@ def _secular_roots(d, z, alpha, work):
     Each root is found as an offset τ from the pole it is nearest (an
     interior root's midpoint value tells which). Every sweep evaluates F
     and F' on the roots not yet converged (``_sums``) and steps to the root
-    of a rational model matching both (``_model_root``); it bisects the
-    bracket instead when that root leaves the bracket or the last step did
-    not halve |F|. A root has converged when |F| is within its rounding
+    of a rational model matching both (``_model_root``). A root whose
+    last step did not halve |F| takes the three-pole model
+    (``_three_pole_steps``) from then on. A root bisects its bracket
+    instead when the model's root leaves the bracket or a three-pole step
+    did not halve |F|. A root has converged when |F| is within its rounding
     bound or the model step is below ``_STEP_TOL``. Returns each root's
     origin and offset, and the weights ẑ for which the computed roots are
     exact (``_lowner_weights``): with them the eigenvectors are orthogonal
@@ -335,6 +338,7 @@ def _secular_roots(d, z, alpha, work):
         tau[end] = sign * _positive_root(sign * (d[origin[end]] - alpha), float(z @ z))
         lo[end], hi[end] = sorted((0.0, tau[end]))
     last_f = np.full(n + 1, np.inf)
+    three = np.zeros(n + 1, dtype=bool)  # roots on the three-pole model
 
     active = index
     for sweep in range(_MAX_SWEEPS):
@@ -351,17 +355,26 @@ def _secular_roots(d, z, alpha, work):
         lo[i] = np.where(f < 0.0, t, lo[i])
         hi[i] = np.where(f < 0.0, hi[i], t)
         far = np.where(o == left[i], right[i], left[i])
+        dpsi_below = np.maximum(dpsi - dpsi_above, 0.0)
         model = _model_root(
             d[left[i]] - d[o], d[right[i]] - d[o], t, c0, psi,
-            np.maximum(dpsi - dpsi_above, 0.0), dpsi_above, z[o], z[far], i == 0, i == n,
+            dpsi_below, dpsi_above, z[o], z[far], i == 0, i == n,
         )
+        # a two-pole step that did not halve |F| moves its root to the
+        # three-pole model for good, whose first step skips that test
+        halved = np.abs(f) <= 0.5 * last_f[i]
+        fresh = ~(halved | three[i])
+        three[i] |= ~halved
+        k = np.flatnonzero(three[i])
+        if len(k):
+            model[k] = _three_pole_steps(d, z, o[k], t[k], f[k], dpsi_below[k], dpsi_above[k])
         inside = (model > lo[i]) & (model < hi[i])
         bound = np.abs(c0) + np.abs(t) + (2.0 * psi_above - psi)  # Σ of |terms| of F
         exact = np.abs(f) <= 8.0 * _EPS * bound
         small = np.abs(model - t) <= _STEP_TOL * np.abs(t)
-        # the model's root, unless the last one did not halve |F|: then bisect
-        # once and retry the model
-        take = inside & (small | (np.abs(f) <= 0.5 * last_f[i]))
+        # the model's root, unless a three-pole step did not halve |F|: then
+        # bisect once and retry the model
+        take = inside & (small | halved | fresh)
         step = np.where(take, model, 0.5 * (lo[i] + hi[i]))
         tau[i] = np.where(exact | (small & ~inside), t, step)
         last_f[i] = np.where(take, np.abs(f), np.inf)
@@ -372,6 +385,82 @@ def _secular_roots(d, z, alpha, work):
     raise ContractViolationError(
         f"{len(active)} secular roots did not converge in {_MAX_SWEEPS} sweeps"
     )
+
+
+def _three_pole_steps(d, z, origins, tau, f, dpsi_below, dpsi_above):
+    """Roots of the three-pole model of F at offsets ``tau`` from the poles
+    ``origins``, for the few roots where the two-pole model is too coarse.
+
+    A root next to the end of a dense run of poles, facing a wide gap,
+    sees the run as more than one pole: the origin's own term stays exact,
+    the rest of its side becomes one pole at the next pole beyond it, and
+    the far side with λ − α one pole at the far neighbour (λ − α alone
+    outside the poles), each matched in value and slope at ``tau``.
+    """
+    n = len(d)
+    steps = []
+    for o, t, value, below, above in zip(
+        origins.tolist(), tau.tolist(), f.tolist(), dpsi_below.tolist(), dpsi_above.tolist()
+    ):
+        up = 1 if t > 0.0 else -1  # the root's side of its origin
+        side, other = (below, above) if up > 0 else (above, below)
+        ratio = float(z[o]) / t
+        own = ratio * ratio  # the slope of the origin's term
+        poles, weights = [0.0], [float(z[o]) ** 2]
+        if 0 <= o - up < n:
+            poles.append(float(d[o - up] - d[o]))
+            weights.append((poles[-1] - t) ** 2 * max(side - own, 0.0))
+        if 0 <= o + up < n:
+            far, slope = float(d[o + up] - d[o]), 0.0
+            poles.append(far)
+            far_term = float(z[o + up]) / (far - t)
+            weights.append((far - t) ** 2 * (max(other, far_term * far_term) + 1.0))
+        else:
+            far, slope = math.copysign(math.inf, t), other + 1.0
+        rho = value - slope * t - sum(w / (p - t) for p, w in zip(poles, weights))
+        steps.append(_three_pole_root(rho, slope, poles, weights, far, t))
+    return steps
+
+
+def _three_pole_root(rho, slope, poles, weights, far, x):
+    """Root between the origin 0 and ``far`` (±inf: no far pole) of
+    G(η) = ρ + slope·η + Σ_k w_k/(p_k − η), which rises there from −∞, by
+    the Gragg–Thornton–Warner iteration of LAPACK ``dlaed6`` from η = x:
+    each step is the root of the two-pole model with poles 0 and ``far``
+    that matches G, G' and G''."""
+    lo, hi = sorted((0.0, far))
+    sign = math.copysign(1.0, far)
+    for _ in range(40):  # dlaed6's MAXIT
+        g, dg, ddg, size = rho + slope * x, slope, 0.0, abs(rho) + abs(slope * x)
+        for p, w in zip(poles, weights):
+            r = 1.0 / (p - x)
+            term = w * r
+            g, dg, ddg, size = g + term, dg + term * r, ddg + term * r * r, size + abs(term)
+        if abs(g) <= 4.0 * _EPS * size:
+            break
+        lo, hi = (x, hi) if g < 0.0 else (lo, x)
+        if hi - lo <= 4.0 * _EPS * abs(x):
+            break
+        # c·η² − a·η + b = 0 over |far − x|, with the origin at −x
+        u = 1.0 / (far - x)
+        a = sign * ((1.0 - x * u) * g + x * dg)
+        b = -sign * x * g
+        c = sign * (g * u - (1.0 - x * u) * dg - x * ddg)
+        top = max(abs(a), abs(b), abs(c))
+        a, b, c = a / top, b / top, c / top
+        root = math.sqrt(abs(a * a - 4.0 * b * c))
+        if c != 0.0:
+            eta = (a - root) / (2.0 * c) if a <= 0.0 else 2.0 * b / (a + root)
+        else:
+            eta = b / a if a != 0.0 else 0.0
+        if g * eta >= 0.0:  # not towards the root: a Newton step
+            eta = -g / dg
+        x_new = x + eta
+        if lo < x_new < hi:
+            x = x_new
+        else:
+            x = 0.5 * (lo + hi) if hi - lo < math.inf else 2.0 * x
+    return x
 
 
 def _lowner_weights(d, origins, tau, work):

@@ -625,6 +625,21 @@ class TestCliRuns:
             assert len(err) == 1 and err[0].startswith("config error: [key 'softening']")
         assert list(tmp_path.glob("run*")) == []
 
+    def test_meanfield_zero_zeta_equation_is_not_formed(self, tmp_path):
+        # with zeta = 0 only psi is solved: U_zeta = g/(4r)·|psi|² overflows
+        # on the packet's node at x = 0, but zeta stays zero without a solve
+        text = (EXAMPLES / "meanfield_free_packet.cfg").read_text().replace(
+            "n_points = 512", "n_points = 513\nsoftening = 1.0\ng_newton = 1e308"
+        ).replace("packet_width = 2.0", "packet_width = 0.05")
+        cfg = self.write(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails
+            for args in ([cfg, "--out", str(tmp_path / "run")], [cfg, "--check"]):
+                assert cli.main(args) == 0
+        data = read_csv(tmp_path / "run.csv")
+        assert data.size == 21 and not data["norm_zeta"].any()
+        assert all(np.isfinite(data[name]).all() for name in data.dtype.names)
+
     @pytest.mark.parametrize(
         "base, fixed, axis",
         [
@@ -907,6 +922,24 @@ class TestCliRuns:
         assert (tmp_path / "nested" / "run.csv").exists()
 
 
+def test_csv_formats_each_column_by_its_type():
+    ints = np.array([0, -7, 2**53 + 1])
+    floats = [-0.0, np.nan, 5e-324, np.inf, -np.inf]
+    text = cli._csv(
+        ["i", "x", "none", "y"],
+        [ints.tolist() + [1, 2], floats, [None] * 5, np.array(floats[::-1])],
+    )
+    assert text == (
+        "i,x,none,y\n"
+        "0,-0.00000000000e+00,,-inf\n"
+        "-7,nan,,inf\n"
+        "9007199254740993,4.94065645841e-324,,4.94065645841e-324\n"
+        "1,inf,,nan\n"
+        "2,-inf,,-0.00000000000e+00\n"
+    )
+    assert cli._csv(["i", "x"], [range(0), []]) == "i,x\n"
+
+
 def test_config_scenario_names_match_the_runner_records():
     # config cannot import cli, so it keeps its own list of names
     assert set(config.SCENARIO_NAMES) == set(cli._SCENARIOS) | {"sweep"}
@@ -1103,3 +1136,25 @@ class TestTelegraphChannels:
         cfg = parse_config(sweep_text("telegraph", "0.01, 0.02, 0.03, 0.04, 0.05"))
         cli.run_scenario(cfg, out_prefix=tmp_path / "sweep", threads=threads)
         assert seen == [workers]
+
+    @pytest.mark.parametrize("models, workers", [(1, 1), (2.5, 2), (3, 3), (100, 4)])
+    def test_sweep_workers_hold_at_most_the_memory_cap(
+        self, tmp_path, monkeypatch, models, workers
+    ):
+        seen = []
+        real = cli.ThreadPoolExecutor
+
+        def recording(max_workers):
+            seen.append(max_workers)
+            return real(max_workers=max_workers)
+
+        cfg = parse_config(sweep_text("chooser", "1e-3, 2e-3, 3e-3, 4e-3, 5e-3"))
+        one = cli.run_scenario(cfg, out_prefix=tmp_path / "sweep", threads=1)
+        # a cap of `models` chooser points of this grid (n_band = 10)
+        per_point = cli._chooser_bytes(10, cfg.sampling["n_times"], False)
+        monkeypatch.setattr(cli, "DEFAULT_MEMORY_CAP", int(models * per_point))
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", recording)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        capped = cli.run_scenario(cfg, out_prefix=tmp_path / "sweep", threads=4)
+        assert seen == [workers]
+        assert capped == one

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
+from gravodyn import meanfield
 from gravodyn.errors import ContractViolationError
 from gravodyn.meanfield import (
     GridState,
@@ -273,29 +274,60 @@ def reference_step(s, dt):
     return GridState(**{**vars(s), "psi": psi, "zeta": zeta})
 
 
-class TestReferenceStepper:
-    """The stepper gives the bytes of the banded-solve reference above."""
+ZERO_FIELDS = [(), ("zeta",), ("psi",), ("psi", "zeta")]
 
-    def make_state(self):
+
+class TestReferenceStepper:
+    """The stepper gives the bytes of the banded-solve reference above,
+    also when a field is exactly zero and its solves are skipped."""
+
+    def make_state(self, zero=()):
         n, half_width = 129, 12.0
         x = np.linspace(-half_width, half_width, n)
+        fields = {
+            "psi": gaussian_packet(x, -1.0, 1.0, momentum=0.7),
+            "zeta": 0.8 * gaussian_packet(x, 1.5, 1.3, momentum=-0.4),
+        }
+        for name in zero:
+            fields[name] = np.zeros(n, dtype=complex)
         return GridState(
-            x_min=-half_width, x_max=half_width, n_points=n,
-            psi=gaussian_packet(x, -1.0, 1.0, momentum=0.7),
-            zeta=0.8 * gaussian_packet(x, 1.5, 1.3, momentum=-0.4),
+            x_min=-half_width, x_max=half_width, n_points=n, **fields,
             m=1.0, m_g=0.7, g_newton=0.4, d_spatial=3, softening=0.8,
             v_o=0.05,
         )
 
+    @pytest.mark.parametrize("zero", ZERO_FIELDS)
     @pytest.mark.parametrize("dt", [0.01, -0.01])
-    def test_step_matches_reference_bytes(self, dt):
-        s = self.make_state()
+    def test_step_matches_reference_bytes(self, dt, zero):
+        s = self.make_state(zero)
         got, want = step(s, dt), reference_step(s, dt)
         assert got.psi.tobytes() == want.psi.tobytes()
         assert got.zeta.tobytes() == want.zeta.tobytes()
+        assert not np.shares_memory(got.psi, s.psi) and not np.shares_memory(got.zeta, s.zeta)
 
-    def test_run_matches_reference_bytes(self):
-        s = self.make_state()
+    @pytest.mark.parametrize("zero, solves", zip(ZERO_FIELDS, [4, 1, 1, 0]))
+    def test_a_zero_field_is_not_solved(self, monkeypatch, zero, solves):
+        calls = []
+        substep = meanfield._Kernel.substep
+
+        def counting(kernel, field, dt):
+            solve = substep(kernel, field, dt)
+
+            def counted(f, u):
+                calls.append(field)
+                return solve(f, u)
+
+            return counted
+
+        monkeypatch.setattr(meanfield._Kernel, "substep", counting)
+        s = self.make_state(zero)
+        run(s, 0.01, 5)
+        assert len(calls) == 5 * solves
+        assert not set(calls) & set(zero)
+
+    @pytest.mark.parametrize("zero", ZERO_FIELDS)
+    def test_run_matches_reference_bytes(self, zero):
+        s = self.make_state(zero)
         dt, n_steps, sample_every = 0.01, 25, 6
         series = run(s, dt, n_steps, sample_every=sample_every)
         times, samples, state = [0.0], [s], s

@@ -382,6 +382,56 @@ class TestStar:
         scaled = propagator.dense_residual(h * unit, d.eigenvalues * unit, d.eigenvectors)
         assert scaled == margin > 0.0
 
+    @pytest.mark.parametrize(
+        "p, sweeps",
+        [
+            # chooser_collapse: the roots between the band edges and ±v
+            (ChooserParams(v=1e-2, w=1e-4, n_band=200, delta=math.pi * 1e-3, u=1e-3), 6),
+            # chooser_demo: the roots outside the band
+            (ChooserParams(v=1e-4, w=1e-5, n_band=200, delta=math.pi * 1e-3, u=1e-3), 6),
+            # a sweep_decay point: no root leaves the two-pole model
+            (ChooserParams(v=0.0, w=0.0, n_band=1024, delta=0.02, u=1e-3), 4),
+        ],
+    )
+    def test_roots_beside_a_wide_gap_converge_in_few_sweeps(self, monkeypatch, p, sweeps):
+        calls = []
+        sums = propagator._sums
+
+        def counting(*args):  # one call per sweep
+            calls.append(None)
+            return sums(*args)
+
+        monkeypatch.setattr(propagator, "_sums", counting)
+        d = diagonalize(p)
+        assert len(calls) == sweeps
+        assert d.residual <= RESIDUAL_TOL and d.ortho_defect <= ORTHO_TOL
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        far=st.sampled_from([-math.inf, -2.0, 0.5, math.inf]),
+        beyond=st.floats(0.01, 3.0),
+        weights=st.lists(st.floats(1e-8, 10.0), min_size=3, max_size=3),
+        rho=st.floats(-10.0, 10.0),
+        start=st.floats(0.01, 0.99),
+    )
+    def test_three_pole_root_is_the_models_root(self, far, beyond, weights, rho, start):
+        # poles: the origin 0, one beyond it and, if finite, ``far``; without a
+        # far pole a slope takes its place, as for a root outside all poles
+        side = math.copysign(1.0, far)
+        poles = [0.0, -side * beyond] + ([far] if math.isfinite(far) else [])
+        slope = 0.0 if math.isfinite(far) else weights[2]
+        x = propagator._three_pole_root(
+            rho, slope, poles, weights[: len(poles)], far, start * (far if math.isfinite(far) else side)
+        )
+        lo, hi = sorted((0.0, far))
+        assert lo < x < hi
+
+        def g(eta):  # G rises on (lo, hi)
+            return rho + slope * eta + sum(w / (p - eta) for p, w in zip(poles, weights))
+
+        h = 1e-10 * abs(x)
+        assert g(x - h) <= 0.0 <= g(x + h)
+
     def test_unconverged_roots_are_a_contract_violation(self, monkeypatch):
         monkeypatch.setattr(propagator, "_MAX_SWEEPS", 1)
         with pytest.raises(ContractViolationError, match="did not converge in 1 sweeps"):
