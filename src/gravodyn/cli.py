@@ -36,9 +36,9 @@ from .errors import (
     ContractViolationError,
     SizeLimitError,
 )
-from .gravonon import SiteBasis, build_omega, diagonalize_modes
+from .gravonon import SiteBasis, build_omega
 from .models import ChooserParams, TelegraphSite, build_chooser, build_telegraph
-from .propagator import RESIDUAL_TOL, dense_residual, diagonalize, evolve
+from .propagator import NORM_TOL, RESIDUAL_TOL, dense_residual, diagonalize, evolve
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -69,29 +69,26 @@ def _csv(header, columns):
 
 def _check_parts(parts):
     """Check lines for the independent model parts a run solves (a chooser
-    model, solved as a star; telegraph sites, each a dense block), each
-    against its dense matrix: exact Hermiticity, the dense residual of the
-    decomposition the run uses (``diagonalize`` has enforced both contracts
-    on its own path), and unitary norm conservation."""
+    model, solved as a star; telegraph sites, each a dense block): the
+    contracts ``diagonalize`` enforces, a star solve's dense residual
+    against the chooser's matrix, and unitary norm conservation."""
     for part in parts:
         if isinstance(part, ChooserParams):
             _check_memory(part.n_band, 0, dense=True)
-            ham, dec = build_chooser(part), diagonalize(part)
+            dec = diagonalize(part)
+            dense = build_chooser(part).entries
+            if not dense_residual(dense, dec.eigenvalues, dec.eigenvectors) <= RESIDUAL_TOL:
+                raise ContractViolationError(
+                    f"dense eigenpair residual exceeds {RESIDUAL_TOL:.0e}·‖H‖"
+                )
         else:
-            ham = build_telegraph(part)
-            dec = diagonalize(ham)
-        if not np.array_equal(ham.entries, ham.entries.conj().T):
-            raise ContractViolationError("Hamiltonian is not exactly Hermitian")
-        if not dense_residual(ham.entries, dec.eigenvalues, dec.eigenvectors) <= RESIDUAL_TOL:
-            raise ContractViolationError(
-                f"dense eigenpair residual exceeds {RESIDUAL_TOL:.0e}·‖H‖"
-            )
-        psi0 = np.zeros(ham.dim, dtype=complex)
+            dec = diagonalize(build_telegraph(part))  # measures the dense residual
+        psi0 = np.zeros(dec.dim, dtype=complex)
         psi0[0] = 1.0
         states = evolve(dec, psi0, np.linspace(0.0, 1.0, 8))
         norms = np.linalg.norm(states, axis=1)
-        if np.max(np.abs(norms - 1.0)) > 1e-10:
-            raise ContractViolationError("norm not conserved to 1e-10")
+        if np.max(np.abs(norms - 1.0)) > NORM_TOL:
+            raise ContractViolationError(f"norm not conserved to {NORM_TOL:.0e}")
     return [
         "check: exact Hermiticity ok",
         "check: spectral decomposition residuals ok",
@@ -272,6 +269,8 @@ def _chooser_part(p, sampling):
 
 
 def _solve_chooser(params, sampling):
+    """A chooser point's row statistics: a row depends on its one part alone,
+    and reducing it here keeps no (times x dim) weights alive across the sweep."""
     times, fit_window = _fit_grid(params, sampling)
     weights, w_band = _chooser_weights(params, times)
     w_kproj = weights[fit_window, 2]
@@ -281,12 +280,6 @@ def _solve_chooser(params, sampling):
     plateau = float(np.mean(w_band[tail]))
     slope, _ = np.polyfit(times[fit_window], np.log(w_kproj), 1)
     return plateau, float(-slope), None
-
-
-def _point_chooser(p, solutions):
-    # a chooser row depends on its model alone; reducing it inside the solve
-    # keeps no (times x dim) weights alive across the sweep
-    return solutions[0]
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +384,10 @@ def _point_telegraph(p, solutions):
 # gravonon-modes
 
 
-def _site_basis(p):
+def _omega(p):
+    """The frequency matrix of a gravonon-modes config, once it is finite
+    (θ² first: ``build_omega`` raises if it overflows). A run and its
+    ``--check`` both call this."""
     if len(p["vgrav"]) != len(p["positions"]):
         raise ConfigError("one coupling value per site required", key="vgrav")
     if not np.all(np.diff(p["positions"]) > 0.0):
@@ -407,21 +403,23 @@ def _site_basis(p):
         raise ConfigError("envelope_width squared underflows to 0", key="envelope_width")
     if not math.isfinite(1.0 / (4.0 * basis.m_g * sigma * sigma)):
         raise ConfigError("the kinetic scale 1/(4 m_g sigma^2) overflows", key="m_g")
-    return basis
+    if not math.isfinite(basis.theta * basis.theta):
+        raise ConfigError("theta^2 overflows", key="theta")
+    with np.errstate(all="ignore"):
+        omega = build_omega(basis)
+    if not np.isfinite(omega).all():
+        raise ConfigError("the frequency matrix is not finite", key="vgrav")
+    return omega
 
 
 def _run_gravonon_modes(p, sampling, prefix: Path):
-    spectrum = diagonalize_modes(build_omega(_site_basis(p)))
-    frequencies = spectrum.frequencies
+    frequencies = diagonalize(_omega(p)).eigenvalues
     columns = (np.arange(len(frequencies)), frequencies)
     return {_out(prefix, ".csv"): _csv(["mode_index", "frequency"], columns)}
 
 
 def _check_gravonon_modes(p, sampling):
-    omega = build_omega(_site_basis(p))
-    if not np.array_equal(omega, omega.T):
-        raise ContractViolationError("frequency matrix is not symmetric")
-    diagonalize_modes(omega)
+    diagonalize(_omega(p))  # exact symmetry, residual and orthonormality
     return ["check: frequency-matrix symmetry ok", "check: mode diagonalization ok"]
 
 
@@ -518,7 +516,7 @@ class _Scenario(NamedTuple):
 _SCENARIOS = {
     "chooser": _Scenario(
         _run_chooser, _check_chooser,
-        _chooser_part, _solve_chooser, _point_chooser,
+        _chooser_part, _solve_chooser, lambda p, solutions: solutions[0],
     ),
     "telegraph": _Scenario(
         _run_telegraph, _check_telegraph,

@@ -5,8 +5,9 @@ envelope g_i(x).  The interaction matrix
 
     Omega_ij = theta^2 * V_i * V_j * <g_i| (-d^2/dx^2 / (2 m_g) + V_o) |g_j>
 
-defines a collection of coupled oscillators; diagonalizing it yields the
-independent-mode spectrum.
+defines a collection of coupled oscillators; diagonalizing it
+(``propagator.diagonalize``, which takes it as it is: it is exactly
+symmetric) yields the independent-mode spectrum.
 
 The envelopes are g_i(x) = (pi sigma^2)^{-1/4} exp(-(x-x_i)^2 / (2 sigma^2)),
 so all matrix elements have closed forms:
@@ -24,8 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import ContractViolationError
 
 
 @dataclass(frozen=True)
@@ -63,18 +62,6 @@ class SiteBasis:
         return (math.pi * sigma * sigma) ** (-0.25) * np.exp(-0.5 * u * u)
 
 
-@dataclass(frozen=True)
-class ModeSpectrum:
-    """Eigenmodes of the site coupling matrix.
-
-    ``frequencies`` ascend; ``transform`` columns map site coordinates to
-    mode coordinates (orthogonal to 1e-12).
-    """
-
-    frequencies: np.ndarray
-    transform: np.ndarray
-
-
 def build_omega(basis: SiteBasis) -> np.ndarray:
     """Assemble the real symmetric mode matrix by closed-form integrals."""
     sigma = basis.envelope_width
@@ -86,8 +73,7 @@ def build_omega(basis: SiteBasis) -> np.ndarray:
     omega = basis.theta**2 * np.outer(v, v) * overlap * (kinetic + basis.v_o)
     # symmetrize exactly: the formula is symmetric, but floating evaluation
     # of x_i - x_j and x_j - x_i can differ in the last bit
-    omega = 0.5 * (omega + omega.T)
-    return omega
+    return 0.5 * (omega + omega.T)
 
 
 def build_omega_quadrature(basis: SiteBasis, n_points=20001, pad=12.0) -> np.ndarray:
@@ -117,17 +103,3 @@ def build_omega_quadrature(basis: SiteBasis, n_points=20001, pad=12.0) -> np.nda
                 * np.trapezoid(integrand, x)
             )
     return 0.5 * (omega + omega.T)
-
-
-def diagonalize_modes(omega) -> ModeSpectrum:
-    """Eigenmodes of a symmetric coupling matrix, frequencies ascending."""
-    omega = np.asarray(omega, dtype=float)
-    if omega.ndim != 2 or omega.shape[0] != omega.shape[1]:
-        raise ContractViolationError("mode matrix must be square")
-    if not np.allclose(omega, omega.T, rtol=0.0, atol=1e-12 * max(1.0, np.max(np.abs(omega)))):
-        raise ContractViolationError("mode matrix is not symmetric")
-    frequencies, transform = np.linalg.eigh(0.5 * (omega + omega.T))
-    gram = transform.T @ transform
-    if np.max(np.abs(gram - np.eye(len(frequencies)))) > 1e-12:
-        raise ContractViolationError("mode transform is not orthogonal to 1e-12")
-    return ModeSpectrum(frequencies=frequencies, transform=transform)

@@ -46,7 +46,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, ContractViolationError
-from .propagator import TimeSeries
 
 
 @dataclass
@@ -94,6 +93,24 @@ class GridState:
 
     def norm_zeta(self):
         return float(np.sum(np.abs(self.zeta) ** 2) * self.dx)
+
+
+@dataclass
+class TimeSeries:
+    """Sampled named channels over a common ascending time grid."""
+
+    times: np.ndarray
+    channels: dict[str, np.ndarray]
+
+    def __post_init__(self):
+        self.times = np.asarray(self.times, dtype=float)
+        for name, values in self.channels.items():
+            values = np.asarray(values)
+            if values.shape != self.times.shape:
+                raise ValueError(
+                    f"channel {name!r} length {values.shape} does not match time grid"
+                )
+            self.channels[name] = values
 
 
 def gaussian_packet(x, center, width, momentum=0.0):

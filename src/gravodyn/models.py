@@ -98,23 +98,26 @@ def _real_if_exact(entries):
 
 @dataclass
 class HamiltonianMatrix:
-    """Dense Hermitian matrix.
+    """Dense Hermitian matrix, the one place exact Hermiticity is checked.
 
-    ``entries`` are stored as float64 when their imaginary part is exactly
-    zero everywhere (a real-symmetric matrix) and as complex otherwise;
-    the exact-Hermiticity check runs in that stored arithmetic.
+    ``entries`` are stored, frozen, as float64 when their imaginary part is
+    exactly zero everywhere (a real-symmetric matrix) and as complex
+    otherwise; the exact-Hermiticity check runs in that stored arithmetic.
     """
 
-    dim: int
     entries: np.ndarray
 
     def __post_init__(self):
         self.entries = _real_if_exact(self.entries)
-        if self.entries.shape != (self.dim, self.dim):
-            raise ContractViolationError("entries shape does not match dim")
+        if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
+            raise ContractViolationError("matrix must be square")
         if not np.array_equal(self.entries, self.entries.conj().T):
             raise ContractViolationError("matrix is not Hermitian entrywise")
         self.entries.flags.writeable = False
+
+    @property
+    def dim(self):
+        return len(self.entries)
 
 
 def build_chooser(p: ChooserParams) -> HamiltonianMatrix:
@@ -134,7 +137,7 @@ def build_chooser(p: ChooserParams) -> HamiltonianMatrix:
     if n > 0:
         h[2, 3:] = h[3:, 2] = p.u / math.sqrt(n)
         np.fill_diagonal(h[3:, 3:], p.band_energies())
-    return HamiltonianMatrix(dim=dim, entries=h)
+    return HamiltonianMatrix(h)
 
 
 # ---------------------------------------------------------------------------
@@ -165,4 +168,4 @@ def build_telegraph(site: TelegraphSite) -> HamiltonianMatrix:
     h[:, grav, :, grav] += h_matter
     h[0, -1, 0, :-1] += site.v_gw  # the local mode is last
     h[0, :-1, 0, -1] += site.v_gw
-    return HamiltonianMatrix(dim=2 * n, entries=h.reshape(2 * n, 2 * n))
+    return HamiltonianMatrix(h.reshape(2 * n, 2 * n))

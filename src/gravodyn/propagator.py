@@ -9,11 +9,12 @@ All model bases here are at most a few thousand states, so full
 diagonalization is cheaper and more accurate than step integration
 (a small-step integrator survives only as a test oracle).
 
-A matrix whose imaginary part is exactly zero stays real throughout: it is
-decomposed by real ``eigh``, its contracts (exact symmetry, residual,
-orthonormality) are checked in real arithmetic, and ``evolve`` projects on
-the real eigenvectors with a real matrix product. Complex input takes the
-same steps in complex arithmetic. States are complex either way.
+Every eigensolve of the package runs here. A matrix whose imaginary part is
+exactly zero stays real throughout: it is decomposed by real ``eigh``, its
+contracts (exact symmetry, residual, orthonormality) are checked in real
+arithmetic, and ``evolve`` projects on the real eigenvectors with a real
+matrix product. Complex input takes the same steps in complex arithmetic.
+States are complex either way.
 
 The chooser model is never formed as a matrix on the run path: given its
 ``ChooserParams``, ``diagonalize`` solves it as a star (the hub |Kproj>
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError
-from .models import ChooserParams, HamiltonianMatrix, _real_if_exact
+from .models import ChooserParams, HamiltonianMatrix
 
 NORM_TOL = 1e-10
 ORTHO_TOL = 1e-12
@@ -73,45 +74,25 @@ class SpectralDecomposition:
         return len(self.eigenvalues)
 
 
-@dataclass
-class TimeSeries:
-    """Sampled named channels over a common ascending time grid."""
-
-    times: np.ndarray
-    channels: dict[str, np.ndarray]
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        for name, values in self.channels.items():
-            values = np.asarray(values)
-            if values.shape != self.times.shape:
-                raise ValueError(
-                    f"channel {name!r} length {values.shape} does not match time grid"
-                )
-            self.channels[name] = values
-
-
 def diagonalize(h: HamiltonianMatrix | np.ndarray | ChooserParams) -> SpectralDecomposition:
     """Eigendecompose a Hermitian matrix, verifying the spectral contract.
 
     Input with no nonzero imaginary part is decomposed as a real-symmetric
     matrix (real eigenvectors); the contracts are checked in the input's
     own arithmetic. A ``ChooserParams`` is solved as a star from its
-    secular equation (see ``_star``) without forming the matrix. Raises
-    ContractViolationError if the input is not Hermitian (symmetric, when
-    real) entrywise, if eigenvector residuals exceed 1e-10 times the
-    spectral norm, or if the eigenbasis is not orthonormal to 1e-12.
+    secular equation (see ``_star``) without forming the matrix. A bare
+    array is wrapped in a ``HamiltonianMatrix`` (square, exactly Hermitian)
+    of a copy. Raises ContractViolationError if that check fails, if
+    eigenvector residuals exceed 1e-10 times the spectral norm, or if the
+    eigenbasis is not orthonormal to 1e-12.
     """
     if isinstance(h, ChooserParams):
         return _verified(*_star(h))
-    entries = h.entries if isinstance(h, HamiltonianMatrix) else _real_if_exact(h)
-    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-        raise ContractViolationError("matrix must be square")
-    if not np.array_equal(entries, entries.conj().T):
-        raise ContractViolationError("matrix is not Hermitian entrywise")
-    eigenvalues, eigenvectors = np.linalg.eigh(entries)
+    if not isinstance(h, HamiltonianMatrix):
+        h = HamiltonianMatrix(np.array(h))  # a copy: the caller's array stays writable
+    eigenvalues, eigenvectors = np.linalg.eigh(h.entries)
     return _verified(
-        eigenvalues, eigenvectors, dense_residual(entries, eigenvalues, eigenvectors)
+        eigenvalues, eigenvectors, dense_residual(h.entries, eigenvalues, eigenvectors)
     )
 
 

@@ -280,6 +280,17 @@ class TestCliRuns:
         assert cli.main([cfg, "--out", str(tmp_path / "run")]) == 3
         assert list(tmp_path.glob("run*")) == []
 
+    def test_subnormal_frequency_matrix_fails_its_residual_contract(self, tmp_path, capsys):
+        # entries ~1e-321 carry a few significant bits: no eigenpair meets
+        # the residual contract, which the gravonon solve enforces too
+        text = (EXAMPLES / "gravonon_chain.cfg").read_text()
+        text = re.sub(r"(?m)^vgrav = .*$", "vgrav = " + ", ".join(["1e-160"] * 5), text)
+        cfg = self.write(tmp_path, text)
+        for args in ([cfg, "--out", str(tmp_path / "run")], [cfg, "--check"]):
+            assert cli.main(args) == 3
+            assert "eigenpair residual" in capsys.readouterr().err
+        assert list(tmp_path.glob("run*")) == []
+
     def test_grid_cap_exits_4_without_outputs(self, tmp_path, capsys):
         cfg = self.write(
             tmp_path,
@@ -693,6 +704,15 @@ class TestCliRuns:
             ("gravonon_chain.cfg", {"envelope_width": "1e-170"}, "key 'envelope_width'"),
             ("gravonon_chain.cfg", {"envelope_width": "1e-200"}, "key 'envelope_width'"),
             ("gravonon_chain.cfg", {"m_g": "1e-320"}, "key 'm_g'"),
+            # the frequency matrix is not finite: inf, or inf times a zero
+            # kinetic factor 1 - d^2/(2 sigma^2) at d^2 = 2 sigma^2
+            ("gravonon_chain.cfg", {"vgrav": ", ".join(["1e200"] * 5)}, "key 'vgrav'"),
+            (
+                "gravonon_chain.cfg",
+                {"positions": "0.0, 1.4142135623730951", "vgrav": "1e200, 1e200"},
+                "key 'vgrav'",
+            ),
+            ("gravonon_chain.cfg", {"theta": "1e200"}, "key 'theta'"),  # theta^2 overflows
         ],
     )
     def test_value_out_of_float_range_exits_2_naming_key(

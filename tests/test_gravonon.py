@@ -7,13 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gravodyn.errors import ContractViolationError
-from gravodyn.gravonon import (
-    SiteBasis,
-    build_omega,
-    build_omega_quadrature,
-    diagonalize_modes,
-)
+from gravodyn.gravonon import SiteBasis, build_omega, build_omega_quadrature
+from gravodyn.propagator import diagonalize
 
 
 def chain_basis(n_sites, spacing, sigma=1.0, v=1.0, theta=1.0, m_g=1.0, v_o=0.0):
@@ -90,39 +85,28 @@ class TestBuildOmega:
 
 
 class TestDiagonalizeModes:
+    """The frequencies are ``diagonalize``'s eigenvalues of the mode matrix."""
+
     def test_identical_decoupled_sites_degenerate(self):
         basis = chain_basis(2, spacing=30.0)
-        spectrum = diagonalize_modes(build_omega(basis))
-        assert spectrum.frequencies[0] == pytest.approx(spectrum.frequencies[1], rel=1e-12)
+        frequencies = diagonalize(build_omega(basis)).eigenvalues
+        assert frequencies[0] == pytest.approx(frequencies[1], rel=1e-12)
 
     def test_coupled_pair_splitting(self):
         a, c = 1.0, 0.23
-        omega = np.array([[a, c], [c, a]])
-        spectrum = diagonalize_modes(omega)
-        assert spectrum.frequencies[1] - spectrum.frequencies[0] == pytest.approx(
-            2 * c, rel=1e-12
-        )
+        frequencies = diagonalize(np.array([[a, c], [c, a]])).eigenvalues
+        assert frequencies[1] - frequencies[0] == pytest.approx(2 * c, rel=1e-12)
 
     def test_permutation_invariant_spectrum(self):
         basis = chain_basis(5, spacing=1.1, sigma=0.9, v_o=0.4)
         omega = build_omega(basis)
-        reference = np.sort(diagonalize_modes(omega).frequencies)
+        reference = np.sort(diagonalize(omega).eigenvalues)
         rng = np.random.default_rng(5)
         for _ in range(4):
             perm = rng.permutation(5)
             shuffled = omega[np.ix_(perm, perm)]
-            freqs = np.sort(diagonalize_modes(shuffled).frequencies)
+            freqs = np.sort(diagonalize(shuffled).eigenvalues)
             assert np.max(np.abs(freqs - reference)) < 1e-12
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ContractViolationError):
-            diagonalize_modes(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_transform_orthogonal(self):
-        basis = chain_basis(6, spacing=1.0, sigma=0.7)
-        spectrum = diagonalize_modes(build_omega(basis))
-        gram = spectrum.transform.T @ spectrum.transform
-        assert np.max(np.abs(gram - np.eye(6))) <= 1e-12
 
 
 class TestCouplingFunction:

@@ -10,6 +10,7 @@ from gravodyn import meanfield
 from gravodyn.errors import ContractViolationError
 from gravodyn.meanfield import (
     GridState,
+    TimeSeries,
     check_stability,
     free_spread_width,
     gaussian_packet,
@@ -34,6 +35,12 @@ def free_state(n_points=1401, half_width=35.0, sigma0=1.0, m=1.0):
         m=m,
         g_newton=0.0,
     )
+
+
+class TestTimeSeries:
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            TimeSeries(times=np.array([0.0, 1.0]), channels={"x": np.array([1.0])})
 
 
 class TestStability:

@@ -108,10 +108,12 @@ class TestChooser:
 class TestHamiltonianMatrix:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ContractViolationError):
-            HamiltonianMatrix(
-                dim=2,
-                entries=np.array([[0, 1], [2, 0]], dtype=complex),
-            )
+            HamiltonianMatrix(np.array([[0, 1], [2, 0]], dtype=complex))
+
+    @pytest.mark.parametrize("entries", [np.zeros((2, 3)), np.zeros(3), np.zeros((2, 2, 2))])
+    def test_rejects_non_square(self, entries):
+        with pytest.raises(ContractViolationError, match="square"):
+            HamiltonianMatrix(entries)
 
     def test_entries_frozen(self):
         h = build_chooser(ChooserParams(v=1, w=1, n_band=0))
@@ -132,14 +134,14 @@ class TestHamiltonianMatrix:
 
     def test_zero_imaginary_part_stored_real(self):
         entries = np.array([[1.0, 2.0 + 0j], [2.0 - 0j, -1.0]])
-        h = HamiltonianMatrix(dim=2, entries=entries)
+        h = HamiltonianMatrix(entries)
         assert h.entries.dtype == np.float64
         assert np.array_equal(h.entries, entries.real)
 
     def test_complex_hermitian_stays_complex(self):
         rng = np.random.default_rng(5)
         a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        h = HamiltonianMatrix(dim=6, entries=a + a.conj().T)
+        h = HamiltonianMatrix(a + a.conj().T)
         assert h.entries.dtype == np.complex128
 
 

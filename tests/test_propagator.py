@@ -15,7 +15,6 @@ from gravodyn.propagator import (
     ORTHO_TOL,
     RESIDUAL_TOL,
     SpectralDecomposition,
-    TimeSeries,
     diagonalize,
     evolve,
     total_norms,
@@ -225,6 +224,14 @@ class TestRealPath:
     def test_rejects_asymmetric_in_either_arithmetic(self, h):
         with pytest.raises(ContractViolationError, match="not Hermitian"):
             diagonalize(h)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_bare_array_stays_writable_and_unchanged(self, dtype):
+        h = random_symmetric(6, seed=105).astype(dtype)
+        before = h.copy()
+        diagonalize(h)
+        assert h.flags.writeable
+        assert h.dtype == dtype and np.array_equal(h, before)
 
     def test_real_evolve_matches_complex_path_and_oracle(self):
         h = random_symmetric(50, seed=103)
@@ -437,8 +444,3 @@ class TestStar:
         with pytest.raises(ContractViolationError, match="did not converge in 1 sweeps"):
             diagonalize(ChooserParams(v=0.0, w=0.0, n_band=40, delta=0.02, u=1e-3))
 
-
-class TestTimeSeries:
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            TimeSeries(times=np.array([0.0, 1.0]), channels={"x": np.array([1.0])})

@@ -48,3 +48,11 @@ def test_every_public_definition_is_referenced():
             if not any(node.name in used for stmt, used in statements if stmt is not node):
                 unreached.append(f"{path.stem}.{node.name}")
     assert unreached == []
+
+
+def test_only_the_spectral_layer_calls_an_eigensolver():
+    callers = [
+        path.name for path in SOURCES
+        if {"eigh", "eigvalsh"} & names_used(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert callers == ["propagator.py"]
