@@ -23,7 +23,7 @@ DEFAULT = Path(__file__).resolve().parent / "configs" / "telegraph_switching.cfg
 def main():
     path = Path(sys.argv[1]) if len(sys.argv) > 1 else DEFAULT
     cfg = load_config(path)
-    params = telegraph_params_from(cfg.parameters)
+    params = telegraph_params_from(cfg.parameters, cfg.sampling)
     times = np.linspace(0.0, cfg.sampling["t_final"], cfg.sampling["n_times"])
     band_1, band_2, loc_1, loc_2 = telegraph_channels(
         params, cfg.parameters["weight_site1"], times

@@ -30,7 +30,6 @@ import numpy as np
 from . import analytic, dimensional, meanfield
 from .config import ScenarioConfig, load_config
 from .errors import (
-    DEFAULT_CONFIG_CAP,
     DEFAULT_MEMORY_CAP,
     ConfigError,
     ContractViolationError,
@@ -74,7 +73,6 @@ def _check_parts(parts):
     against the chooser's matrix, and unitary norm conservation."""
     for part in parts:
         if isinstance(part, ChooserParams):
-            _check_memory(part.n_band, 0, dense=True)
             dec = diagonalize(part)
             dense = build_chooser(part).entries
             if not dense_residual(dense, dec.eigenvalues, dec.eigenvectors) <= RESIDUAL_TOL:
@@ -96,52 +94,53 @@ def _check_parts(parts):
     ]
 
 
+def _part_bytes(part, n_times, dense=False):
+    """Estimated peak bytes of solving one model part over ``n_times`` samples.
+
+    A chooser model (dim 3 + n_band) is solved as a star: 2 × 8·dim² for the
+    eigenvectors and the Gram matrix of the orthonormality check, and two
+    65-row blocks of workspace; ``dense`` (``--check``) adds the dense matrix
+    and its residual product. A telegraph site's block (dim 2·(1 + len(band)))
+    goes through dense ``eigh``: 4 × 8·dim² under tracemalloc, and 4.5–4.7 ×
+    8·dim² of resident growth with LAPACK's workspace, so 5 are counted. Both
+    add ``evolve``'s phase blocks (16·3·dim·B, B ≈ √(4·n_times)) and ~400
+    bytes per sample for the weights and the CSV.
+    """
+    if isinstance(part, ChooserParams):
+        dim, squares, work = 3 + part.n_band, 4 if dense else 2, 65
+    else:
+        dim, squares, work = 2 * (1 + len(part.band)), 5, 0
+    fine = math.isqrt(4 * n_times - 1) + 1 if n_times else 1
+    return 8 * squares * dim * dim + 16 * dim * (work + 3 * fine) + 400 * n_times
+
+
+def _admit(part, key, n_times, dense=False):
+    """``part``, or a SizeLimitError naming ``key`` if its estimate is over the cap."""
+    need = _part_bytes(part, n_times, dense)
+    if need > DEFAULT_MEMORY_CAP:
+        raise SizeLimitError(
+            f"[key '{key}'] estimated memory of {need} bytes exceeds cap of "
+            f"{DEFAULT_MEMORY_CAP} bytes"
+        )
+    return part
+
+
 # ---------------------------------------------------------------------------
 # chooser
 
 
-def _chooser_bytes(n_band, n_times, dense):
-    """Estimated peak bytes of one chooser model, from tracemalloc peaks.
-
-    A run holds the eigenvectors and the Gram matrix of the orthonormality
-    check (2 × 8·dim²), the solve's workspace (two blocks of 65 rows of
-    dim), ``evolve``'s phase blocks for the three head rows (16·3·dim·B
-    with B ≈ √(4·n_times)) and ~400 bytes per sample for the weights and
-    the CSV. ``dense`` (``--check``) adds the dense matrix and the dense
-    residual product: 4 × 8·dim² in all.
-    """
-    dim = 3 + n_band
-    fine = math.isqrt(4 * n_times - 1) + 1 if n_times else 1
-    squares = 4 if dense else 2
-    return 8 * squares * dim * dim + 16 * dim * (65 + 3 * fine) + 400 * n_times
-
-
-def _check_memory(n_band, n_times, dense=False):
-    need = _chooser_bytes(n_band, n_times, dense)
-    if need > DEFAULT_MEMORY_CAP:
-        raise SizeLimitError(
-            f"[key 'n_band'] estimated memory of {need} bytes exceeds cap of "
-            f"{DEFAULT_MEMORY_CAP} bytes"
-        )
-
-
-def _chooser_params(p, sampling):
-    """The chooser model of a config, once its basis and its estimated
-    memory are under their caps, before anything is built."""
-    if 3 + p["n_band"] > DEFAULT_CONFIG_CAP:
-        raise SizeLimitError(
-            f"[key 'n_band'] configuration count exceeds cap of {DEFAULT_CONFIG_CAP}"
-        )
-    _check_memory(p["n_band"], sampling["n_times"])
+def _chooser_params(p, sampling, dense=False):
+    """The chooser model of a config, admitted for a run (``dense``: for
+    ``--check``) before anything is built."""
     delta = p["delta"]
     if delta is None:
         _, delta = analytic.self_consistent_width(p["u"])
         if not 0.0 < delta < math.inf:
             raise ConfigError("delta = auto (pi*|u|) needs a finite u != 0", key="u")
-    return ChooserParams(
-        v=p["v"], w=p["w"], n_band=p["n_band"], delta=delta, u=p["u"],
-        alpha=p["alpha"],
+    params = ChooserParams(
+        v=p["v"], w=p["w"], n_band=p["n_band"], delta=delta, u=p["u"], alpha=p["alpha"]
     )
+    return _admit(params, "n_band", sampling["n_times"], dense)
 
 
 def _chooser_times(params: ChooserParams, sampling):
@@ -246,7 +245,7 @@ def _run_chooser(p, sampling, prefix: Path):
 
 def _check_chooser(p, sampling):
     """Check lines for the star solve a run uses; first its report grid."""
-    params = _chooser_params(p, sampling)
+    params = _chooser_params(p, sampling, dense=True)
     _report_grid(params, sampling)
     return _check_parts([params])
 
@@ -257,11 +256,11 @@ _NO_KPROJ = (
 )
 
 
-def _chooser_part(p, sampling):
+def _chooser_part(p, sampling, dense):
     """A chooser sweep point's one part, its whole model, once its fit
     window holds the samples the solve needs and its zero state reaches
     |Kproj>: with v = 0 and w != 0 it lies wholly on the uncoupled |Q0>."""
-    params = _chooser_params(p, sampling)
+    params = _chooser_params(p, sampling, dense)
     _fit_grid(params, sampling)
     if params.v == 0.0 and params.w != 0.0:
         raise ContractViolationError(_NO_KPROJ)
@@ -292,17 +291,16 @@ _SITE_KEYS = (  # each site's keys, in TelegraphSite's field order
 )
 
 
-def telegraph_params_from(p):
-    """Sites 1 and 2 of a telegraph config. The cap on the sector of both
-    sites (4·G states for G gravonon modes) fires before anything is built."""
-    if 4 * (2 + len(p["band_1"]) + len(p["band_2"])) > DEFAULT_CONFIG_CAP:
-        raise SizeLimitError(f"configuration count exceeds cap of {DEFAULT_CONFIG_CAP}")
+def telegraph_params_from(p, sampling):
+    """Sites 1 and 2 of a telegraph config, each admitted for solving over
+    the config's samples before anything is built."""
     sites = []
     for keys in _SITE_KEYS:
         try:
-            sites.append(TelegraphSite(*(p[key] for key in keys)))
+            site = TelegraphSite(*(p[key] for key in keys))
         except ValueError as exc:  # only the band is checked
             raise ConfigError(str(exc), key=keys[4]) from None
+        sites.append(_admit(site, keys[4], sampling["n_times"]))
     return tuple(sites)
 
 
@@ -358,7 +356,7 @@ def switching_count(channel_1, channel_2):
 
 def _run_telegraph(p, sampling, prefix: Path):
     times = np.linspace(0.0, sampling["t_final"], sampling["n_times"])
-    channels = telegraph_channels(telegraph_params_from(p), p["weight_site1"], times)
+    channels = telegraph_channels(telegraph_params_from(p, sampling), p["weight_site1"], times)
     csv_text = _csv(
         ["t", "w_band_site1", "w_band_site2", "w_loc_site1", "w_loc_site2"],
         (times, *channels),
@@ -367,7 +365,7 @@ def _run_telegraph(p, sampling, prefix: Path):
 
 
 def _check_telegraph(p, sampling):
-    return _check_parts(telegraph_params_from(p))  # the two blocks the run evolves
+    return _check_parts(telegraph_params_from(p, sampling))  # the blocks the run evolves
 
 
 def _solve_telegraph(site, sampling):
@@ -401,14 +399,16 @@ def _omega(p):
     sigma = basis.envelope_width  # as build_omega evaluates it
     if sigma * sigma == 0.0:
         raise ConfigError("envelope_width squared underflows to 0", key="envelope_width")
-    if not math.isfinite(1.0 / (4.0 * basis.m_g * sigma * sigma)):
+    kinetic = 1.0 / (4.0 * basis.m_g * sigma * sigma)
+    if not math.isfinite(kinetic):
         raise ConfigError("the kinetic scale 1/(4 m_g sigma^2) overflows", key="m_g")
     if not math.isfinite(basis.theta * basis.theta):
         raise ConfigError("theta^2 overflows", key="theta")
     with np.errstate(all="ignore"):
         omega = build_omega(basis)
-    if not np.isfinite(omega).all():
-        raise ConfigError("the frequency matrix is not finite", key="vgrav")
+    if not np.isfinite(omega).all():  # a potential above the kinetic scale is to blame
+        key = "v_o" if abs(basis.v_o) > kinetic else "vgrav"
+        raise ConfigError("the frequency matrix is not finite", key=key)
     return omega
 
 
@@ -508,7 +508,7 @@ class _Scenario(NamedTuple):
     check: Callable  # (parameters, sampling) -> check lines
     # sweep bases: points that share an independent part of their model share
     # its solve; building a point's parts runs every check its solve would
-    parts: Callable | None = None  # (parameters, sampling) -> tuple of hashable parts
+    parts: Callable | None = None  # (parameters, sampling, dense) -> hashable parts
     solve: Callable | None = None  # (part, sampling) -> solution
     point: Callable | None = None  # (parameters, its parts' solutions) -> row statistics
 
@@ -520,7 +520,8 @@ _SCENARIOS = {
     ),
     "telegraph": _Scenario(
         _run_telegraph, _check_telegraph,
-        lambda p, sampling: telegraph_params_from(p), _solve_telegraph, _point_telegraph,
+        lambda p, sampling, dense: telegraph_params_from(p, sampling),
+        _solve_telegraph, _point_telegraph,
     ),
     "gravonon-modes": _Scenario(_run_gravonon_modes, _check_gravonon_modes),
     "meanfield": _Scenario(_run_meanfield, _check_meanfield),
@@ -532,9 +533,10 @@ _SCENARIOS = {
 # sweep
 
 
-def _grid(cfg: ScenarioConfig):
+def _grid(cfg: ScenarioConfig, dense=False):
     """Axis names, each grid point's parameters in a fixed order, and each
-    point's parts. A sweep's run and its ``--check`` both call this.
+    point's parts, admitted for a run (``dense``: for ``--check``). A
+    sweep's run and its ``--check`` both call this.
 
     A point's parameters are the sweep's fixed keys with that point's axis
     values on top. ``grid_cap`` is checked on the axis lengths before any
@@ -551,20 +553,16 @@ def _grid(cfg: ScenarioConfig):
     combos = itertools.product(*(cfg.sweep_axes[name] for name in names))
     points = [{**cfg.parameters, **dict(zip(names, c))} for c in combos]
     base = _SCENARIOS[cfg.parameters["base"]]
-    return names, points, [base.parts(p, cfg.sampling) for p in points]
+    return names, points, [base.parts(p, cfg.sampling, dense) for p in points]
 
 
 def _run_sweep(cfg: ScenarioConfig, prefix: Path, threads: int):
     names, points, parts = _grid(cfg)
     base = _SCENARIOS[cfg.parameters["base"]]
     # each distinct part is solved once, for this sweep only; the workers
-    # together hold at most the memory cap of chooser models at once
+    # together hold at most the memory cap of parts at once
     distinct = list(dict.fromkeys(itertools.chain.from_iterable(parts)))
-    per_worker = max(
-        (_chooser_bytes(part.n_band, cfg.sampling["n_times"], False)
-         for part in distinct if isinstance(part, ChooserParams)),
-        default=1,
-    )
+    per_worker = max((_part_bytes(p, cfg.sampling["n_times"]) for p in distinct), default=1)
     workers = max(1, min(
         threads, len(distinct), os.cpu_count() or 1, DEFAULT_MEMORY_CAP // per_worker
     ))
@@ -590,7 +588,7 @@ def _check(cfg: ScenarioConfig):
     """Invariant suite on the configured model (a sweep: every point's
     parameters and time window, then the model at its first point)."""
     if cfg.scenario == "sweep":
-        parts = _grid(cfg)[2]
+        parts = _grid(cfg, dense=True)[2]
         if not parts:
             return ["check: sweep grid is empty, nothing to check"]
         return _check_parts(parts[0])

@@ -5,12 +5,12 @@ class ContractViolationError(RuntimeError):
     """A numerical invariant (Hermiticity, normalization, stability bound) was violated."""
 
 
-DEFAULT_CONFIG_CAP = 200_000  # basis states one model, or entries one linspace, may have
-DEFAULT_MEMORY_CAP = 2**30  # estimated bytes one chooser model's run or --check may need
+DEFAULT_CONFIG_CAP = 200_000  # a parsed count (linspace, n_times, n_points, grid_cap), a fock basis
+DEFAULT_MEMORY_CAP = 2**30  # estimated bytes solving one model part may need
 
 
 class SizeLimitError(RuntimeError):
-    """A resource cap (basis size, sweep grid size) was exceeded."""
+    """A resource cap (a parsed count, a model part's memory, the sweep grid) was exceeded."""
 
 
 class ModeOverflowError(Exception):

@@ -109,7 +109,7 @@ def switching_run():
     """Two fresh builds of the documented two-site switching configuration."""
     cfg = load_config(CONFIGS / "telegraph_switching.cfg")
     times = np.linspace(0.0, cfg.sampling["t_final"], cfg.sampling["n_times"])
-    params = cli.telegraph_params_from(cfg.parameters)
+    params = cli.telegraph_params_from(cfg.parameters, cfg.sampling)
     weight = cfg.parameters["weight_site1"]
     first = cli.telegraph_channels(params, weight, times)
     second = cli.telegraph_channels(params, weight, times)

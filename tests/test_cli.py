@@ -353,16 +353,18 @@ class TestCliRuns:
         assert list(tmp_path.glob("run*")) == []
 
     def test_basis_cap_exits_4_without_outputs(self, tmp_path, capsys):
-        # two 60 000-mode bands: 4 * 120 002 = 480 008 states > cap 200 000
+        # two 60 000-mode bands: site 1's block of 120 002 states is refused
+        # by its memory estimate, ~5 × 8·dim² = 576 GB, before site 2 is made
         text = (EXAMPLES / "telegraph_switching.cfg").read_text()
         text = text.replace("linspace(-1.0, 1.0, 20)", "linspace(-1, 1, 60000)")
         text = text.replace("linspace(-0.575, 0.575, 20)", "linspace(-1, 1, 60000)")
         cfg = self.write(tmp_path, text)
         out = tmp_path / "run"
-        assert cli.main([cfg, "--out", str(out)]) == 4
-        assert "configuration count exceeds cap of 200000" in capsys.readouterr().err
-        assert cli.main([cfg, "--check"]) == 4
-        assert "configuration count exceeds cap of 200000" in capsys.readouterr().err
+        for args in ([cfg, "--out", str(out)], [cfg, "--check"]):
+            assert cli.main(args) == 4
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1
+            assert err[0].startswith("resource cap: [key 'band_1'] estimated memory of ")
         assert list(tmp_path.glob("run*")) == []
 
     @pytest.mark.parametrize(
@@ -713,6 +715,11 @@ class TestCliRuns:
                 "key 'vgrav'",
             ),
             ("gravonon_chain.cfg", {"theta": "1e200"}, "key 'theta'"),  # theta^2 overflows
+            # a potential far above the kinetic scale 1/(4 m_g sigma^2) overflows
+            (
+                "gravonon_chain.cfg", {"vgrav": ", ".join(["10"] * 5), "v_o": "1e308"},
+                "key 'v_o'",
+            ),
         ],
     )
     def test_value_out_of_float_range_exits_2_naming_key(
@@ -810,26 +817,12 @@ class TestCliRuns:
         assert list(tmp_path.glob("run*")) == []
 
     @pytest.mark.parametrize("name", ["chooser_demo.cfg", "sweep_decay.cfg"])
-    def test_chooser_basis_cap_exits_4_naming_n_band(self, tmp_path, capsys, name):
-        # 3 + n_band states: 10 000 000 would be a 728 TiB dense matrix
+    @pytest.mark.parametrize("n_band", [20000, 10000000])
+    def test_chooser_memory_cap_exits_4_before_allocating(self, tmp_path, capsys, name, n_band):
+        # a solve of 3 + n_band states would hold two dim × dim arrays: ~6.4 GB
+        # at 20 000 and ~1.6 PB at 10 000 000, refused before anything is built
         text = (EXAMPLES / name).read_text()
-        text, count = re.subn(r"(?m)^n_band = .*$", "n_band = 10000000", text)
-        assert count == 1
-        cfg = self.write(tmp_path, text)
-        for args in ([cfg, "--out", str(tmp_path / "run")], [cfg, "--check"]):
-            assert cli.main(args) == 4
-            err = capsys.readouterr().err.splitlines()
-            assert err == [
-                "resource cap: [key 'n_band'] configuration count exceeds cap of 200000"
-            ]
-        assert list(tmp_path.glob("run*")) == []
-
-    @pytest.mark.parametrize("name", ["chooser_demo.cfg", "sweep_decay.cfg"])
-    def test_chooser_memory_cap_exits_4_before_allocating(self, tmp_path, capsys, name):
-        # 3 + 20 000 states are under the basis cap, but a solve would hold
-        # two dim × dim arrays: ~6.4 GB, refused before anything is built
-        text = (EXAMPLES / name).read_text()
-        text, count = re.subn(r"(?m)^n_band = .*$", "n_band = 20000", text)
+        text, count = re.subn(r"(?m)^n_band = .*$", f"n_band = {n_band}", text)
         assert count == 1
         cfg = self.write(tmp_path, text)
         tracemalloc.start()
@@ -846,13 +839,59 @@ class TestCliRuns:
         assert peak < 2**20
         assert list(tmp_path.glob("run*")) == []
 
+    @pytest.mark.parametrize("path", [EXAMPLES / "telegraph_switching.cfg",
+                                      BENCH_CONFIGS / "telegraph_sweep.cfg"])
+    @pytest.mark.parametrize("key", ["band_1", "band_2"])
+    def test_telegraph_memory_cap_exits_4_before_allocating(self, tmp_path, capsys, path, key):
+        # a site block of 2 · 20 001 states: ~5 × 8·dim² = 64 GB to solve
+        text = path.read_text()
+        text, count = re.subn(rf"(?m)^{key} = .*$", f"{key} = linspace(-1.0, 1.0, 20000)", text)
+        assert count == 1
+        cfg = self.write(tmp_path, text)
+        tracemalloc.start()
+        try:
+            for args in ([cfg, "--out", str(tmp_path / "run")], [cfg, "--check"]):
+                assert cli.main(args) == 4
+                err = capsys.readouterr().err.splitlines()
+                assert re.fullmatch(
+                    rf"resource cap: \[key '{key}'\] estimated memory of \d+ bytes "
+                    r"exceeds cap of 1073741824 bytes",
+                    "\n".join(err),
+                )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert list(tmp_path.glob("run*")) == []
+
     @pytest.mark.parametrize("dense", [False, True])
     def test_chooser_memory_estimate_bounds_the_measured_peak(self, tmp_path, dense):
         text = (EXAMPLES / "chooser_collapse.cfg").read_text()
         text, count = re.subn(r"(?m)^n_band = .*$", "n_band = 512", text)
         assert count == 1
         cfg = load_config(self.write(tmp_path, text))
-        estimate = cli._chooser_bytes(512, cfg.sampling["n_times"], dense)
+        params = cli._chooser_params(cfg.parameters, cfg.sampling)
+        estimate = cli._part_bytes(params, cfg.sampling["n_times"], dense)
+        tracemalloc.start()
+        try:
+            if dense:
+                cli._check(cfg)
+            else:
+                cli.run_scenario(cfg, out_prefix=tmp_path / "run")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.5 * estimate < peak <= estimate
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_telegraph_memory_estimate_bounds_the_measured_peak(self, tmp_path, dense):
+        # a 500-level band: site 1's block of 1 002 states, where 8·dim² dominates
+        text = (EXAMPLES / "telegraph_switching.cfg").read_text()
+        text, count = re.subn(r"(?m)^band_1 = .*$", "band_1 = linspace(-1.0, 1.0, 500)", text)
+        assert count == 1
+        cfg = load_config(self.write(tmp_path, text))
+        site, _ = cli.telegraph_params_from(cfg.parameters, cfg.sampling)
+        estimate = cli._part_bytes(site, cfg.sampling["n_times"], dense)
         tracemalloc.start()
         try:
             if dense:
@@ -1157,9 +1196,13 @@ class TestTelegraphChannels:
         cli.run_scenario(cfg, out_prefix=tmp_path / "sweep", threads=threads)
         assert seen == [workers]
 
+    @pytest.mark.parametrize(
+        "base, values",
+        [("chooser", "1e-3, 2e-3, 3e-3, 4e-3, 5e-3"), ("telegraph", "0.01, 0.02, 0.03, 0.04")],
+    )
     @pytest.mark.parametrize("models, workers", [(1, 1), (2.5, 2), (3, 3), (100, 4)])
     def test_sweep_workers_hold_at_most_the_memory_cap(
-        self, tmp_path, monkeypatch, models, workers
+        self, tmp_path, monkeypatch, base, values, models, workers
     ):
         seen = []
         real = cli.ThreadPoolExecutor
@@ -1168,11 +1211,13 @@ class TestTelegraphChannels:
             seen.append(max_workers)
             return real(max_workers=max_workers)
 
-        cfg = parse_config(sweep_text("chooser", "1e-3, 2e-3, 3e-3, 4e-3, 5e-3"))
+        cfg = parse_config(sweep_text(base, values))
         one = cli.run_scenario(cfg, out_prefix=tmp_path / "sweep", threads=1)
-        # a cap of `models` chooser points of this grid (n_band = 10)
-        per_point = cli._chooser_bytes(10, cfg.sampling["n_times"], False)
-        monkeypatch.setattr(cli, "DEFAULT_MEMORY_CAP", int(models * per_point))
+        # a cap of `models` parts of this grid: chooser points (n_band = 10),
+        # or telegraph sites (two 4-level bands, 5 distinct sites)
+        part = cli._grid(cfg)[2][0][0]
+        per_part = cli._part_bytes(part, cfg.sampling["n_times"])
+        monkeypatch.setattr(cli, "DEFAULT_MEMORY_CAP", int(models * per_part))
         monkeypatch.setattr(cli, "ThreadPoolExecutor", recording)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
         capped = cli.run_scenario(cfg, out_prefix=tmp_path / "sweep", threads=4)

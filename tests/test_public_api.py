@@ -56,3 +56,15 @@ def test_only_the_spectral_layer_calls_an_eigensolver():
         if {"eigh", "eigvalsh"} & names_used(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert callers == ["propagator.py"]
+
+
+def test_cli_sizes_every_model_part_by_one_byte_estimate():
+    # the memory cap is read where a part is admitted and where sweep workers
+    # are capped, and nowhere else; the count cap stays with the parser
+    tree = ast.parse((ROOT / "src" / "gravodyn" / "cli.py").read_text(encoding="utf-8"))
+    assert "DEFAULT_CONFIG_CAP" not in names_used(tree)
+    readers = [
+        getattr(node, "name", type(node).__name__) for node in tree.body
+        if not isinstance(node, ast.ImportFrom) and "DEFAULT_MEMORY_CAP" in names_used(node)
+    ]
+    assert readers == ["_admit", "_run_sweep"]
