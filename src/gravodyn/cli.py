@@ -66,11 +66,30 @@ def _csv(header, columns):
     return "\n".join([",".join(header), *rows]) + "\n"
 
 
-def _check_parts(parts):
+def _evolve(model, dec, psi0, times, rows=None):
+    """``evolve`` of ``dec``, the decomposition of ``model``. If its phases
+    λ·t overflow, the ConfigError names ``t_final`` when the times are the
+    larger factor, else a chooser's largest energy scale (a telegraph block
+    names no key)."""
+    try:
+        return evolve(dec, psi0, times, rows=rows)
+    except ConfigError as exc:  # only the phase bound raises it
+        key = None
+        if times[-1] > np.max(np.abs(dec.eigenvalues)):
+            key = "t_final"
+        elif isinstance(model, ChooserParams):
+            scales = {name: abs(getattr(model, name)) for name in ("alpha", "v", "w", "u")}
+            scales["delta"] = 0.5 * model.delta  # the band edges
+            key = max(scales, key=scales.get)
+        raise ConfigError(str(exc), key=key) from None
+
+
+def _check_parts(parts, sampling):
     """Check lines for the independent model parts a run solves (a chooser
     model, solved as a star; telegraph sites, each a dense block): the
     contracts ``diagonalize`` enforces, a star solve's dense residual
-    against the chooser's matrix, and unitary norm conservation."""
+    against the chooser's matrix, and unitary norm conservation over the
+    run's time span."""
     for part in parts:
         if isinstance(part, ChooserParams):
             dec = diagonalize(part)
@@ -79,11 +98,13 @@ def _check_parts(parts):
                 raise ContractViolationError(
                     f"dense eigenpair residual exceeds {RESIDUAL_TOL:.0e}·‖H‖"
                 )
+            t_final = _chooser_times(part, sampling)[1][-1]
         else:
             dec = diagonalize(build_telegraph(part))  # measures the dense residual
+            t_final = sampling["t_final"]
         psi0 = np.zeros(dec.dim, dtype=complex)
         psi0[0] = 1.0
-        states = evolve(dec, psi0, np.linspace(0.0, 1.0, 8))
+        states = _evolve(part, dec, psi0, np.linspace(0.0, t_final, 8))
         norms = np.linalg.norm(states, axis=1)
         if np.max(np.abs(norms - 1.0)) > NORM_TOL:
             raise ContractViolationError(f"norm not conserved to {NORM_TOL:.0e}")
@@ -196,7 +217,7 @@ def _head_weights(model, psi0, times, heads):
     """Weights of the basis rows ``heads`` (rows: times), and the rest of the
     conserved norm, ‖ψ0‖² − Σ heads, which the other rows hold. ``model``
     is anything ``diagonalize`` takes."""
-    weights = np.abs(evolve(diagonalize(model), psi0, times, rows=heads)) ** 2
+    weights = np.abs(_evolve(model, diagonalize(model), psi0, times, rows=heads)) ** 2
     return weights, np.vdot(psi0, psi0).real - weights.sum(axis=1)
 
 
@@ -247,7 +268,7 @@ def _check_chooser(p, sampling):
     """Check lines for the star solve a run uses; first its report grid."""
     params = _chooser_params(p, sampling, dense=True)
     _report_grid(params, sampling)
-    return _check_parts([params])
+    return _check_parts([params], sampling)
 
 
 _NO_KPROJ = (
@@ -365,7 +386,7 @@ def _run_telegraph(p, sampling, prefix: Path):
 
 
 def _check_telegraph(p, sampling):
-    return _check_parts(telegraph_params_from(p, sampling))  # the blocks the run evolves
+    return _check_parts(telegraph_params_from(p, sampling), sampling)  # the blocks the run evolves
 
 
 def _solve_telegraph(site, sampling):
@@ -426,9 +447,14 @@ def _check_gravonon_modes(p, sampling):
 # ---------------------------------------------------------------------------
 # meanfield
 
+# largest |grid norm - 1| of an initial packet: the norm-drift bound a run is
+# held to; a resolved packet well inside the grid is off by ~1e-13
+PACKET_NORM_TOL = 1e-6
+
 
 def _packet(p, x, field):
-    """Gaussian of ``field`` ("packet" or "zeta") with a finite, positive grid norm."""
+    """Gaussian of ``field`` ("packet" or "zeta") whose grid norm is its
+    continuum norm 1 within ``PACKET_NORM_TOL``."""
     key = field + "_width"
     with np.errstate(all="ignore"):
         try:
@@ -438,10 +464,11 @@ def _packet(p, x, field):
         except ZeroDivisionError:  # (pi w^2)^(-1/4) once w^2 underflows to 0
             packet = np.zeros_like(x)
         norm = np.sum(np.abs(packet) ** 2) * (x[1] - x[0])
-    if not (math.isfinite(norm) and norm > 0.0):
+    if not abs(norm - 1.0) <= PACKET_NORM_TOL:  # NaN fails too
         raise ConfigError(
-            "the packet's grid norm is not finite and positive "
-            "(width too narrow or too wide for the grid, or centred off it)",
+            f"the packet's grid norm {norm:.6g} differs from 1 by more than "
+            f"{PACKET_NORM_TOL:g} (width too narrow for the grid spacing or too "
+            "wide for the grid, or centred off or near its edge)",
             key=key,
         )
     return packet
@@ -591,7 +618,7 @@ def _check(cfg: ScenarioConfig):
         parts = _grid(cfg, dense=True)[2]
         if not parts:
             return ["check: sweep grid is empty, nothing to check"]
-        return _check_parts(parts[0])
+        return _check_parts(parts[0], cfg.sampling)
     return _SCENARIOS[cfg.scenario].check(cfg.parameters, cfg.sampling)
 
 

@@ -14,22 +14,28 @@ with
 where g bundles the gravitational coupling (G^(D) m M_ext) and r is the
 distance from the grid origin softened as sqrt(x² + r0²).
 
-Each step advances both fields with Crank–Nicolson sub-steps whose coupling
-potentials are frozen at predictor half-step values: a predictor CN half
-step estimates |psi|², |zeta|² at t + dt/2, then both fields take the full
-CN step using those frozen profiles.  Each linear sub-step is unitary up to
-the tridiagonal solve tolerance, so per-field norms drift only at the
-1e-10/step level.
+The two fields are coupled by a staggered step (field-wise Strang splitting,
+G. Strang, SIAM J. Numer. Anal. 5 (1968) 506, with adjacent half steps
+merged): zeta is kept half a step ahead of psi. A run first takes zeta(0)
+to zeta(dt/2) by one Crank–Nicolson half step under U_zeta(|psi(0)|²);
+each step then takes psi(t) to psi(t + dt) under U_psi(|zeta(t + dt/2)|²),
+followed by zeta(t + dt/2) to zeta(t + 3dt/2) under U_zeta(|psi(t + dt)|²).
+The zeta step after the last psi step is skipped. A sample at time t reads
+zeta(t) by one forward half step from zeta(t - dt/2) under U_zeta(|psi(t)|²);
+that value is not fed back, so the trajectory does not depend on the
+sampling. A run of n steps with k samples after t = 0 thus makes 2n + k
+solves. The scheme is second order in dt, and each linear sub-step is
+unitary up to the tridiagonal solve tolerance, so per-field norms drift
+only at the 1e-10/step level.
 
 Each equation is linear and homogeneous in its own field, so a field that
-is exactly zero stays exactly zero, and the other field's coupling at the
-zero profile is what the full step would compute. ``advance`` tests both
-fields on every call (a NaN counts as nonzero): with one field zero a step
-is the other field's one corrector solve, returning the zero field as the
-same array; with both zero nothing is solved. A free packet (``zeta_width
-= auto``) thus costs one solve per step instead of four, with the same
-bytes; the zero field's equation, whose solve would give zero, is then not
-formed or checked.
+is exactly zero stays exactly zero, and the other field's potential is then
+fixed. This is decided once per run (a NaN counts as nonzero): with one
+field zero a step is the other field's one full-step solve, and the zero
+field is returned as the same array; with both zero nothing is solved. A
+free packet (``zeta_width = auto``) thus costs one solve per step; the zero
+field's equation, whose solve would give zero, is then not formed or
+checked.
 
 What does not change between steps is built once per run: the gravity
 profile (rejected with key ``softening`` if it is not finite) and each
@@ -218,46 +224,59 @@ def check_stability(s: GridState, dt):
 
 
 def stepper(s: GridState, dt):
-    """The coupled predictor-corrector step for a fixed dt, on bare arrays.
+    """The staggered coupled scheme for a fixed dt, on bare arrays.
 
     Checks dt and the stability bound once and builds everything that does
-    not change between steps once; returns ``advance(psi, zeta) ->
-    (psi, zeta)``, which solves four sub-steps, or one when a field is
-    exactly zero (see the module docstring). ``--check`` builds it too, so
-    it fails where a run would.
+    not change between steps once; returns ``march(psi, zeta, n_steps,
+    sample_every=1)``, a generator of ``(index, psi, zeta)`` after every
+    ``sample_every``-th step and after the last, with zeta read at the
+    sample time (see the module docstring). Coupled, n steps with k
+    samples make 2n + k solves; with one field zero, n. ``--check`` builds
+    it too, so it fails where a run would.
     """
     if dt == 0:
         raise ConfigError("dt must be nonzero", key="dt")
     check_stability(s, abs(dt))
     kernel = _Kernel(s)
     u_psi, u_zeta = kernel.u_psi, kernel.u_zeta
-    psi_half, zeta_half = kernel.substep("psi", 0.5 * dt), kernel.substep("zeta", 0.5 * dt)
     psi_full, zeta_full = kernel.substep("psi", dt), kernel.substep("zeta", dt)
+    zeta_half = kernel.substep("zeta", 0.5 * dt)
 
-    def advance(psi, zeta):
-        # a zero field is returned as is: the other field's corrector at the
-        # zero profile is the whole step
+    def march(psi, zeta, n_steps, sample_every=1):
         psi_live, zeta_live = psi.any(), zeta.any()  # NaN counts as nonzero
-        if not zeta_live:
-            return (psi_full(psi, u_psi(np.abs(zeta) ** 2)) if psi_live else psi), zeta
-        if not psi_live:
-            return psi, zeta_full(zeta, u_zeta(np.abs(psi) ** 2))
-        # predictor: half step with couplings frozen at current values
-        psi_mid = psi_half(psi, u_psi(np.abs(zeta) ** 2))
-        zeta_mid = zeta_half(zeta, u_zeta(np.abs(psi) ** 2))
-        # corrector: full step with couplings frozen at the half-step profiles
-        return (
-            psi_full(psi, u_psi(np.abs(zeta_mid) ** 2)),
-            zeta_full(zeta, u_zeta(np.abs(psi_mid) ** 2)),
-        )
+        if not (psi_live and zeta_live):
+            # a zero field stays zero, so the live field's potential is fixed
+            # and its full step is the whole step
+            if psi_live:
+                u = u_psi(np.abs(zeta) ** 2)
+            elif zeta_live:
+                u = u_zeta(np.abs(psi) ** 2)
+            for index in range(1, n_steps + 1):
+                if psi_live:
+                    psi = psi_full(psi, u)
+                elif zeta_live:
+                    zeta = zeta_full(zeta, u)
+                if index % sample_every == 0 or index == n_steps:
+                    yield index, psi, zeta
+            return
+        if n_steps:
+            zeta = zeta_half(zeta, u_zeta(np.abs(psi) ** 2))  # zeta(dt/2)
+        for index in range(1, n_steps + 1):
+            psi = psi_full(psi, u_psi(np.abs(zeta) ** 2))
+            u = u_zeta(np.abs(psi) ** 2)
+            if index % sample_every == 0 or index == n_steps:
+                yield index, psi, zeta_half(zeta, u)
+            if index < n_steps:
+                zeta = zeta_full(zeta, u)
 
-    return advance
+    return march
 
 
 def step(s: GridState, dt) -> GridState:
-    """Advance both fields by one coupled predictor-corrector step."""
+    """Advance both fields by one step: a zeta half step, the psi step and a
+    zeta half step (one full step of the live field if the other is zero)."""
     # copies: a zero field comes back as the array it was given
-    psi, zeta = stepper(s, dt)(s.psi.copy(), s.zeta.copy())
+    _, psi, zeta = next(stepper(s, dt)(s.psi.copy(), s.zeta.copy(), 1))
     return replace(s, psi=psi, zeta=zeta)
 
 
@@ -281,7 +300,7 @@ def run(s: GridState, dt, n_steps, sample_every=1) -> TimeSeries:
     """
     if sample_every < 1:
         raise ValueError("sample_every must be at least 1")
-    advance = stepper(s, dt)
+    march = stepper(s, dt)
     psi0 = s.psi.copy()
     dx = s.dx
     times, rows = [], []
@@ -296,11 +315,8 @@ def run(s: GridState, dt, n_steps, sample_every=1) -> TimeSeries:
         ))
 
     sample(0.0, s)
-    psi, zeta = s.psi, s.zeta
-    for step_index in range(1, n_steps + 1):
-        psi, zeta = advance(psi, zeta)
-        if step_index % sample_every == 0 or step_index == n_steps:
-            sample(step_index * dt, replace(s, psi=psi, zeta=zeta))
+    for step_index, psi, zeta in march(s.psi, s.zeta, n_steps, sample_every):
+        sample(step_index * dt, replace(s, psi=psi, zeta=zeta))
     names = ("norm_psi", "norm_zeta", "mean_x_psi", "width_psi", "overlap_psi0")
     return TimeSeries(times=np.array(times), channels=dict(zip(names, np.array(rows).T)))
 

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolationError
+from .errors import ConfigError, ContractViolationError
 from .models import ChooserParams, HamiltonianMatrix
 
 NORM_TOL = 1e-10
@@ -585,8 +585,10 @@ def evolve(d: SpectralDecomposition, psi0, times, rows=None) -> np.ndarray:
 
     Ψ(t) = Σ_k e^{−iλ_k t} v_k ⟨v_k|Ψ(0)⟩ on the basis rows ``rows`` (all if
     None), at times tₖ = t₀ + k·h: ``np.linspace`` output, or any one or two
-    times (ValueError for any other grid, see ``_uniform_grid``). The initial
-    state must be normalized (contract violation otherwise). The full state
+    times (ValueError for any other grid, see ``_uniform_grid``). A grid
+    whose phases overflow, max|λ|·max|t| not finite, is refused with a
+    ConfigError before any phase is formed. The initial state must be
+    normalized (contract violation otherwise). The full state
     keeps the norm ‖Ψ(0)‖ up to the eigenbasis orthonormality defect
     (``--check`` measures it), so the other rows hold ‖Ψ(0)‖² minus the
     weight on ``rows``. The states are complex also when the eigenvectors
@@ -602,6 +604,13 @@ def evolve(d: SpectralDecomposition, psi0, times, rows=None) -> np.ndarray:
     psi0 = _check_normalized(psi0)
     times = np.asarray(times, dtype=float)
     t0, h = _uniform_grid(times)
+    scale = float(np.max(np.abs(d.eigenvalues), initial=0.0))
+    span = float(np.max(np.abs(times), initial=0.0))
+    if not math.isfinite(scale * span):  # before any exp block: e^{-i inf} is NaN
+        raise ConfigError(
+            f"the phases lambda*t overflow: max|lambda| = {scale:.3e} "
+            f"times max|t| = {span:.3e} is not finite"
+        )
     vectors = d.eigenvectors if rows is None else d.eigenvectors[rows]
     n = len(times)
     coarse = -(-n // (math.isqrt(n * (len(vectors) + 1) - 1) + 1)) if n else 0

@@ -640,10 +640,15 @@ class TestCliRuns:
 
     def test_meanfield_zero_zeta_equation_is_not_formed(self, tmp_path):
         # with zeta = 0 only psi is solved: U_zeta = g/(4r)·|psi|² overflows
-        # on the packet's node at x = 0, but zeta stays zero without a solve
-        text = (EXAMPLES / "meanfield_free_packet.cfg").read_text().replace(
-            "n_points = 512", "n_points = 513\nsoftening = 1.0\ng_newton = 1e308"
-        ).replace("packet_width = 2.0", "packet_width = 0.05")
+        # on the packet's node at x = 0, but zeta stays zero without a solve;
+        # dx = 1/128 resolves the narrow packet
+        text = (EXAMPLES / "meanfield_free_packet.cfg").read_text()
+        for old, new in (
+            ("x_min = -40.0", "x_min = -2.0"), ("x_max = 40.0", "x_max = 2.0"),
+            ("n_points = 512", "n_points = 513\nsoftening = 1.0\ng_newton = 1e308"),
+            ("packet_width = 2.0", "packet_width = 0.05"), ("dt = 0.02", "dt = 5e-5"),
+        ):
+            text = text.replace(old, new)
         cfg = self.write(tmp_path, text)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy RuntimeWarning fails
@@ -671,12 +676,20 @@ class TestCliRuns:
         assert list(tmp_path.glob("run*")) == []
 
     @pytest.mark.parametrize("key", ["packet_width", "zeta_width"])
-    @pytest.mark.parametrize("width", ["1e-170", "1e-100"])
-    def test_meanfield_packet_without_grid_norm_exits_2(self, tmp_path, capsys, key, width):
-        # 1e-170 underflows w^2 in the normalization; 1e-100 misses every node
+    @pytest.mark.parametrize(
+        "grid, width",
+        [
+            ("n_points = 512", "1e-170"),  # w^2 underflows in the normalization
+            ("n_points = 512", "1e-100"),  # misses every node: grid norm 0
+            ("n_points = 513", "0.05"),  # narrower than dx = 0.156: grid norm 1.763
+            ("n_points = 513", "0.18"),  # w/dx = 1.15: grid norm 1 + 4.1e-6
+            ("n_points = 64", "60.0"),  # wider than the grid: grid norm 0.66
+        ],
+    )
+    def test_meanfield_packet_off_its_grid_norm_exits_2(self, tmp_path, capsys, key, grid, width):
         text = (EXAMPLES / "meanfield_free_packet.cfg").read_text().replace(
             "packet_momentum = 0.0", "packet_momentum = 0.0\nzeta_width = 1.0"
-        )
+        ).replace("n_points = 512", grid)
         text = re.sub(rf"(?m)^{key} = .*$", f"{key} = {width}", text)
         cfg = self.write(tmp_path, text)
         for args in ([cfg, "--out", str(tmp_path / "run")], [cfg, "--check"]):
@@ -684,7 +697,8 @@ class TestCliRuns:
                 warnings.simplefilter("error")  # a numpy RuntimeWarning fails
                 assert cli.main(args) == 2
             err = capsys.readouterr().err.splitlines()
-            assert len(err) == 1 and err[0].startswith(f"config error: [key '{key}']")
+            assert len(err) == 1
+            assert err[0].startswith(f"config error: [key '{key}'] the packet's grid norm")
         assert list(tmp_path.glob("run*")) == []
 
     @pytest.mark.parametrize(
@@ -736,6 +750,34 @@ class TestCliRuns:
                 assert cli.main(args) == 2
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith(f"config error: [{where}]")
+        assert list(tmp_path.glob("run*")) == []
+
+    @pytest.mark.parametrize(
+        "name, values, key",
+        [
+            # max|lambda|·max|t| overflows: e^{-i lambda t} would be NaN
+            ("chooser_demo.cfg", {"alpha": "-1.7976931348623157e+308"}, "alpha"),
+            ("chooser_demo.cfg", {"alpha": "10.0", "t_final": "1e308"}, "t_final"),
+            ("sweep_decay.cfg", {"alpha": "-1.7976931348623157e+308"}, "alpha"),
+        ],
+    )
+    def test_chooser_phases_that_overflow_exit_2_naming_key(
+        self, tmp_path, capsys, name, values, key
+    ):
+        text = (EXAMPLES / name).read_text()
+        text = re.sub(r"(?m)^n_band = \d+", "n_band = 32", text)
+        text = re.sub(r"(?m)^n_times = \d+", "n_times = 64", text)
+        for k, v in values.items():
+            section = "sampling" if k == "t_final" else "parameters"
+            text, _ = set_key(text, section, k, v)
+        cfg = self.write(tmp_path, text)
+        for args in ([cfg, "--out", str(tmp_path / "run")], [cfg, "--check"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a numpy RuntimeWarning fails
+                assert cli.main(args) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1
+            assert err[0].startswith(f"config error: [key '{key}'] the phases lambda*t overflow")
         assert list(tmp_path.glob("run*")) == []
 
     @pytest.mark.parametrize("radii", ["1e60", "0.0, 1.0", "10.0, -1.0"])

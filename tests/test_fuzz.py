@@ -1,6 +1,7 @@
 """Schema-driven fuzz of the runner: every input the config grammar accepts
 ends in exit 0, 2, 3 or 4, in a run and in ``--check``, never in a
-traceback, and a failed run writes no files.
+traceback, a failed run writes no files, and a run that exits 0 writes no
+``nan`` or ``inf``.
 
 Each case starts from a small valid config (``BASELINES``). Up to three
 keys of its scenario's schema in ``config._SCHEMAS`` (a sweep's from
@@ -140,4 +141,7 @@ def test_every_accepted_input_exits_0_2_3_or_4(case, data):
             if code != 0 or "--check" in args:
                 assert sorted(p.name for p in Path(tmp).iterdir()) == ["case.cfg"]
             for written in Path(tmp).glob("run*"):
+                # every field an exit-0 run writes is finite (or empty)
+                body = written.read_text().lower()
+                assert "nan" not in body and "inf" not in body, body
                 written.unlink()

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gravodyn import cli, propagator
-from gravodyn.errors import ContractViolationError
+from gravodyn.errors import ConfigError, ContractViolationError
 from gravodyn.models import ChooserParams, build_chooser
 from gravodyn.propagator import (
     ORTHO_TOL,
@@ -130,6 +130,13 @@ class TestEvolve:
         d = diagonalize(random_hermitian(3, seed=6))
         with pytest.raises(ValueError, match="uniform time grid"):
             evolve(d, random_state(3, seed=7), times)
+
+    @pytest.mark.parametrize("scale, t_final", [(1e308, 2.0), (2.0, 1e308), (1e200, -1e200)])
+    def test_rejects_phases_that_overflow(self, monkeypatch, scale, t_final):
+        d = diagonalize(scale * np.diag([1.0, -1.0, 0.5]).astype(complex))
+        monkeypatch.setattr(np, "exp", lambda *_: pytest.fail("a phase was formed"))
+        with pytest.raises(ConfigError, match="phases lambda\\*t overflow"):
+            evolve(d, random_state(3, seed=7), np.linspace(0.0, t_final, 5))
 
     @settings(max_examples=40, deadline=None)
     @given(
