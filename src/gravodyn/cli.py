@@ -36,7 +36,7 @@ from .errors import (
     SizeLimitError,
 )
 from .gravonon import SiteBasis, build_omega
-from .models import ChooserParams, TelegraphSite, build_chooser, build_telegraph
+from .models import ChooserParams, TelegraphSite, build_chooser
 from .propagator import NORM_TOL, RESIDUAL_TOL, dense_residual, diagonalize, evolve
 
 EXIT_OK = 0
@@ -66,21 +66,39 @@ def _csv(header, columns):
     return "\n".join([",".join(header), *rows]) + "\n"
 
 
-def _evolve(model, dec, psi0, times, rows=None):
-    """``evolve`` of ``dec``, the decomposition of ``model``. If its phases
+def _largest_key(part):
+    """The key of a model part's largest energy scale, which sizes its
+    eigenvalues λ: a chooser's |alpha|, |v|, |w|, |u| or delta/2 (the band
+    edges), a telegraph site's |e_g|, |e_w|, |v_loc|, |eps_grav|, max|band|
+    or |v_gw| under that site's key."""
+    if isinstance(part, ChooserParams):
+        scales = {name: abs(getattr(part, name)) for name in ("alpha", "v", "w", "u")}
+        scales["delta"] = 0.5 * part.delta
+    else:
+        band = max(map(abs, part.band), default=0.0)
+        values = (part.e_g, part.e_w, part.v_loc, part.eps_grav, band, part.v_gw)
+        scales = dict(zip(part.keys, map(abs, values)))
+    return max(scales, key=scales.get)
+
+
+def _diagonalize(part):
+    """``diagonalize`` of a model part; if its eigenvalues overflow, the
+    ConfigError names the part's largest energy key."""
+    try:
+        return diagonalize(part)
+    except ConfigError as exc:  # only eigenvalues that overflow raise it
+        raise ConfigError(str(exc), key=_largest_key(part)) from None
+
+
+def _evolve(part, dec, psi0, times, rows=None):
+    """``evolve`` of ``dec``, the decomposition of ``part``. If its phases
     λ·t overflow, the ConfigError names ``t_final`` when the times are the
-    larger factor, else a chooser's largest energy scale (a telegraph block
-    names no key)."""
+    larger factor, else the part's largest energy key."""
     try:
         return evolve(dec, psi0, times, rows=rows)
     except ConfigError as exc:  # only the phase bound raises it
-        key = None
-        if times[-1] > np.max(np.abs(dec.eigenvalues)):
-            key = "t_final"
-        elif isinstance(model, ChooserParams):
-            scales = {name: abs(getattr(model, name)) for name in ("alpha", "v", "w", "u")}
-            scales["delta"] = 0.5 * model.delta  # the band edges
-            key = max(scales, key=scales.get)
+        times_larger = times[-1] > np.max(np.abs(dec.eigenvalues))
+        key = "t_final" if times_larger else _largest_key(part)
         raise ConfigError(str(exc), key=key) from None
 
 
@@ -91,8 +109,8 @@ def _check_parts(parts, sampling):
     against the chooser's matrix, and unitary norm conservation over the
     run's time span."""
     for part in parts:
+        dec = _diagonalize(part)  # a telegraph block: measures the dense residual
         if isinstance(part, ChooserParams):
-            dec = diagonalize(part)
             dense = build_chooser(part).entries
             if not dense_residual(dense, dec.eigenvalues, dec.eigenvectors) <= RESIDUAL_TOL:
                 raise ContractViolationError(
@@ -100,7 +118,6 @@ def _check_parts(parts, sampling):
                 )
             t_final = _chooser_times(part, sampling)[1][-1]
         else:
-            dec = diagonalize(build_telegraph(part))  # measures the dense residual
             t_final = sampling["t_final"]
         psi0 = np.zeros(dec.dim, dtype=complex)
         psi0[0] = 1.0
@@ -217,7 +234,7 @@ def _head_weights(model, psi0, times, heads):
     """Weights of the basis rows ``heads`` (rows: times), and the rest of the
     conserved norm, ‖ψ0‖² − Σ heads, which the other rows hold. ``model``
     is anything ``diagonalize`` takes."""
-    weights = np.abs(_evolve(model, diagonalize(model), psi0, times, rows=heads)) ** 2
+    weights = np.abs(_evolve(model, _diagonalize(model), psi0, times, rows=heads)) ** 2
     return weights, np.vdot(psi0, psi0).real - weights.sum(axis=1)
 
 
@@ -318,7 +335,7 @@ def telegraph_params_from(p, sampling):
     sites = []
     for keys in _SITE_KEYS:
         try:
-            site = TelegraphSite(*(p[key] for key in keys))
+            site = TelegraphSite(*(p[key] for key in keys), keys=keys)
         except ValueError as exc:  # only the band is checked
             raise ConfigError(str(exc), key=keys[4]) from None
         sites.append(_admit(site, keys[4], sampling["n_times"]))
@@ -328,11 +345,10 @@ def telegraph_params_from(p, sampling):
 def _evolve_site(site: TelegraphSite, times):
     """Band and local-mode weights (P, L) of one site evolved alone from its
     warp resonance and local mode."""
-    ham = build_telegraph(site)
-    n_grav = ham.dim // 2  # basis: (w, g) times (band..., local)
-    psi0 = np.zeros(ham.dim)
+    n_grav = 1 + len(site.band)  # basis: (w, g) times (band..., local)
+    psi0 = np.zeros(2 * n_grav)
     psi0[n_grav - 1] = 1.0
-    local, band = _head_weights(ham, psi0, times, [n_grav - 1, 2 * n_grav - 1])
+    local, band = _head_weights(site, psi0, times, [n_grav - 1, 2 * n_grav - 1])
     return band, local.sum(axis=1)
 
 

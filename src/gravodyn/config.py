@@ -189,7 +189,13 @@ def _parse_floats(token, line, key):
         if count > DEFAULT_CONFIG_CAP:  # checked before anything is allocated
             raise SizeLimitError(f"[line {line}, key '{key}'] linspace count {count} "
                                  f"exceeds cap of {DEFAULT_CONFIG_CAP}")
-        return [float(x) for x in np.linspace(lo, hi, count)]
+        with np.errstate(all="ignore"):  # an entry that overflows is refused below
+            values = np.linspace(lo, hi, count)
+        if not np.isfinite(values).all():
+            raise ConfigError(
+                f"linspace entries must be finite, got {token!r}", line=line, key=key
+            )
+        return values.tolist()
     return [_parse_float(part.strip(), line, key) for part in token.split(",")]
 
 

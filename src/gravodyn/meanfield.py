@@ -38,10 +38,13 @@ field's equation, whose solve would give zero, is then not formed or
 checked.
 
 What does not change between steps is built once per run: the gravity
-profile (rejected with key ``softening`` if it is not finite) and each
-field's kinetic diagonal and off-diagonal. Each sub-step is then one LAPACK
-``gtsv`` solve on bare arrays, after a finiteness check of its diagonal and
-right-hand side.
+profile (rejected with key ``softening`` if it is not finite), the
+coefficients of each potential, which is affine in the other field's
+density (U = c0 + c1·|other|²), and each field's kinetic diagonal and
+off-diagonal. A sub-step f -> (I + iS)⁻¹(I - iS) f, S = (dt/2) H, equals
+2 (I + iS)⁻¹ f - f (the Cayley form), so it is one LAPACK ``gtsv`` solve
+with right-hand side 2f on bare arrays and one subtraction, after a
+finiteness check of the diagonal's imaginary part and of 2f.
 """
 
 from __future__ import annotations
@@ -141,25 +144,25 @@ def free_spread_width(t, m, width0):
 class _Kernel:
     """Both field equations on one grid, with their static parts built once.
 
-    The gravity profiles and each field's kinetic constant and off-diagonal
-    do not change between steps. ``kinetic_hamiltonian``, ``step`` and
-    ``run`` all evaluate the equations through this one place.
+    Each potential is affine in the other field's density,
+    U = c0 + c1·|other|²: U_psi has c0 = -g/r^(D-2), U_zeta has c0 = V_o,
+    and both have c1 = g/(4 r^(D-2)) - m/2. These coefficient arrays and
+    each field's kinetic constant and off-diagonal do not change between
+    steps. ``kinetic_hamiltonian``, ``step`` and ``run`` all evaluate the
+    equations through this one place.
     """
 
     def __init__(self, s: GridState):
         with np.errstate(all="ignore"):
-            r_power = s.softened_r() ** (s.d_spatial - 2)
-            self.grav_psi = -s.g_newton / r_power
-            grav_zeta = s.g_newton / r_power
-        if not np.isfinite(grav_zeta).all():
+            grav = s.g_newton / s.softened_r() ** (s.d_spatial - 2)
+        if not np.isfinite(grav).all():
             raise ConfigError(
                 "the gravity profile g / r^(D-2) is not finite on the grid: "
                 "r = sqrt(x² + softening²) comes too close to 0 for this g and D",
                 key="softening",
             )
-        self.quarter_grav = 0.25 * grav_zeta
-        self.half_m = 0.5 * s.m
-        self.v_o = s.v_o
+        c1 = 0.25 * grav - 0.5 * s.m
+        self.coeffs = {"psi": (-grav, c1), "zeta": (np.full(s.n_points, s.v_o), c1)}
         dx = s.dx
         # H = -(1/2m) D2 + U; D2 f = (f[i-1] - 2 f[i] + f[i+1]) / dx^2
         self.bands = {}  # field -> (2 kin, off-diagonal)
@@ -167,20 +170,22 @@ class _Kernel:
             kin = 1.0 / (2.0 * mass * dx * dx)
             self.bands[field] = (2.0 * kin, -kin * np.ones(s.n_points - 1))
 
-    def u_psi(self, zeta_abs2):
-        return self.grav_psi * (1.0 - 0.25 * zeta_abs2) - self.half_m * zeta_abs2
-
-    def u_zeta(self, psi_abs2):
-        return -self.half_m * psi_abs2 + self.quarter_grav * psi_abs2 + self.v_o
+    def potential(self, field, other):
+        """U of ``field``'s equation, given the other field."""
+        c0, c1 = self.coeffs[field]
+        return c0 + c1 * np.abs(other) ** 2
 
     def substep(self, field, dt):
-        """One field's Crank–Nicolson sub-step of length dt, as ``solve(f, U)``.
+        """One field's Crank–Nicolson sub-step of length dt, as ``solve(f, other)``.
 
-        Solves (1 + i dt/2 H) f_new = (1 - i dt/2 H) f_old, H = -(1/2m) D2 + U,
-        with Dirichlet boundaries (fields must be negligible at the edges) by
-        one LAPACK ``gtsv`` call. The diagonal and right-hand side are formed
-        by the same expressions, in the same order, as the banded form kept
-        in the tests, so the solution is the same to the byte.
+        The step f -> (I + iS)⁻¹(I - iS) f, S = (dt/2) H, H = -(1/2m) D2 + U,
+        with Dirichlet boundaries (fields must be negligible at the edges),
+        is 2 (I + iS)⁻¹ f - f: one LAPACK ``gtsv`` solve of (I + iS) y = 2f
+        (doubling is exact), then x = y - f. The diagonal of I + iS is
+        1 + i·im with the real im = base + slope·|other|², where
+        base = (dt/2)(2 kin + c0) and slope = (dt/2) c1 are built here.
+        ``other`` is the other field, or None when it is exactly zero: then
+        im = base for every solve.
         """
         two_kin, off = self.bands[field]
         z = 0.5j * dt
@@ -189,26 +194,37 @@ class _Kernel:
             raise ValueError("Crank–Nicolson off-diagonal is not finite")
         from scipy.linalg import get_lapack_funcs  # only grid runs pay its import
         gtsv, = get_lapack_funcs(("gtsv",), (zoff,))
+        c0, c1 = self.coeffs[field]
+        with np.errstate(all="ignore"):  # a solve refuses a non-finite im
+            base = 0.5 * dt * (two_kin + c0)
+            slope = 0.5 * dt * c1
 
-        def solve(f, u):
-            zd = z * (two_kin + u)
-            d = 1.0 + zd
-            rhs = (1.0 - zd) * f
-            rhs[:-1] -= zoff * f[1:]
-            rhs[1:] -= zoff * f[:-1]
-            if not (np.isfinite(d).all() and np.isfinite(rhs).all()):
+        def solve(f, other=None):
+            if other is None:
+                im = base
+            else:
+                im = np.abs(other)
+                im *= im
+                im *= slope
+                im += base
+            rhs = f + f
+            if not (np.isfinite(im).all() and np.isfinite(rhs.view(float)).all()):
                 raise ValueError(
                     "Crank–Nicolson diagonal or right-hand side is not finite"
                 )
+            d = np.empty(len(im), dtype=complex)
+            d.real = 1.0
+            d.imag = im
             # gtsv leaves its LU factors in dl and du, so the shared zoff goes
-            # in as a copy; d and rhs are this call's own temporaries
-            _, _, _, x, info = gtsv(
+            # in as a copy; rhs is this call's own and becomes the solution
+            _, _, _, y, info = gtsv(
                 zoff, d, zoff, rhs,
                 overwrite_dl=0, overwrite_d=1, overwrite_du=0, overwrite_b=1,
             )
             if info != 0:
                 raise np.linalg.LinAlgError(f"tridiagonal solve failed (gtsv info {info})")
-            return x
+            y -= f
+            return y
 
         return solve
 
@@ -238,7 +254,6 @@ def stepper(s: GridState, dt):
         raise ConfigError("dt must be nonzero", key="dt")
     check_stability(s, abs(dt))
     kernel = _Kernel(s)
-    u_psi, u_zeta = kernel.u_psi, kernel.u_zeta
     psi_full, zeta_full = kernel.substep("psi", dt), kernel.substep("zeta", dt)
     zeta_half = kernel.substep("zeta", 0.5 * dt)
 
@@ -247,27 +262,22 @@ def stepper(s: GridState, dt):
         if not (psi_live and zeta_live):
             # a zero field stays zero, so the live field's potential is fixed
             # and its full step is the whole step
-            if psi_live:
-                u = u_psi(np.abs(zeta) ** 2)
-            elif zeta_live:
-                u = u_zeta(np.abs(psi) ** 2)
             for index in range(1, n_steps + 1):
                 if psi_live:
-                    psi = psi_full(psi, u)
+                    psi = psi_full(psi)
                 elif zeta_live:
-                    zeta = zeta_full(zeta, u)
+                    zeta = zeta_full(zeta)
                 if index % sample_every == 0 or index == n_steps:
                     yield index, psi, zeta
             return
         if n_steps:
-            zeta = zeta_half(zeta, u_zeta(np.abs(psi) ** 2))  # zeta(dt/2)
+            zeta = zeta_half(zeta, psi)  # zeta(dt/2)
         for index in range(1, n_steps + 1):
-            psi = psi_full(psi, u_psi(np.abs(zeta) ** 2))
-            u = u_zeta(np.abs(psi) ** 2)
+            psi = psi_full(psi, zeta)
             if index % sample_every == 0 or index == n_steps:
-                yield index, psi, zeta_half(zeta, u)
+                yield index, psi, zeta_half(zeta, psi)
             if index < n_steps:
-                zeta = zeta_full(zeta, u)
+                zeta = zeta_full(zeta, psi)
 
     return march
 
@@ -329,10 +339,6 @@ def kinetic_hamiltonian(s: GridState, which="psi") -> np.ndarray:
     from do not change.
     """
     kernel = _Kernel(s)
-    if which == "psi":
-        two_kin, off = kernel.bands["psi"]
-        u = kernel.u_psi(np.abs(s.zeta) ** 2)
-    else:
-        two_kin, off = kernel.bands["zeta"]
-        u = kernel.u_zeta(np.abs(s.psi) ** 2)
+    two_kin, off = kernel.bands[which]
+    u = kernel.potential(which, s.zeta if which == "psi" else s.psi)
     return np.diag(two_kin + u) + np.diag(off, 1) + np.diag(off, -1)

@@ -22,7 +22,7 @@ layer can stay in real arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import pairwise
 
 import numpy as np
@@ -72,6 +72,8 @@ class TelegraphSite:
     reachable by the hopping ``v_loc``, a local gravonon mode (``eps_grav``)
     and a finite gravonon continuum (``band``, ascending energies). ``v_gw``
     couples the local gravonon to each continuum mode, times n_w.
+    ``keys`` are the config keys of these six fields, for an error to name;
+    they take no part in comparing sites.
     """
 
     e_g: float
@@ -80,6 +82,9 @@ class TelegraphSite:
     eps_grav: float
     band: tuple[float, ...] = ()
     v_gw: float = 0.0
+    keys: tuple[str, ...] = field(
+        default=("e_g", "e_w", "v_loc", "eps_grav", "band", "v_gw"), compare=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "band", tuple(float(e) for e in self.band))

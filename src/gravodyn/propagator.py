@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractViolationError
-from .models import ChooserParams, HamiltonianMatrix
+from .models import ChooserParams, HamiltonianMatrix, TelegraphSite, build_telegraph
 
 NORM_TOL = 1e-10
 ORTHO_TOL = 1e-12
@@ -74,23 +74,34 @@ class SpectralDecomposition:
         return len(self.eigenvalues)
 
 
-def diagonalize(h: HamiltonianMatrix | np.ndarray | ChooserParams) -> SpectralDecomposition:
+def diagonalize(
+    h: HamiltonianMatrix | np.ndarray | ChooserParams | TelegraphSite,
+) -> SpectralDecomposition:
     """Eigendecompose a Hermitian matrix, verifying the spectral contract.
 
     Input with no nonzero imaginary part is decomposed as a real-symmetric
     matrix (real eigenvectors); the contracts are checked in the input's
     own arithmetic. A ``ChooserParams`` is solved as a star from its
-    secular equation (see ``_star``) without forming the matrix. A bare
-    array is wrapped in a ``HamiltonianMatrix`` (square, exactly Hermitian)
-    of a copy. Raises ContractViolationError if that check fails, if
-    eigenvector residuals exceed 1e-10 times the spectral norm, or if the
-    eigenbasis is not orthonormal to 1e-12.
+    secular equation (see ``_star``) without forming the matrix, a
+    ``TelegraphSite`` as its dense block. A bare array is wrapped in a
+    ``HamiltonianMatrix`` (square, exactly Hermitian) of a copy. Raises
+    ContractViolationError if that check fails, if eigenvector residuals
+    exceed 1e-10 times the spectral norm, or if the eigenbasis is not
+    orthonormal to 1e-12; raises ConfigError if an eigenvalue of a dense
+    matrix is not finite (finite entries near the float limit).
     """
     if isinstance(h, ChooserParams):
         return _verified(*_star(h))
-    if not isinstance(h, HamiltonianMatrix):
+    if isinstance(h, TelegraphSite):
+        h = build_telegraph(h)
+    elif not isinstance(h, HamiltonianMatrix):
         h = HamiltonianMatrix(np.array(h))  # a copy: the caller's array stays writable
     eigenvalues, eigenvectors = np.linalg.eigh(h.entries)
+    if not np.isfinite(eigenvalues).all():  # before the residual: inf·0 is NaN
+        raise ConfigError(
+            f"the eigenvalues overflow: the largest entry {np.max(np.abs(h.entries)):.3e} "
+            "leaves no float range for them"
+        )
     return _verified(
         eigenvalues, eigenvectors, dense_residual(h.entries, eigenvalues, eigenvectors)
     )

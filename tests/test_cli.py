@@ -199,6 +199,18 @@ class TestConfigParser:
         assert cfg.parameters["band_1"] == [-1.0, -0.5, 0.0, 0.5, 1.0]
         assert cfg.parameters["band_2"] == [0.1, 0.2, 0.3]
 
+    def test_linspace_whose_steps_overflow_parses_without_warning(self):
+        # numpy overflows in arange·step, then sets the last entry to stop;
+        # every entry is finite, so the values are numpy's own
+        text = sweep_text("telegraph", "linspace(0.0, 1.7976931348623157e+308, 4)")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails
+            cfg = parse_config(text)
+        with np.errstate(all="ignore"):
+            expected = np.linspace(0.0, 1.7976931348623157e308, 4)
+        assert np.isfinite(expected).all()
+        assert np.array(cfg.sweep_axes["v_gw_2"]).tobytes() == expected.tobytes()
+
     def test_sweep_axis_satisfies_base_requirement(self):
         cfg = parse_config(
             "scenario = sweep\n[parameters]\nbase = chooser\n"
@@ -778,6 +790,57 @@ class TestCliRuns:
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1
             assert err[0].startswith(f"config error: [key '{key}'] the phases lambda*t overflow")
+        assert list(tmp_path.glob("run*")) == []
+
+    @pytest.mark.parametrize(
+        "values, key, message",
+        [
+            # max|lambda|·max|t| overflows on site 2: e^{-i lambda t} would be NaN
+            ({"e_g2": "-1.7976931348623157e+308", "v_gw_2": "5e-324"}, "e_g2",
+             "the phases lambda*t overflow"),
+            ({"eps_grav_1": "-1.7976931348623157e+308"}, "eps_grav_1",
+             "the phases lambda*t overflow"),
+            # finite entries, but eigh returns an inf eigenvalue
+            ({"e_w1": "1.7976931348623143e+308"}, "e_w1", "the eigenvalues overflow"),
+        ],
+    )
+    def test_telegraph_site_that_overflows_exits_2_naming_its_key(
+        self, tmp_path, capsys, values, key, message
+    ):
+        text = SHIPPED["telegraph"].read_text()
+        for k, v in values.items():
+            text, _ = set_key(text, "parameters", k, v)
+        cfg = self.write(tmp_path, text)
+        for args in ([cfg, "--out", str(tmp_path / "run")], [cfg, "--check"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a numpy RuntimeWarning fails
+                assert cli.main(args) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1
+            assert err[0].startswith(f"config error: [key '{key}'] {message}")
+        assert list(tmp_path.glob("run*")) == []
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("band_1", "linspace(-1.797e308, 1.797e308, 20)"),  # their span overflows
+            ("band_2", "linspace(-1e308, 1e308, 3)"),
+        ],
+    )
+    def test_linspace_with_entries_that_overflow_exits_2_naming_key(
+        self, tmp_path, capsys, key, value
+    ):
+        text, line = set_key(SHIPPED["telegraph"].read_text(), "parameters", key, value)
+        cfg = self.write(tmp_path, text)
+        for args in ([cfg, "--out", str(tmp_path / "run")], [cfg, "--check"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a numpy RuntimeWarning fails
+                assert cli.main(args) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1
+            assert err[0].startswith(
+                f"config error: [line {line}, key '{key}'] linspace entries must be finite"
+            )
         assert list(tmp_path.glob("run*")) == []
 
     @pytest.mark.parametrize("radii", ["1e60", "0.0, 1.0", "10.0, -1.0"])

@@ -45,6 +45,13 @@ BASELINES = {  # case -> (scenario, a valid config's values by key)
         "x_min": "-40.0", "x_max": "40.0", "n_points": "64", "packet_center": "0.0",
         "packet_width": "2.0", "dt": "0.02", "n_steps": "8", "sample_every": "2",
     }),
+    # both fields live and coupled, so draws reach both potentials' coefficients
+    "meanfield-coupled": ("meanfield", {
+        "x_min": "-40.0", "x_max": "40.0", "n_points": "64", "g_newton": "0.5",
+        "softening": "1.0", "packet_center": "-3.0", "packet_width": "2.0",
+        "zeta_center": "3.0", "zeta_width": "2.5", "dt": "0.02", "n_steps": "8",
+        "sample_every": "2",
+    }),
     "dimensional": ("dimensional", {}),
     "sweep-chooser": ("sweep", {
         "base": "chooser", "grid_cap": "16", "v": "1e-2", "u": "1e-3", "n_band": "32",

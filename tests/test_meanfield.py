@@ -275,36 +275,41 @@ class TestPotentials:
             )
 
 
-def reference_substep(field_values, potential, mass, dx, dt):
-    """Crank–Nicolson sub-step as a banded solve: the oracle for the stepper."""
+def reference_substep(field_values, coeffs, other, mass, dx, dt):
+    """Crank–Nicolson sub-step as a banded solve: the oracle for the stepper.
+
+    (1 + i dt/2 H) x = (1 - i dt/2 H) f is solved as (1 + i dt/2 H) y = 2f,
+    x = y - f, with H = -(1/2m) D2 + U and U = c0 + c1·|other|²
+    (``coeffs`` = (c0, c1)); the diagonal's imaginary part is
+    (dt/2)(2 kin + c0) + (dt/2) c1·|other|².
+    """
     n = len(field_values)
     kin = 1.0 / (2.0 * mass * dx * dx)
-    diag = 2.0 * kin + potential
-    off = -kin * np.ones(n - 1)
-    z = 0.5j * dt
+    c0, c1 = coeffs
+    half = 0.5 * dt
     ab = np.zeros((3, n), dtype=complex)
-    ab[0, 1:] = z * off
-    ab[1, :] = 1.0 + z * diag
-    ab[2, :-1] = z * off
-    rhs = (1.0 - z * diag) * field_values
-    rhs[:-1] -= z * off * field_values[1:]
-    rhs[1:] -= z * off * field_values[:-1]
-    return solve_banded((1, 1), ab, rhs)
+    ab[0, 1:] = ab[2, :-1] = 0.5j * dt * (-kin * np.ones(n - 1))
+    ab[1, :] = 1.0 + 1j * (half * (2.0 * kin + c0) + half * c1 * np.abs(other) ** 2)
+    return solve_banded((1, 1), ab, 2.0 * field_values) - field_values
 
 
 def reference_potentials(s):
-    """U_psi(|zeta|²) and U_zeta(|psi|²) written out from the module docstring."""
-    r_power = s.softened_r() ** (s.d_spatial - 2)
+    """(c0, c1) of U_psi = c0 + c1·|zeta|² and U_zeta = c0 + c1·|psi|²,
+    the module docstring's potentials gathered by powers of the density."""
+    grav = s.g_newton / s.softened_r() ** (s.d_spatial - 2)
+    c1 = 0.25 * grav - 0.5 * s.m
+    return {"psi": (-grav, c1), "zeta": (s.v_o, c1)}
 
-    def u_psi(zeta_abs2):
-        grav = -s.g_newton / r_power
-        return grav * (1.0 - 0.25 * zeta_abs2) - 0.5 * s.m * zeta_abs2
 
-    def u_zeta(psi_abs2):
-        grav = s.g_newton / r_power
-        return -0.5 * s.m * psi_abs2 + 0.25 * grav * psi_abs2 + s.v_o
+def reference_solver(s):
+    """``solve(field, f, other, dt)``: a reference sub-step of either field."""
+    coeffs = reference_potentials(s)
+    masses = {"psi": s.m, "zeta": s.m_g}
 
-    return u_psi, u_zeta
+    def solve(field, f, other, dt):
+        return reference_substep(f, coeffs[field], other, masses[field], s.dx, dt)
+
+    return solve
 
 
 def reference_step(s, dt):
@@ -313,16 +318,16 @@ def reference_step(s, dt):
     A field that is exactly zero stays zero, so the other field's potential
     is fixed and its one full step is the whole step.
     """
-    u_psi, u_zeta = reference_potentials(s)
+    solve = reference_solver(s)
     psi, zeta = s.psi, s.zeta
     if not zeta.any():
-        psi = reference_substep(psi, u_psi(np.abs(zeta) ** 2), s.m, s.dx, dt)
+        psi = solve("psi", psi, zeta, dt)
     elif not psi.any():
-        zeta = reference_substep(zeta, u_zeta(np.abs(psi) ** 2), s.m_g, s.dx, dt)
+        zeta = solve("zeta", zeta, psi, dt)
     else:
-        zeta = reference_substep(zeta, u_zeta(np.abs(psi) ** 2), s.m_g, s.dx, 0.5 * dt)
-        psi = reference_substep(psi, u_psi(np.abs(zeta) ** 2), s.m, s.dx, dt)
-        zeta = reference_substep(zeta, u_zeta(np.abs(psi) ** 2), s.m_g, s.dx, 0.5 * dt)
+        zeta = solve("zeta", zeta, psi, 0.5 * dt)
+        psi = solve("psi", psi, zeta, dt)
+        zeta = solve("zeta", zeta, psi, 0.5 * dt)
     return GridState(**{**vars(s), "psi": psi, "zeta": zeta})
 
 
@@ -334,25 +339,41 @@ def reference_samples(s, dt, n_steps, sample_every):
     by a half step that is not fed back. With a zero field the run is
     ``reference_step`` repeated.
     """
-    u_psi, u_zeta = reference_potentials(s)
+    solve = reference_solver(s)
     times, samples = [0.0], [s]
     coupled = s.psi.any() and s.zeta.any()
     psi, zeta, state = s.psi, s.zeta, s
     if coupled:
-        zeta = reference_substep(zeta, u_zeta(np.abs(psi) ** 2), s.m_g, s.dx, 0.5 * dt)
+        zeta = solve("zeta", zeta, psi, 0.5 * dt)
     for index in range(1, n_steps + 1):
         if coupled:
-            psi = reference_substep(psi, u_psi(np.abs(zeta) ** 2), s.m, s.dx, dt)
-            u = u_zeta(np.abs(psi) ** 2)
-            read = reference_substep(zeta, u, s.m_g, s.dx, 0.5 * dt)
+            psi = solve("psi", psi, zeta, dt)
+            read = solve("zeta", zeta, psi, 0.5 * dt)
             state = GridState(**{**vars(s), "psi": psi, "zeta": read})
-            zeta = reference_substep(zeta, u, s.m_g, s.dx, dt)
+            zeta = solve("zeta", zeta, psi, dt)
         else:
             state = reference_step(state, dt)
         if index % sample_every == 0 or index == n_steps:
             times.append(index * dt)
             samples.append(state)
     return times, samples
+
+
+def coupled_state(zero=()):
+    """Both fields live on 129 points, or exactly zero where ``zero`` names them."""
+    n, half_width = 129, 12.0
+    x = np.linspace(-half_width, half_width, n)
+    fields = {
+        "psi": gaussian_packet(x, -1.0, 1.0, momentum=0.7),
+        "zeta": 0.8 * gaussian_packet(x, 1.5, 1.3, momentum=-0.4),
+    }
+    for name in zero:
+        fields[name] = np.zeros(n, dtype=complex)
+    return GridState(
+        x_min=-half_width, x_max=half_width, n_points=n, **fields,
+        m=1.0, m_g=0.7, g_newton=0.4, d_spatial=3, softening=0.8,
+        v_o=0.05,
+    )
 
 
 ZERO_FIELDS = [(), ("zeta",), ("psi",), ("psi", "zeta")]
@@ -362,25 +383,10 @@ class TestReferenceStepper:
     """The stepper gives the bytes of the banded-solve reference above,
     also when a field is exactly zero and its solves are skipped."""
 
-    def make_state(self, zero=()):
-        n, half_width = 129, 12.0
-        x = np.linspace(-half_width, half_width, n)
-        fields = {
-            "psi": gaussian_packet(x, -1.0, 1.0, momentum=0.7),
-            "zeta": 0.8 * gaussian_packet(x, 1.5, 1.3, momentum=-0.4),
-        }
-        for name in zero:
-            fields[name] = np.zeros(n, dtype=complex)
-        return GridState(
-            x_min=-half_width, x_max=half_width, n_points=n, **fields,
-            m=1.0, m_g=0.7, g_newton=0.4, d_spatial=3, softening=0.8,
-            v_o=0.05,
-        )
-
     @pytest.mark.parametrize("zero", ZERO_FIELDS)
     @pytest.mark.parametrize("dt", [0.01, -0.01])
     def test_step_matches_reference_bytes(self, dt, zero):
-        s = self.make_state(zero)
+        s = coupled_state(zero)
         got, want = step(s, dt), reference_step(s, dt)
         assert got.psi.tobytes() == want.psi.tobytes()
         assert got.zeta.tobytes() == want.zeta.tobytes()
@@ -395,21 +401,21 @@ class TestReferenceStepper:
         def counting(kernel, field, dt):
             solve = substep(kernel, field, dt)
 
-            def counted(f, u):
+            def counted(f, other=None):
                 calls.append(field)
-                return solve(f, u)
+                return solve(f, other)
 
             return counted
 
         monkeypatch.setattr(meanfield._Kernel, "substep", counting)
-        s = self.make_state(zero)
+        s = coupled_state(zero)
         run(s, 0.01, 5)
         assert len(calls) == solves
         assert not set(calls) & set(zero)
 
     @pytest.mark.parametrize("zero", ZERO_FIELDS)
     def test_run_matches_reference_bytes(self, zero):
-        s = self.make_state(zero)
+        s = coupled_state(zero)
         dt, n_steps, sample_every = 0.01, 25, 6
         series = run(s, dt, n_steps, sample_every=sample_every)
         times, samples = reference_samples(s, dt, n_steps, sample_every)
@@ -426,11 +432,69 @@ class TestReferenceStepper:
             assert series.channels[name].tobytes() == np.array(values).tobytes(), name
 
     def test_potentials_and_hamiltonian_match_reference_bytes(self):
-        s = self.make_state()
-        u_psi, u_zeta = reference_potentials(s)
-        zeta_abs2, psi_abs2 = np.abs(s.zeta) ** 2, np.abs(s.psi) ** 2
-        for which, mass, u in (("psi", s.m, u_psi(zeta_abs2)), ("zeta", s.m_g, u_zeta(psi_abs2))):
+        s = coupled_state()
+        coeffs = reference_potentials(s)
+        for which, mass, other in (("psi", s.m, s.zeta), ("zeta", s.m_g, s.psi)):
+            c0, c1 = coeffs[which]
+            u = c0 + c1 * np.abs(other) ** 2
             kin = 1.0 / (2.0 * mass * s.dx * s.dx)
             off = np.full(s.n_points - 1, -kin)
             dense = np.diag(2.0 * kin + u) + np.diag(off, 1) + np.diag(off, -1)
             assert kinetic_hamiltonian(s, which).tobytes() == dense.tobytes()
+
+
+def docstring_potentials(s):
+    """U_psi(|zeta|²) and U_zeta(|psi|²) as the module docstring writes them."""
+    r_power = s.softened_r() ** (s.d_spatial - 2)
+    zeta_abs2, psi_abs2 = np.abs(s.zeta) ** 2, np.abs(s.psi) ** 2
+    u_psi = -(s.g_newton / r_power) * (1.0 - zeta_abs2 / 4) - (s.m / 2) * zeta_abs2
+    u_zeta = -(s.m / 2) * psi_abs2 + (s.g_newton / (4 * r_power)) * psi_abs2 + s.v_o
+    return {"psi": u_psi, "zeta": u_zeta}
+
+
+class TestCrankNicolsonRelation:
+    """The stepper against the scheme itself, by dense numpy algebra."""
+
+    EPS = np.finfo(float).eps
+
+    def scaled_hamiltonian(self, s, field, dt):
+        """S = (dt/2) H of ``field``'s equation, H = -(1/2m) D2 + U (dense)."""
+        mass = s.m if field == "psi" else s.m_g
+        kin = 1.0 / (2.0 * mass * s.dx * s.dx)
+        off = np.full(s.n_points - 1, -kin)
+        h = np.diag(2.0 * kin + docstring_potentials(s)[field]) + np.diag(off, 1) + np.diag(off, -1)
+        return 0.5 * dt * h
+
+    def residual(self, s, field, dt, before, after):
+        """‖(I + iS) after − (I − iS) before‖ over ‖before‖."""
+        a = 1j * self.scaled_hamiltonian(s, field, dt)
+        r = after + a @ after - (before - a @ before)
+        return np.linalg.norm(r) / np.linalg.norm(before)
+
+    @pytest.mark.parametrize("dt", [0.01, -0.01])
+    def test_coupled_step_solves_each_crank_nicolson_relation(self, dt):
+        # one step is zeta(0) -> zeta(dt/2) under |psi(0)|², psi(0) -> psi(dt)
+        # under |zeta(dt/2)|², zeta(dt/2) -> zeta(dt) under |psi(dt)|²; zeta(dt/2)
+        # is recovered from zeta(dt) by inverting the last relation densely
+        s = coupled_state()
+        got = step(s, dt)
+        with_psi1 = GridState(**{**vars(s), "psi": got.psi})
+        a = 1j * self.scaled_hamiltonian(with_psi1, "zeta", 0.5 * dt)
+        eye = np.eye(s.n_points)
+        zeta_mid = np.linalg.solve(eye - a, (eye + a) @ got.zeta)
+        with_zeta_mid = GridState(**{**vars(s), "zeta": zeta_mid})
+        checks = [
+            (s, "zeta", 0.5 * dt, s.zeta, zeta_mid),
+            (with_zeta_mid, "psi", dt, s.psi, got.psi),
+        ]
+        for state, field, sub_dt, before, after in checks:
+            assert self.residual(state, field, sub_dt, before, after) <= 8 * self.EPS, field
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3])
+    def test_affine_potentials_match_the_docstring(self, scale):
+        s = coupled_state()
+        s.psi, s.zeta = scale * s.psi, scale * s.zeta
+        kernel = meanfield._Kernel(s)
+        for field, want in docstring_potentials(s).items():
+            got = kernel.potential(field, s.zeta if field == "psi" else s.psi)
+            assert np.max(np.abs(got - want)) <= 4 * self.EPS * np.max(np.abs(want)), field
