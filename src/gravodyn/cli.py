@@ -102,17 +102,23 @@ def _evolve(part, dec, psi0, times, rows=None):
         raise ConfigError(str(exc), key=key) from None
 
 
+_NORM_ROWS = 128  # basis rows per ``evolve`` of ``--check``'s norm test
+
+
 def _check_parts(parts, sampling):
     """Check lines for the independent model parts a run solves (a chooser
     model, solved as a star; telegraph sites, each a dense block): the
     contracts ``diagonalize`` enforces, a star solve's dense residual
     against the chooser's matrix, and unitary norm conservation over the
-    run's time span."""
+    run's time span. The full state is evolved ``_NORM_ROWS`` basis rows at
+    a time: all rows at once would hold a complex dim × dim bracket."""
     for part in parts:
         dec = _diagonalize(part)  # a telegraph block: measures the dense residual
         if isinstance(part, ChooserParams):
             dense = build_chooser(part).entries
-            if not dense_residual(dense, dec.eigenvalues, dec.eigenvectors) <= RESIDUAL_TOL:
+            residual = dense_residual(dense, dec.eigenvalues, dec.eigenvectors)
+            del dense  # before the evolve below, whose peak it would add to
+            if not residual <= RESIDUAL_TOL:
                 raise ContractViolationError(
                     f"dense eigenpair residual exceeds {RESIDUAL_TOL:.0e}·‖H‖"
                 )
@@ -121,8 +127,12 @@ def _check_parts(parts, sampling):
             t_final = sampling["t_final"]
         psi0 = np.zeros(dec.dim, dtype=complex)
         psi0[0] = 1.0
-        states = _evolve(part, dec, psi0, np.linspace(0.0, t_final, 8))
-        norms = np.linalg.norm(states, axis=1)
+        times = np.linspace(0.0, t_final, 8)
+        squares = np.zeros(len(times))
+        for s in range(0, dec.dim, _NORM_ROWS):
+            states = _evolve(part, dec, psi0, times, rows=slice(s, s + _NORM_ROWS))
+            squares += np.sum(np.abs(states) ** 2, axis=1)
+        norms = np.sqrt(squares)
         if np.max(np.abs(norms - 1.0)) > NORM_TOL:
             raise ContractViolationError(f"norm not conserved to {NORM_TOL:.0e}")
     return [
@@ -135,21 +145,25 @@ def _check_parts(parts, sampling):
 def _part_bytes(part, n_times, dense=False):
     """Estimated peak bytes of solving one model part over ``n_times`` samples.
 
-    A chooser model (dim 3 + n_band) is solved as a star: 2 × 8·dim² for the
-    eigenvectors and the Gram matrix of the orthonormality check, and two
-    65-row blocks of workspace; ``dense`` (``--check``) adds the dense matrix
-    and its residual product. A telegraph site's block (dim 2·(1 + len(band)))
-    goes through dense ``eigh``: 4 × 8·dim² under tracemalloc, and 4.5–4.7 ×
-    8·dim² of resident growth with LAPACK's workspace, so 5 are counted. Both
-    add ``evolve``'s phase blocks (16·3·dim·B, B ≈ √(4·n_times)) and ~400
-    bytes per sample for the weights and the CSV.
+    A chooser model (dim 3 + n_band) is solved as a star: 8·dim² for the
+    eigenvectors, the one dim × dim array of the solve, two 65-row blocks of
+    workspace and its per-root arrays (counted as 25 rows more); the
+    orthonormality check's 128-row Gram block comes after them and is
+    smaller. ``dense`` (``--check``) adds the dense matrix with its 1-byte
+    Hermiticity mask, 9·dim², and the residual's two (dim × 128) blocks.
+    A telegraph site's block (dim 2·(1 + len(band))) goes through dense
+    ``eigh``: ~2.3 × 8·dim² under tracemalloc, and 4.4–4.7 × 8·dim² of
+    resident growth with LAPACK's workspace, so 5 are counted. Both add
+    ``evolve``'s phase blocks (16·3·dim·B, B ≈ √(4·n_times)) and ~400 bytes
+    per sample for the weights and the CSV.
     """
     if isinstance(part, ChooserParams):
-        dim, squares, work = 3 + part.n_band, 4 if dense else 2, 65
+        dim = 3 + part.n_band
+        entry, work = (17, 128) if dense else (8, 90)  # bytes per dim², rows of 16·dim
     else:
-        dim, squares, work = 2 * (1 + len(part.band)), 5, 0
+        dim, entry, work = 2 * (1 + len(part.band)), 40, 0
     fine = math.isqrt(4 * n_times - 1) + 1 if n_times else 1
-    return 8 * squares * dim * dim + 16 * dim * (work + 3 * fine) + 400 * n_times
+    return entry * dim * dim + 16 * dim * (work + 3 * fine) + 400 * n_times
 
 
 def _admit(part, key, n_times, dense=False):
@@ -182,7 +196,9 @@ def _chooser_params(p, sampling, dense=False):
 
 
 def _chooser_times(params: ChooserParams, sampling):
-    """Decay width gamma and the time grid; t_final = auto is 5/gamma."""
+    """Decay width gamma and the time grid; t_final = auto is 5/gamma. If
+    5/gamma overflows, the ConfigError names the factor of
+    1/gamma = delta/(pi*u^2) further from 1, ``delta`` or ``u``."""
     gamma = analytic.gamma_from(params.u, params.delta)
     t_final = sampling["t_final"]
     if gamma == 0.0:
@@ -193,6 +209,12 @@ def _chooser_times(params: ChooserParams, sampling):
         raise ConfigError("the decay width gamma = pi*u^2/delta overflows", key="u")
     if t_final is None:
         t_final = 5.0 / gamma
+        if not math.isfinite(t_final):  # before linspace: its steps would be NaN
+            large_delta = math.log(params.delta) >= -2.0 * math.log(abs(params.u))
+            raise ConfigError(
+                f"t_final = auto (5/gamma) overflows: gamma = pi*u^2/delta = {gamma:.3e}",
+                key="delta" if large_delta else "u",
+            )
     return gamma, np.linspace(0.0, t_final, sampling["n_times"])
 
 

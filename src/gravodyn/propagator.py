@@ -31,10 +31,11 @@ Each O(N²) kernel (a secular sweep's sums, the Löwner products, the
 eigenvector rows, the star residual) runs over blocks of ``_BLOCK`` roots
 in one small workspace allocated once per solve, and writes each block's
 eigenvector rows straight into the one dim × dim array of eigenvectors:
-the per-root bookkeeping stays vectorized over all roots, and the only
-other dim × dim array is the Gram matrix of the orthonormality check.
-Every ``SpectralDecomposition`` that ``diagonalize`` returns carries both
-measured margins.
+the per-root bookkeeping stays vectorized over all roots. The contract
+checks, for dense input too, form VᴴV and H·V − V·Λ by blocks of
+``_CHECK_BLOCK`` eigenvectors, so a star solve holds no dim × dim array
+but its eigenvectors (peak ~1.2 × 8·dim²). Every ``SpectralDecomposition``
+that ``diagonalize`` returns carries both measured margins.
 
 Everything is deterministic: there is no random number generator anywhere
 in this package, and repeated runs are bit-identical.
@@ -116,30 +117,49 @@ def _relative(column_residuals, eigenvalues):
 
 
 def dense_residual(entries, eigenvalues, eigenvectors) -> float:
-    """Worst eigenpair residual ‖H·v − λv‖ over ‖H‖ = max |λ|, from the dense H."""
+    """Worst eigenpair residual ‖H·v − λv‖ over ‖H‖ = max |λ|, from the dense H,
+    a block of ``_CHECK_BLOCK`` eigenvectors at a time: H·V is never formed whole."""
     # in units of a power of two near ‖H‖ (exact), so no square over- or underflows
     scale = math.ldexp(0.5, math.frexp(np.max(np.abs(eigenvalues), initial=0.0))[1])
-    residual = (entries @ eigenvectors - eigenvectors * eigenvalues) / scale
-    return _relative(np.linalg.norm(residual, axis=0), eigenvalues / scale)
+    norms = np.empty(len(eigenvalues))
+    for s, e in _blocks(len(eigenvalues), _CHECK_BLOCK):
+        vectors = eigenvectors[:, s:e]
+        residual = (entries @ vectors - vectors * eigenvalues[s:e]) / scale
+        norms[s:e] = np.linalg.norm(residual, axis=0)
+        del residual  # before the next block's product
+    return _relative(norms, eigenvalues / scale)
 
 
 def _verified(eigenvalues, eigenvectors, residual) -> SpectralDecomposition:
-    """The decomposition with its measured margins, once both contracts hold."""
+    """The decomposition with its measured margins, once both contracts hold.
+
+    The orthonormality defect max |VᴴV − 1| is taken over the Gram's upper
+    triangle, a block of ``_CHECK_BLOCK`` rows V[:, s:e]ᴴ·V[:, s:] at a time,
+    so no dim × dim Gram is formed.
+    """
     if not residual <= RESIDUAL_TOL:  # NaN fails too
         raise ContractViolationError(
             f"eigenpair residual {residual:.3e}·‖H‖ exceeds {RESIDUAL_TOL:.0e}·‖H‖"
         )
-    gram = eigenvectors.conj().T @ eigenvectors
-    gram[np.diag_indices_from(gram)] -= 1.0
-    if np.iscomplexobj(gram):
-        gram = np.abs(gram)
-    # max |G − 1|, for real G without a |G| copy; a NaN propagates
-    ortho_defect = float(np.maximum(gram.max(initial=0.0), 0.0 - gram.min(initial=0.0)))
+    blocks = _blocks(len(eigenvalues), _CHECK_BLOCK)
+    defects = [_gram_defect(eigenvectors, s, e) for s, e in blocks]
+    ortho_defect = float(np.max(defects, initial=0.0))  # a NaN propagates
     if not ortho_defect <= ORTHO_TOL:
         raise ContractViolationError(
             f"eigenbasis orthonormality defect {ortho_defect:.3e} exceeds {ORTHO_TOL:.0e}"
         )
     return SpectralDecomposition(eigenvalues, eigenvectors, residual, ortho_defect)
+
+
+def _gram_defect(vectors, s, e):
+    """max |G − 1| over rows s:e of the Gram's upper triangle, G = V[:, s:e]ᴴ·V[:, s:]."""
+    gram = vectors[:, s:e].conj().T @ vectors[:, s:]
+    diagonal = np.arange(e - s)
+    gram[diagonal, diagonal] -= 1.0
+    if np.iscomplexobj(gram):
+        gram = np.abs(gram)
+    # for real G without a |G| copy; a NaN propagates
+    return np.maximum(gram.max(), 0.0 - gram.min())
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +280,12 @@ def _deflate(poles, weights):
 
 
 _BLOCK = 64  # roots (or eigenvector rows) per block of the O(N²) kernels
+_CHECK_BLOCK = 2 * _BLOCK  # eigenvectors per block of the contract checks' products
 
 
-def _blocks(count):
-    """(start, stop) of consecutive blocks of at most ``_BLOCK`` rows."""
-    return ((s, min(s + _BLOCK, count)) for s in range(0, count, _BLOCK))
+def _blocks(count, size=_BLOCK):
+    """(start, stop) of consecutive blocks of at most ``size`` rows."""
+    return ((s, min(s + size, count)) for s in range(0, count, size))
 
 
 def _block(work, k, rows, cols):
@@ -463,16 +484,21 @@ def _lowner_weights(d, origins, tau, work):
     ẑ_j² = Π_i |d_j − λ_i| / Π_{k≠j} |d_j − d_k|. Each interior root λ_i
     is paired with its neighbouring pole on d_j's side (d_{i−1} when j ≥ i,
     d_i when j < i), so no partial product over- or underflows. The product
-    runs over the interior roots in order, a block of roots at a time.
+    runs over the interior roots in order, a block of roots at a time: the
+    poles left of the block's roots take d_i, those right of them d_{i−1},
+    and only the block's own triangle of poles needs both.
     """
     n = len(d)
     product = np.ones(n)
     for s, e in _blocks(n - 1):  # the interior roots s + 1 ... e
         ratio = _block(work, 1, e - s + 1, n)  # row 0 carries the product so far
         ratio[0] = product
-        np.subtract(d, d[s:e, np.newaxis], out=ratio[1:])  # d_j − d_{i−1}
-        below = np.arange(n) < np.arange(s + 1, e + 1)[:, np.newaxis]
-        np.subtract(d, d[s + 1:e + 1, np.newaxis], out=ratio[1:], where=below)  # d_j − d_i
+        np.subtract(d[: s + 1], d[s + 1:e + 1, np.newaxis], out=ratio[1:, : s + 1])  # d_j − d_i
+        np.subtract(d[e:], d[s:e, np.newaxis], out=ratio[1:, e:])  # d_j − d_{i−1}
+        triangle = ratio[1:, s + 1:e]  # j < i below its diagonal
+        np.subtract(d[s + 1:e], d[s:e, np.newaxis], out=triangle)
+        below = np.tri(e - s, e - s - 1, -1, dtype=bool)
+        np.subtract(d[s + 1:e], d[s + 1:e + 1, np.newaxis], out=triangle, where=below)
         diff = _differences(d, origins[s + 1:e + 1], tau[s + 1:e + 1], _block(work, 0, e - s, n))
         np.divide(diff, ratio[1:], out=ratio[1:])
         np.prod(ratio, axis=0, out=product)
@@ -483,15 +509,20 @@ def _lowner_weights(d, origins, tau, work):
 def _root_rows(d, weights, origins, tau, vectors, roots, columns, work):
     """Write each root's eigenvector into row ``roots[i]`` of ``vectors``:
     hub (column 2) −1 and leaves (``columns``) weights_j/(d_j − λ_i),
-    normalized, a block of roots at a time."""
+    normalized, a block of roots at a time. The leaves are written by runs
+    of consecutive columns, each as one slice."""
     n = len(d)
+    starts = [0, *(np.flatnonzero(np.diff(columns) != 1) + 1).tolist()]
+    runs = [(a, b, columns[a]) for a, b in zip(starts, [*starts[1:], n]) if a < b]
     for s, e in _blocks(len(tau)):
         diff = _differences(d, origins[s:e], tau[s:e], _block(work, 0, e - s, n))
         leaves = np.divide(weights, diff, out=diff)
         norm = 1.0 / np.sqrt(1.0 + np.einsum("ij,ij->i", leaves, leaves))
-        vectors[roots[s:e], 2] = -norm
+        rows = roots[s:e]
+        vectors[rows, 2] = -norm
         leaves *= norm[:, np.newaxis]
-        vectors[np.ix_(roots[s:e], columns)] = leaves
+        for a, b, c in runs:
+            vectors[rows, c:c + b - a] = leaves[:, a:b]
 
 
 def _positive_root(b, s):

@@ -793,6 +793,35 @@ class TestCliRuns:
         assert list(tmp_path.glob("run*")) == []
 
     @pytest.mark.parametrize(
+        "name, values, key",
+        [
+            # 1/gamma = delta/(pi*u^2) overflows through delta
+            ("chooser_demo.cfg", {"delta": "1.1295239091784514e+302"}, "delta"),
+            ("sweep_decay.cfg", {"delta": "1.1295239091784514e+302"}, "delta"),
+            # ... and through u, whose square is subnormal
+            ("chooser_demo.cfg", {"u": "1e-155", "delta": "1.0"}, "u"),
+            ("sweep_decay.cfg", {"sweep_u": "1e-3, 1e-155"}, "u"),
+        ],
+    )
+    def test_chooser_auto_t_final_that_overflows_exits_2_naming_key(
+        self, tmp_path, capsys, name, values, key
+    ):
+        text = (EXAMPLES / name).read_text()
+        text = re.sub(r"(?m)^n_band = \d+", "n_band = 32", text)
+        text = re.sub(r"(?m)^n_times = \d+", "n_times = 64", text)
+        for k, v in values.items():
+            text, _ = set_key(text, "parameters", k, v)
+        cfg = self.write(tmp_path, text)
+        for args in ([cfg, "--out", str(tmp_path / "run")], [cfg, "--check"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # linspace's RuntimeWarning fails
+                assert cli.main(args) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1
+            assert err[0].startswith(f"config error: [key '{key}'] t_final = auto (5/gamma)")
+        assert list(tmp_path.glob("run*")) == []
+
+    @pytest.mark.parametrize(
         "values, key, message",
         [
             # max|lambda|·max|t| overflows on site 2: e^{-i lambda t} would be NaN
@@ -924,8 +953,9 @@ class TestCliRuns:
     @pytest.mark.parametrize("name", ["chooser_demo.cfg", "sweep_decay.cfg"])
     @pytest.mark.parametrize("n_band", [20000, 10000000])
     def test_chooser_memory_cap_exits_4_before_allocating(self, tmp_path, capsys, name, n_band):
-        # a solve of 3 + n_band states would hold two dim × dim arrays: ~6.4 GB
-        # at 20 000 and ~1.6 PB at 10 000 000, refused before anything is built
+        # a solve of 3 + n_band states would hold its dim × dim eigenvectors:
+        # ~3.2 GB at 20 000 and ~800 TB at 10 000 000, refused before anything
+        # is built
         text = (EXAMPLES / name).read_text()
         text, count = re.subn(r"(?m)^n_band = .*$", f"n_band = {n_band}", text)
         assert count == 1
@@ -990,11 +1020,15 @@ class TestCliRuns:
 
     @pytest.mark.parametrize("dense", [False, True])
     def test_telegraph_memory_estimate_bounds_the_measured_peak(self, tmp_path, dense):
-        # a 500-level band: site 1's block of 1 002 states, where 8·dim² dominates
+        # a 500-level band: site 1's block of 1 002 states, where 8·dim² dominates.
+        # Most of it is dense eigh's LAPACK workspace, which is resident but
+        # not traced: the traced peak is ~2.3 × 8·dim², the resident growth of
+        # a fresh process ~4.6 ×, so the resident growth bounds it from below
         text = (EXAMPLES / "telegraph_switching.cfg").read_text()
         text, count = re.subn(r"(?m)^band_1 = .*$", "band_1 = linspace(-1.0, 1.0, 500)", text)
         assert count == 1
-        cfg = load_config(self.write(tmp_path, text))
+        path = self.write(tmp_path, text)
+        cfg = load_config(path)
         site, _ = cli.telegraph_params_from(cfg.parameters, cfg.sampling)
         estimate = cli._part_bytes(site, cfg.sampling["n_times"], dense)
         tracemalloc.start()
@@ -1006,7 +1040,30 @@ class TestCliRuns:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert 0.5 * estimate < peak <= estimate
+        assert peak <= estimate
+        solve = "cli._check(cfg)" if dense else "cli.run_scenario(cfg, out_prefix=sys.argv[2])"
+        # the process's own high-water mark (VmHWM): ru_maxrss would start
+        # from this test process's, which fork passes on
+        code = (
+            "import re, sys, numpy as np\n"
+            "from gravodyn import cli\n"
+            "from gravodyn.config import load_config\n"
+            "def resident():\n"
+            "    status = open('/proc/self/status').read()\n"
+            "    return int(re.search(r'VmHWM:\\s*(\\d+) kB', status)[1])\n"
+            "cfg = load_config(sys.argv[1])\n"
+            "np.linalg.eigh(np.eye(64))  # BLAS and LAPACK set up\n"
+            "before = resident()\n"
+            f"{solve}\n"
+            "print(1024 * (resident() - before))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-c", code, path, str(tmp_path / "run")],
+            env=env, capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert 0.5 * estimate < int(result.stdout) <= estimate
 
     def test_linspace_count_over_cap_exits_4_before_allocating(self, tmp_path, capsys):
         # 1e12 entries are ~8 TB: the count must be refused before linspace runs

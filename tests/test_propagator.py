@@ -363,7 +363,7 @@ class TestStar:
         assert np.max(np.abs(heads - dense_heads)) <= 1e-12
         assert np.max(np.abs(rest - dense_rest)) <= 1e-12
 
-    def test_solve_holds_no_dim_squared_array_but_vectors_and_gram(self):
+    def test_solve_holds_no_dim_squared_array_but_the_eigenvectors(self):
         p = ChooserParams(v=0.0, w=0.0, n_band=1024, delta=0.02, u=1e-3)
         diagonalize(p)  # warm up: lazy imports and caches are not the solve's
         tracemalloc.start()
@@ -372,14 +372,119 @@ class TestStar:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.2 * d.eigenvectors.nbytes  # 8·dim²
+        # measured 1.235: the eigenvectors, then the workspace or a Gram block
+        assert peak <= 1.3 * d.eigenvectors.nbytes  # 8·dim²
 
     @pytest.mark.parametrize("dtype", [float, complex])
-    def test_eigenvectors_holding_a_nan_fail_the_orthonormality_contract(self, dtype):
-        vectors = np.eye(5, dtype=dtype)
-        vectors[3, 1] = np.nan
+    def test_dense_checks_hold_a_few_column_blocks(self, dtype):
+        dim = 5 * propagator._CHECK_BLOCK
+        h = random_symmetric(dim, seed=3) if dtype is float else random_hermitian(dim, seed=3)
+        eigenvalues, eigenvectors = np.linalg.eigh(h)
+        tracemalloc.start()
+        try:
+            residual = propagator.dense_residual(h, eigenvalues, eigenvectors)
+            propagator._verified(eigenvalues, eigenvectors, residual)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # measured 2.2 blocks of (dim × _CHECK_BLOCK); whole, H·V and VᴴV are 5 each
+        assert peak <= 3 * eigenvectors.itemsize * dim * propagator._CHECK_BLOCK
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("dim", [5, 3 * propagator._CHECK_BLOCK + 5])
+    def test_eigenvectors_holding_a_nan_fail_the_orthonormality_contract(self, dtype, dim):
+        # at dim > 3 blocks, in the last block of Gram rows (and the column
+        # of every block before it): no block's NaN may be dropped
+        vectors = np.eye(dim, dtype=dtype)
+        vectors[3, dim - 4] = np.nan
         with pytest.raises(ContractViolationError, match="orthonormality defect nan"):
-            propagator._verified(np.arange(5.0), vectors, 0.0)
+            propagator._verified(np.arange(float(dim)), vectors, 0.0)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("first", [127, 382])
+    def test_a_non_orthogonal_pair_fails_across_and_inside_blocks(self, dtype, first):
+        # columns 127 and 128 straddle the first two blocks of Gram rows;
+        # 382 and 383 are the last block's
+        assert propagator._CHECK_BLOCK == 128
+        dim = 3 * propagator._CHECK_BLOCK
+        s = 1e-6
+        vectors = np.eye(dim, dtype=dtype)
+        vectors[first, first + 1] = s * (1j if dtype is complex else 1.0)
+        vectors[first + 1, first + 1] = math.sqrt(1.0 - s * s)
+        with pytest.raises(ContractViolationError, match="orthonormality defect 1.000e-06"):
+            propagator._verified(np.arange(float(dim)), vectors, 0.0)
+
+    # the parent's kernels, kept as byte references: an np.ix_ scatter of the
+    # rows and a full pass, then a masked pass, over each block of ratios
+    @staticmethod
+    def _scatter_root_rows(d, weights, origins, tau, vectors, roots, columns, work):
+        n = len(d)
+        for s, e in propagator._blocks(len(tau)):
+            block = propagator._block(work, 0, e - s, n)
+            diff = propagator._differences(d, origins[s:e], tau[s:e], block)
+            leaves = np.divide(weights, diff, out=diff)
+            norm = 1.0 / np.sqrt(1.0 + np.einsum("ij,ij->i", leaves, leaves))
+            vectors[roots[s:e], 2] = -norm
+            leaves *= norm[:, np.newaxis]
+            vectors[np.ix_(roots[s:e], columns)] = leaves
+
+    @staticmethod
+    def _masked_lowner_weights(d, origins, tau, work):
+        n = len(d)
+        product = np.ones(n)
+        for s, e in propagator._blocks(n - 1):
+            ratio = propagator._block(work, 1, e - s + 1, n)
+            ratio[0] = product
+            np.subtract(d, d[s:e, np.newaxis], out=ratio[1:])
+            below = np.arange(n) < np.arange(s + 1, e + 1)[:, np.newaxis]
+            np.subtract(d, d[s + 1:e + 1, np.newaxis], out=ratio[1:], where=below)
+            diff = propagator._differences(
+                d, origins[s + 1:e + 1], tau[s + 1:e + 1], propagator._block(work, 0, e - s, n)
+            )
+            np.divide(diff, ratio[1:], out=ratio[1:])
+            np.prod(ratio, axis=0, out=product)
+        ends = propagator._differences(d, origins[[0, n]], tau[[0, n]], np.empty((2, n)))
+        return np.sqrt(np.abs(product * ends[0] * ends[1]))
+
+    @pytest.mark.parametrize(
+        "p, columns",
+        [
+            # ±v one ulp off the 3rd and 62nd of 64 levels: both levels deflated
+            (ChooserParams(v=math.nextafter(float(np.linspace(-0.5, 0.5, 64)[61]), 1.0),
+                           w=0.3, n_band=64, delta=1.0, u=0.5), "gaps"),
+            # ±v inside the band: the pair's columns 0 and 1 sit among the band's
+            (ChooserParams(v=0.13, w=0.5, n_band=300, delta=2.0, u=0.3, alpha=-0.2), "permuted"),
+            # every leaf deflated (alpha at the float limit): no leaf column
+            (ChooserParams(v=0.0, w=0.0, n_band=32, delta=1.0, u=1e-3,
+                           alpha=-1.7976931348623157e308), "empty"),
+        ],
+    )
+    def test_row_writes_and_lowner_weights_match_their_references_bytewise(
+        self, monkeypatch, p, columns
+    ):
+        seen = []
+        root_rows, lowner_weights = propagator._root_rows, propagator._lowner_weights
+
+        def checked_rows(d, weights, origins, tau, vectors, roots, cols, work):
+            reference = vectors.copy()
+            self._scatter_root_rows(d, weights, origins, tau, reference, roots, cols, work.copy())
+            root_rows(d, weights, origins, tau, vectors, roots, cols, work)
+            assert vectors.tobytes() == reference.tobytes()
+            seen.append(cols)
+
+        def checked_weights(d, origins, tau, work):
+            reference = self._masked_lowner_weights(d, origins, tau, work.copy())
+            weights = lowner_weights(d, origins, tau, work)
+            assert weights.tobytes() == reference.tobytes()
+            return weights
+
+        monkeypatch.setattr(propagator, "_root_rows", checked_rows)
+        monkeypatch.setattr(propagator, "_lowner_weights", checked_weights)
+        diagonalize(p)
+        (cols,) = seen
+        steps = np.diff(cols)
+        cases = {"gaps": np.any(steps > 1), "permuted": np.any(steps < 0), "empty": not cols.size}
+        assert cases[columns]
 
     def test_dense_margins_are_kept(self):
         d = diagonalize(random_hermitian(12, seed=5))
