@@ -127,7 +127,7 @@ def _check_parts(parts, sampling):
             t_final = sampling["t_final"]
         psi0 = np.zeros(dec.dim, dtype=complex)
         psi0[0] = 1.0
-        times = np.linspace(0.0, t_final, 8)
+        times = _time_grid(t_final, 8)
         squares = np.zeros(len(times))
         for s in range(0, dec.dim, _NORM_ROWS):
             states = _evolve(part, dec, psi0, times, rows=slice(s, s + _NORM_ROWS))
@@ -149,21 +149,26 @@ def _part_bytes(part, n_times, dense=False):
     eigenvectors, the one dim × dim array of the solve, two 65-row blocks of
     workspace and its per-root arrays (counted as 25 rows more); the
     orthonormality check's 128-row Gram block comes after them and is
-    smaller. ``dense`` (``--check``) adds the dense matrix with its 1-byte
-    Hermiticity mask, 9·dim², and the residual's two (dim × 128) blocks.
-    A telegraph site's block (dim 2·(1 + len(band))) goes through dense
-    ``eigh``: ~2.3 × 8·dim² under tracemalloc, and 4.4–4.7 × 8·dim² of
-    resident growth with LAPACK's workspace, so 5 are counted. Both add
-    ``evolve``'s phase blocks (16·3·dim·B, B ≈ √(4·n_times)) and ~400 bytes
-    per sample for the weights and the CSV.
+    smaller. ``dense`` (``--check``) adds the dense matrix, 8·dim², and the
+    residual's two (dim × 128) blocks with the small arrays around them
+    (counted as 136 rows); the Hermiticity check's 128-row blocks are
+    smaller. A telegraph site's block (dim 2·(1 + len(band))) goes through
+    dense ``eigh``: ~2.3 × 8·dim² under tracemalloc, and 4.4–4.7 × 8·dim² of
+    resident growth with LAPACK's workspace, so 5 are counted.
+
+    ``evolve``'s phase blocks (16·3·dim·B, B ≈ √(4·n_times)) come after the
+    solve in a run, which keeps only the eigenvector rows it reads
+    (``_head_weights``), and on top of the eigenvectors in ``--check``.
+    ~400 bytes per sample are added for the weights and the CSV.
     """
     if isinstance(part, ChooserParams):
         dim = 3 + part.n_band
-        entry, work = (17, 128) if dense else (8, 90)  # bytes per dim², rows of 16·dim
+        entry, work = (16, 136) if dense else (8, 90)  # bytes per dim², rows of 16·dim
     else:
         dim, entry, work = 2 * (1 + len(part.band)), 40, 0
     fine = math.isqrt(4 * n_times - 1) + 1 if n_times else 1
-    return entry * dim * dim + 16 * dim * (work + 3 * fine) + 400 * n_times
+    solve, phases = entry * dim * dim + 16 * dim * work, 16 * dim * 3 * fine
+    return (solve + phases if dense else max(solve, phases)) + 400 * n_times
 
 
 def _admit(part, key, n_times, dense=False):
@@ -175,6 +180,22 @@ def _admit(part, key, n_times, dense=False):
             f"{DEFAULT_MEMORY_CAP} bytes"
         )
     return part
+
+
+def _time_grid(t_final, n_times):
+    """The sample times ``np.linspace(0, t_final, n_times)``, or a ConfigError
+    naming ``t_final`` if they overflow on the way: linspace's last product
+    (n − 1)·(t_final/(n − 1)) rounds up to inf for a t_final within rounding
+    of the float limit (numpy warns, and ``evolve`` would refuse the grid
+    naming no key)."""
+    steps = max(n_times - 1, 1)
+    if not math.isfinite(t_final / steps * steps):
+        raise ConfigError(
+            f"the time grid overflows: t_final = {t_final!r} is within rounding "
+            "of the float limit",
+            key="t_final",
+        )
+    return np.linspace(0.0, t_final, n_times)
 
 
 # ---------------------------------------------------------------------------
@@ -198,10 +219,13 @@ def _chooser_params(p, sampling, dense=False):
 def _chooser_times(params: ChooserParams, sampling):
     """Decay width gamma and the time grid; t_final = auto is 5/gamma. If
     5/gamma overflows, the ConfigError names the factor of
-    1/gamma = delta/(pi*u^2) further from 1, ``delta`` or ``u``."""
+    1/gamma = delta/(pi*u^2) further from 1, ``delta`` or ``u``; if gamma
+    underflows to 0 for u != 0, it names ``u``."""
     gamma = analytic.gamma_from(params.u, params.delta)
     t_final = sampling["t_final"]
     if gamma == 0.0:
+        if params.u != 0.0:
+            raise ConfigError("the decay width gamma = pi*u^2/delta underflows to 0", key="u")
         if t_final is None:
             raise ConfigError("t_final = auto needs u != 0", key="t_final")
         raise ConfigError("the time windows in units of 1/gamma need u != 0", key="u")
@@ -215,7 +239,7 @@ def _chooser_times(params: ChooserParams, sampling):
                 f"t_final = auto (5/gamma) overflows: gamma = pi*u^2/delta = {gamma:.3e}",
                 key="delta" if large_delta else "u",
             )
-    return gamma, np.linspace(0.0, t_final, sampling["n_times"])
+    return gamma, _time_grid(t_final, sampling["n_times"])
 
 
 def _report_grid(params: ChooserParams, sampling):
@@ -255,8 +279,13 @@ def _fit_grid(params: ChooserParams, sampling):
 def _head_weights(model, psi0, times, heads):
     """Weights of the basis rows ``heads`` (rows: times), and the rest of the
     conserved norm, ‖ψ0‖² − Σ heads, which the other rows hold. ``model``
-    is anything ``diagonalize`` takes."""
-    weights = np.abs(_evolve(model, _diagonalize(model), psi0, times, rows=heads)) ** 2
+    is anything ``diagonalize`` takes, and ψ0 lies on ``heads`` (``evolve``
+    refuses ψ0[heads] otherwise): only the eigenvalues and the head rows of
+    the eigenvectors are kept, so the full eigenvectors are freed before
+    ``evolve`` forms its phase blocks."""
+    dec = _diagonalize(model)
+    dec.eigenvectors = dec.eigenvectors[heads]  # a copy: the full rows go
+    weights = np.abs(_evolve(model, dec, psi0[heads], times)) ** 2
     return weights, np.vdot(psi0, psi0).real - weights.sum(axis=1)
 
 
@@ -414,7 +443,7 @@ def switching_count(channel_1, channel_2):
 
 
 def _run_telegraph(p, sampling, prefix: Path):
-    times = np.linspace(0.0, sampling["t_final"], sampling["n_times"])
+    times = _time_grid(sampling["t_final"], sampling["n_times"])
     channels = telegraph_channels(telegraph_params_from(p, sampling), p["weight_site1"], times)
     csv_text = _csv(
         ["t", "w_band_site1", "w_band_site2", "w_loc_site1", "w_loc_site2"],
@@ -428,7 +457,7 @@ def _check_telegraph(p, sampling):
 
 
 def _solve_telegraph(site, sampling):
-    return _evolve_site(site, np.linspace(0.0, sampling["t_final"], sampling["n_times"]))
+    return _evolve_site(site, _time_grid(sampling["t_final"], sampling["n_times"]))
 
 
 def _point_telegraph(p, solutions):

@@ -102,6 +102,19 @@ def _real_if_exact(entries):
     return np.ascontiguousarray(entries.real, dtype=float)
 
 
+_ROWS = 128  # rows per block of the exact-Hermiticity comparison
+
+
+def _hermitian(entries):
+    """Whether a square ``entries`` equals its conjugate transpose exactly,
+    compared ``_ROWS`` rows at a time, so no dim × dim mask (nor a complex
+    conjugate copy) is formed: a NaN anywhere fails, +0 and −0 compare equal."""
+    return all(
+        np.array_equal(entries[s:s + _ROWS], entries[:, s:s + _ROWS].conj().T)
+        for s in range(0, len(entries), _ROWS)
+    )
+
+
 @dataclass
 class HamiltonianMatrix:
     """Dense Hermitian matrix, the one place exact Hermiticity is checked.
@@ -117,7 +130,7 @@ class HamiltonianMatrix:
         self.entries = _real_if_exact(self.entries)
         if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
             raise ContractViolationError("matrix must be square")
-        if not np.array_equal(self.entries, self.entries.conj().T):
+        if not _hermitian(self.entries):
             raise ContractViolationError("matrix is not Hermitian entrywise")
         self.entries.flags.writeable = False
 

@@ -636,6 +636,12 @@ def evolve(d: SpectralDecomposition, psi0, times, rows=None) -> np.ndarray:
     weight on ``rows``. The states are complex also when the eigenvectors
     are real.
 
+    ``d`` may also carry a subset of a decomposition's eigenvector rows
+    (rows × dim, with all its eigenvalues), with Ψ(0) given on those rows:
+    that is exact when Ψ(0) lies on them, for ⟨v_k|Ψ(0)⟩ then sums over
+    them alone, and the norm check of Ψ(0) on them refuses any state that
+    does not. The other rows of the eigenvectors need not be kept.
+
     The phases are factored: with k = a·B + b,
     Ψ_r(t₀+kh) = Σ_k [V_rk·⟨v_k|Ψ(0)⟩·e^{−iλ_k(t₀+aBh)}]·e^{−iλ_k·bh}. The
     brackets for every row r and coarse step a form one (rows·⌈n/B⌉ × dim)

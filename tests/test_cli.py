@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from ladder_oracle import ladder_reference, occupied
 
 from gravodyn import cli, config, models
 from gravodyn.config import load_config, parse_config
-from gravodyn.errors import ConfigError
+from gravodyn.errors import ConfigError, ContractViolationError
 from gravodyn.models import ChooserParams, TelegraphSite
 from gravodyn.propagator import diagonalize, evolve
 
@@ -822,6 +823,63 @@ class TestCliRuns:
         assert list(tmp_path.glob("run*")) == []
 
     @pytest.mark.parametrize(
+        "path, values",
+        [
+            (EXAMPLES / "chooser_demo.cfg", {"v": "0.0", "w": "1e-5", "n_band": "32"}),
+            (EXAMPLES / "sweep_decay.cfg", {"n_band": "32"}),
+            (EXAMPLES / "telegraph_switching.cfg", {}),
+            (BENCH_CONFIGS / "telegraph_sweep.cfg", {}),
+        ],
+    )
+    def test_t_final_at_the_float_limit_exits_2_naming_it(self, tmp_path, capsys, path, values):
+        # the grid's last product (n_times - 1)·h rounds up to inf, so the
+        # grid is refused before linspace, which would warn
+        text = path.read_text()
+        for k, v in values.items():
+            text, _ = set_key(text, "parameters", k, v)
+        if values:
+            text, _ = set_key(text, "sampling", "n_times", "64")
+        text, _ = set_key(text, "sampling", "t_final", "1.7976931348623157e+308")
+        cfg = self.write(tmp_path, text)
+        for args in ([cfg, "--out", str(tmp_path / "run")], [cfg, "--check"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a numpy RuntimeWarning fails
+                assert cli.main(args) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1
+            assert err[0].startswith("config error: [key 't_final'] the time grid overflows")
+        assert list(tmp_path.glob("run*")) == []
+
+    @pytest.mark.parametrize(
+        "name, values, key, message",
+        [
+            # u != 0, but pi*u^2/delta underflows to 0
+            ("chooser_demo.cfg", {"u": "1e-310"}, "u", "the decay width gamma"),
+            ("chooser_demo.cfg", {"u": "1e-310", "delta": "0.02"}, "u", "the decay width gamma"),
+            ("sweep_decay.cfg", {"sweep_u": "1e-3, 1e-310"}, "u", "the decay width gamma"),
+            # u = 0: t_final = auto is what cannot be formed
+            ("chooser_demo.cfg", {"u": "0.0", "delta": "0.02"}, "t_final",
+             "t_final = auto needs u != 0"),
+        ],
+    )
+    def test_chooser_gamma_of_zero_names_its_cause(
+        self, tmp_path, capsys, name, values, key, message
+    ):
+        text = (EXAMPLES / name).read_text()
+        text = re.sub(r"(?m)^n_band = \d+", "n_band = 32", text)
+        for k, v in values.items():
+            text, _ = set_key(text, "parameters", k, v)
+        cfg = self.write(tmp_path, text)
+        for args in ([cfg, "--out", str(tmp_path / "run")], [cfg, "--check"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a numpy RuntimeWarning fails
+                assert cli.main(args) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1
+            assert err[0].startswith(f"config error: [key '{key}'] {message}")
+        assert list(tmp_path.glob("run*")) == []
+
+    @pytest.mark.parametrize(
         "values, key, message",
         [
             # max|lambda|·max|t| overflows on site 2: e^{-i lambda t} would be NaN
@@ -1197,9 +1255,41 @@ def test_head_weights_match_a_full_evolve_reduction(tmp_path, monkeypatch, name)
     cli.run_scenario(load_config(EXAMPLES / name), out_prefix=tmp_path / "run")
     assert len(calls) == (1 if name.startswith("chooser") else 2)  # telegraph: two sites
     for ham, psi0, times, heads, (weights, rest) in calls:
-        full = np.abs(evolve(diagonalize(ham), psi0, times)) ** 2
+        dec = diagonalize(ham)
+        # the head rows alone (chooser_demo: v and w both nonzero, so psi0
+        # lies on Q0 and Kproj) against every row of the full decomposition
+        rows = np.abs(evolve(dec, psi0, times, rows=heads)) ** 2
+        assert np.max(np.abs(weights - rows)) <= 1e-14
+        full = np.abs(evolve(dec, psi0, times)) ** 2
         assert np.max(np.abs(weights - full[:, heads])) <= 1e-14
         assert np.max(np.abs(rest - np.delete(full, heads, axis=1).sum(axis=1))) <= 1e-14
+
+
+def test_head_weights_refuse_a_state_off_the_heads():
+    # only the head rows are evolved, so psi0 must lie on them: the norm of
+    # psi0[heads] is checked
+    p = ChooserParams(v=0.3, w=0.2, n_band=8, delta=1.0, u=0.4)
+    psi0 = np.zeros(3 + p.n_band, dtype=complex)
+    psi0[[2, 5]] = 0.6, 0.8
+    with pytest.raises(ContractViolationError, match="initial state norm"):
+        cli._head_weights(p, psi0, np.linspace(0.0, 1.0, 4), [0, 1, 2])
+
+
+def test_a_chooser_point_frees_its_eigenvectors_before_evolve():
+    # the first point of sweep_decay.cfg, dim 1027: the evolve that follows
+    # the solve holds only V's three head rows, so the solve sets the peak
+    cfg = load_config(EXAMPLES / "sweep_decay.cfg")
+    (params,) = cli._grid(cfg)[2][0]
+    cli._solve_chooser(replace(params, n_band=16), cfg.sampling)  # lazy imports, caches
+    tracemalloc.start()
+    try:
+        cli._solve_chooser(params, cfg.sampling)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    dim = 3 + params.n_band
+    # measured 1.165; with V kept through evolve's phase blocks, 1.54
+    assert peak <= 1.2 * 8 * dim * dim
 
 
 def test_chooser_runs_never_form_the_dense_matrix(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 """Tests for Hamiltonian assembly."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from ladder_oracle import ladder_reference, occupied
 
+from gravodyn import models
 from gravodyn.errors import ContractViolationError
 from gravodyn.models import (
     ChooserParams,
@@ -143,6 +145,57 @@ class TestHamiltonianMatrix:
         a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         h = HamiltonianMatrix(a + a.conj().T)
         assert h.entries.dtype == np.complex128
+
+    @staticmethod
+    def hermitian(dim, dtype, seed=7):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(dim, dim)).astype(dtype)
+        if dtype is complex:
+            a += 1j * rng.normal(size=(dim, dim))
+        return a + a.conj().T
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_rejects_a_nan_in_the_last_row_block(self, dtype):
+        # the rows are compared a block at a time: the last, partial block counts too
+        dim = 3 * models._ROWS + 5
+        entries = self.hermitian(dim, dtype)
+        entries[dim - 2, dim - 2] = np.nan  # its own mirror: only the NaN is wrong
+        with pytest.raises(ContractViolationError, match="not Hermitian"):
+            HamiltonianMatrix(entries)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_rejects_a_pair_that_straddles_two_row_blocks(self, dtype):
+        dim = 2 * models._ROWS + 3
+        entries = self.hermitian(dim, dtype)
+        i, j = models._ROWS - 1, models._ROWS  # the last row of block 0, the first of block 1
+        entries[i, j] = 0.5 + (0.5j if dtype is complex else 0.0)
+        entries[j, i] = entries[i, j] + (0.0 if dtype is complex else 1e-16)  # not conjugated
+        with pytest.raises(ContractViolationError, match="not Hermitian"):
+            HamiltonianMatrix(entries)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_signed_zeros_across_row_blocks_compare_equal(self, dtype):
+        dim = 2 * models._ROWS + 3
+        entries = self.hermitian(dim, dtype)
+        i, j = 1, 2 * models._ROWS + 1
+        entries[i, j], entries[j, i] = 0.0, -0.0
+        assert np.array_equal(HamiltonianMatrix(entries).entries, entries)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_hermiticity_check_forms_no_dim_squared_mask(self, dtype):
+        dim = 8 * models._ROWS
+        entries = self.hermitian(dim, dtype)
+        tracemalloc.start()
+        try:
+            HamiltonianMatrix(entries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # per entry of one row block: its 1-byte mask and, for complex entries,
+        # its conjugate copy (measured 1.5 and 18.0 bytes); compared whole,
+        # the mask alone is dim² bytes
+        copy = entries.itemsize if dtype is complex else 0
+        assert peak <= (copy + 3) * models._ROWS * dim
 
 
 energies = st.floats(-10, 10)
