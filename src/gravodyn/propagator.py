@@ -664,7 +664,9 @@ def evolve(d: SpectralDecomposition, psi0, times, rows=None) -> np.ndarray:
     coarse = -(-n // (math.isqrt(n * (len(vectors) + 1) - 1) + 1)) if n else 0
     fine = -(-n // coarse) if n else 1  # B
     rate = -1j * d.eigenvalues
-    starts = np.exp(np.outer(t0 + fine * h * np.arange(coarse), rate))
+    # one coarse step starts at t₀ alone, and then B·h = n·h may overflow
+    coarse_step = fine * h if coarse > 1 else 0.0
+    starts = np.exp(np.outer(t0 + coarse_step * np.arange(coarse), rate))
     starts *= _product(d.eigenvectors.conj().T, psi0[:, np.newaxis]).T  # ⟨v_k|Ψ(0)⟩
     bracket = (vectors[:, np.newaxis, :] * starts).reshape(-1, d.dim)
     steps = np.exp(np.outer(rate, h * np.arange(fine)))

@@ -850,6 +850,28 @@ class TestCliRuns:
             assert err[0].startswith("config error: [key 't_final'] the time grid overflows")
         assert list(tmp_path.glob("run*")) == []
 
+    def test_one_coarse_step_near_the_float_limit_runs_clean(self, tmp_path, capsys):
+        # --check evolves 8 times in one coarse step of B = 8 > n - 1 fine
+        # steps; B·h overflows although every time is finite
+        text = (EXAMPLES / "chooser_demo.cfg").read_text()
+        for k, v in {"v": "0.0", "n_band": "32"}.items():
+            text, _ = set_key(text, "parameters", k, v)
+        text, _ = set_key(text, "sampling", "n_times", "64")
+        text, _ = set_key(text, "sampling", "t_final", "1.5729814930045264e+308")
+        cfg = self.write(tmp_path, text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails
+            assert cli.main([cfg, "--check"]) == 0
+            assert capsys.readouterr().out.splitlines() == [
+                "check: exact Hermiticity ok",
+                "check: spectral decomposition residuals ok",
+                "check: unitary norm conservation ok",
+            ]
+            assert cli.main([cfg, "--out", str(tmp_path / "run")]) == 0
+        rows = (tmp_path / "run.csv").read_text().splitlines()[1:]
+        assert len(rows) == 64
+        assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+
     @pytest.mark.parametrize(
         "name, values, key, message",
         [

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import solve_banded
 
 from gravodyn import meanfield
@@ -359,12 +360,12 @@ def reference_samples(s, dt, n_steps, sample_every):
     return times, samples
 
 
-def coupled_state(zero=()):
-    """Both fields live on 129 points, or exactly zero where ``zero`` names them."""
-    n, half_width = 129, 12.0
+def coupled_state(zero=(), n=129, half_width=12.0, psi_center=-1.0):
+    """Both fields live and g ≠ 0, on 129 points unless given, or exactly
+    zero where ``zero`` names them."""
     x = np.linspace(-half_width, half_width, n)
     fields = {
-        "psi": gaussian_packet(x, -1.0, 1.0, momentum=0.7),
+        "psi": gaussian_packet(x, psi_center, 1.0, momentum=0.7),
         "zeta": 0.8 * gaussian_packet(x, 1.5, 1.3, momentum=-0.4),
     }
     for name in zero:
@@ -441,6 +442,122 @@ class TestReferenceStepper:
             off = np.full(s.n_points - 1, -kin)
             dense = np.diag(2.0 * kin + u) + np.diag(off, 1) + np.diag(off, -1)
             assert kinetic_hamiltonian(s, which).tobytes() == dense.tobytes()
+
+
+EPS = np.finfo(float).eps
+
+
+def window_budget(tau):
+    """Per-solve distance from a full-grid solve, relative to max|f|: the
+    window's 17·tau (``_Kernel.substep``) plus 8 eps of rounding, the
+    residual ``TestCrankNicolsonRelation`` holds each sub-step to."""
+    return 17.0 * tau + 8.0 * EPS
+
+
+@pytest.fixture
+def solved_lengths(monkeypatch):
+    """The length of every tridiagonal system solved by a stepper built
+    from now on."""
+    lengths = []
+    real = scipy.linalg.get_lapack_funcs
+
+    def counting(names, arrays):
+        gtsv, = real(names, arrays)
+
+        def counted(dl, d, du, b, **kwargs):
+            lengths.append(len(d))
+            return gtsv(dl, d, du, b, **kwargs)
+
+        return (counted,)
+
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", counting)
+    return lengths
+
+
+class TestSupportWindow:
+    """Each solve runs on its field's support window, against the full-grid
+    banded-solve reference."""
+
+    @pytest.mark.parametrize("psi_center, n_steps", [(-1.0, 400), (-52.0, 40)])
+    def test_a_coupled_run_matches_the_full_grid_reference(
+        self, solved_lengths, psi_center, n_steps
+    ):
+        # a grid much wider than the packets; psi at -52 reaches the left
+        # edge, so its windows start there
+        s = coupled_state(n=1201, half_width=60.0, psi_center=psi_center)
+        dt, sample_every = 0.005, n_steps // 8
+        states, solves = [(s.psi, s.zeta)], [0]
+        for _, psi, zeta in meanfield.stepper(s, dt)(s.psi, s.zeta, n_steps, sample_every):
+            states.append((psi, zeta))
+            solves.append(len(solved_lengths))
+        assert max(solved_lengths) < s.n_points  # no solve took the full grid
+        _, samples = reference_samples(s, dt, n_steps, sample_every)
+        top = max(np.max(np.abs(f)) for pair in states for f in pair)
+        for (psi, zeta), want, count in zip(states, samples, solves):
+            bound = count * window_budget(meanfield.TAU) * top  # unitary steps add up
+            assert np.max(np.abs(psi - want.psi)) <= bound
+            assert np.max(np.abs(zeta - want.zeta)) <= bound
+
+    def test_each_solve_is_within_the_bound_at_a_raised_tau(self, monkeypatch):
+        # at TAU = 1e-8 the window's error shows above rounding; a box has its
+        # full height at the support's edge, so only the margin holds the leak
+        tau = 1e-8
+        monkeypatch.setattr(meanfield, "TAU", tau)
+        s = coupled_state(n=601, half_width=30.0)
+        box = np.where(np.abs(s.x) <= 3.0, np.exp(0.7j * s.x), 0.0)
+        support = np.flatnonzero(box)
+        kernel, reference = meanfield._Kernel(s), reference_solver(s)
+        for field, other in (("psi", s.zeta), ("zeta", s.psi), ("psi", None)):
+            mass = s.m if field == "psi" else s.m_g
+            for dt in (0.005, 0.0025):
+                rho = dt / (2.0 * mass * s.dx * s.dx)
+                margin = math.ceil(math.log(tau) / math.log(rho))
+                got = kernel.substep(field, dt)(box, other)
+                want = reference(field, box, 0.0 * box if other is None else other, dt)
+                assert np.max(np.abs(got - want)) <= window_budget(tau), (field, dt)
+                solved = np.flatnonzero(got)  # exactly 0 outside the window
+                assert solved[0] >= support[0] - margin and solved[-1] <= support[-1] + margin
+
+    def test_packets_across_the_grid_get_the_full_grid_solve(self, solved_lengths):
+        s = coupled_state()  # both supports reach both edges of ±12
+        run(s, 0.01, 5)
+        assert solved_lengths == [s.n_points] * 15
+
+    def test_a_meanfield_grid_like_run_solves_under_half_the_grid(self, solved_lengths):
+        # perfbench's meanfield_grid config, for 20 of its 2000 steps
+        n, half_width = 2801, 70.0
+        x = np.linspace(-half_width, half_width, n)
+        s = GridState(
+            x_min=-half_width, x_max=half_width, n_points=n,
+            psi=gaussian_packet(x, -5.0, 1.0, momentum=0.5),
+            zeta=gaussian_packet(x, 5.0, 1.5, momentum=-0.5),
+            m=1.0, m_g=1.0, g_newton=0.5, d_spatial=3, softening=1.0,
+        )
+        run(s, 6e-4, 20, sample_every=10)
+        assert len(solved_lengths) == 2 * 20 + 2
+        assert max(solved_lengths) < n // 2
+
+    # psi at -1 is f; its window ends near x = 16 at dt = 0.005, so index 315
+    # (x = 1.5, zeta's center) is inside it and index 550 (x = 25) outside
+    @pytest.mark.parametrize("where, index, value", [
+        ("f", 290, np.inf), ("f", 290, np.nan),
+        ("other", 315, np.inf), ("other", 315, np.nan),
+        ("other", 550, np.inf), ("other", 550, np.nan),
+        ("other", 550, 1e200),  # finite, but |other|² overflows
+    ])
+    def test_a_non_finite_solve_is_refused_inside_or_outside_the_window(
+        self, where, index, value
+    ):
+        s = coupled_state(n=601, half_width=30.0)
+        solve = meanfield._Kernel(s).substep("psi", 0.005)
+        clean = solve(s.psi, s.zeta)
+        assert clean[315] != 0 and clean[550] == 0  # inside and outside the window
+        f, other = s.psi.copy(), s.zeta.copy()
+        (f if where == "f" else other)[index] = value
+        with np.errstate(all="ignore"), pytest.raises(
+            ValueError, match="Crank–Nicolson diagonal or right-hand side is not finite"
+        ):
+            solve(f, other)
 
 
 def docstring_potentials(s):
