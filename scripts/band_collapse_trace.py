@@ -33,7 +33,7 @@ from gravodyn.analytic import (
     zero_state_coeffs,
 )
 from gravodyn.models import ChooserParams
-from gravodyn.propagator import diagonalize, evolve
+from gravodyn.propagator import SpectralDecomposition, diagonalize, evolve
 
 
 def main():
@@ -49,7 +49,8 @@ def main():
     psi0 = np.zeros(3 + n_band, dtype=complex)
     psi0[0], psi0[1], psi0[2] = zero_state_coeffs(v, w)
     # only the head rows Q0, R0, Kproj; the band holds the rest of the norm
-    weights = np.abs(evolve(dec, psi0, times, rows=[0, 1, 2])) ** 2
+    heads = SpectralDecomposition(dec.eigenvalues, dec.eigenvectors[:3])
+    weights = np.abs(evolve(heads, psi0[:3], times)) ** 2
     w_band = np.vdot(psi0, psi0).real - weights.sum(axis=1)
     analytic = band_weight(times, u, w, gamma)
     finite = finite_band_weight(times, u, v, w, delta)

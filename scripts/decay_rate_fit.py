@@ -11,7 +11,7 @@ import numpy as np
 
 from gravodyn.analytic import gamma_from
 from gravodyn.models import ChooserParams
-from gravodyn.propagator import diagonalize, evolve
+from gravodyn.propagator import SpectralDecomposition, diagonalize, evolve
 
 
 def fitted_rate(u, delta, n_band):
@@ -21,7 +21,9 @@ def fitted_rate(u, delta, n_band):
     psi0 = np.zeros(3 + n_band, dtype=complex)
     psi0[2] = 1.0
     times = np.linspace(0.5 / gamma, 2.5 / gamma, 400)
-    weight = np.abs(evolve(dec, psi0, times, rows=[2])[:, 0]) ** 2
+    # only the Kproj row, on which psi0 lies
+    kproj = SpectralDecomposition(dec.eigenvalues, dec.eigenvectors[[2]])
+    weight = np.abs(evolve(kproj, psi0[[2]], times)[:, 0]) ** 2
     slope, _ = np.polyfit(times, np.log(weight), 1)
     return -slope, gamma
 

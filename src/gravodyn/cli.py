@@ -37,7 +37,9 @@ from .errors import (
 )
 from .gravonon import SiteBasis, build_omega
 from .models import ChooserParams, TelegraphSite, build_chooser
-from .propagator import NORM_TOL, RESIDUAL_TOL, dense_residual, diagonalize, evolve
+from .propagator import (
+    NORM_TOL, RESIDUAL_TOL, SpectralDecomposition, dense_residual, diagonalize, evolve,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -82,37 +84,35 @@ def _largest_key(part):
 
 
 def _diagonalize(part):
-    """``diagonalize`` of a model part; if its eigenvalues overflow, the
-    ConfigError names the part's largest energy key."""
+    """``diagonalize`` of a model part; if its entries or eigenvalues
+    overflow, the ConfigError names the part's largest energy key."""
     try:
         return diagonalize(part)
-    except ConfigError as exc:  # only eigenvalues that overflow raise it
+    except ConfigError as exc:  # only entries or eigenvalues that overflow raise it
         raise ConfigError(str(exc), key=_largest_key(part)) from None
 
 
-def _evolve(part, dec, psi0, times, rows=None):
+def _evolve(part, dec, psi0, times):
     """``evolve`` of ``dec``, the decomposition of ``part``. If its phases
     λ·t overflow, the ConfigError names ``t_final`` when the times are the
     larger factor, else the part's largest energy key."""
     try:
-        return evolve(dec, psi0, times, rows=rows)
+        return evolve(dec, psi0, times)
     except ConfigError as exc:  # only the phase bound raises it
         times_larger = times[-1] > np.max(np.abs(dec.eigenvalues))
         key = "t_final" if times_larger else _largest_key(part)
         raise ConfigError(str(exc), key=key) from None
 
 
-_NORM_ROWS = 128  # basis rows per ``evolve`` of ``--check``'s norm test
-
-
 def _check_parts(parts, sampling):
     """Check lines for the independent model parts a run solves (a chooser
-    model, solved as a star; telegraph sites, each a dense block): the
+    model, solved as a star; telegraph sites, each a dense block), each
+    admitted first for this extra work (``_part_bytes``, ``dense``): the
     contracts ``diagonalize`` enforces, a star solve's dense residual
-    against the chooser's matrix, and unitary norm conservation over the
-    run's time span. The full state is evolved ``_NORM_ROWS`` basis rows at
-    a time: all rows at once would hold a complex dim × dim bracket."""
+    against the chooser's matrix, and unitary norm conservation of the full
+    state the run evolves, over the run's time span."""
     for part in parts:
+        _admit(part, sampling["n_times"], dense=True)
         dec = _diagonalize(part)  # a telegraph block: measures the dense residual
         if isinstance(part, ChooserParams):
             dense = build_chooser(part).entries
@@ -125,14 +125,8 @@ def _check_parts(parts, sampling):
             t_final = _chooser_times(part, sampling)[1][-1]
         else:
             t_final = sampling["t_final"]
-        psi0 = np.zeros(dec.dim, dtype=complex)
-        psi0[0] = 1.0
-        times = _time_grid(t_final, 8)
-        squares = np.zeros(len(times))
-        for s in range(0, dec.dim, _NORM_ROWS):
-            states = _evolve(part, dec, psi0, times, rows=slice(s, s + _NORM_ROWS))
-            squares += np.sum(np.abs(states) ** 2, axis=1)
-        norms = np.sqrt(squares)
+        states = _evolve(part, dec, _initial_state(part), _time_grid(t_final, 8))
+        norms = np.sqrt(np.sum(np.abs(states) ** 2, axis=1))
         if np.max(np.abs(norms - 1.0)) > NORM_TOL:
             raise ContractViolationError(f"norm not conserved to {NORM_TOL:.0e}")
     return [
@@ -171,10 +165,11 @@ def _part_bytes(part, n_times, dense=False):
     return (solve + phases if dense else max(solve, phases)) + 400 * n_times
 
 
-def _admit(part, key, n_times, dense=False):
-    """``part``, or a SizeLimitError naming ``key`` if its estimate is over the cap."""
+def _admit(part, n_times, dense=False):
+    """``part``, or a SizeLimitError naming its size key if it is over the cap."""
     need = _part_bytes(part, n_times, dense)
     if need > DEFAULT_MEMORY_CAP:
+        key = "n_band" if isinstance(part, ChooserParams) else part.keys[4]
         raise SizeLimitError(
             f"[key '{key}'] estimated memory of {need} bytes exceeds cap of "
             f"{DEFAULT_MEMORY_CAP} bytes"
@@ -202,9 +197,8 @@ def _time_grid(t_final, n_times):
 # chooser
 
 
-def _chooser_params(p, sampling, dense=False):
-    """The chooser model of a config, admitted for a run (``dense``: for
-    ``--check``) before anything is built."""
+def _chooser_params(p, sampling):
+    """The chooser model of a config, admitted for a run before anything is built."""
     delta = p["delta"]
     if delta is None:
         _, delta = analytic.self_consistent_width(p["u"])
@@ -213,13 +207,17 @@ def _chooser_params(p, sampling, dense=False):
     params = ChooserParams(
         v=p["v"], w=p["w"], n_band=p["n_band"], delta=delta, u=p["u"], alpha=p["alpha"]
     )
-    return _admit(params, "n_band", sampling["n_times"], dense)
+    return _admit(params, sampling["n_times"])
+
+
+def _width_key(params: ChooserParams):
+    """``delta`` or ``u``: the factor of 1/gamma = delta/(pi*u^2) further from 1."""
+    return "delta" if abs(math.log(params.delta)) >= abs(2.0 * math.log(abs(params.u))) else "u"
 
 
 def _chooser_times(params: ChooserParams, sampling):
     """Decay width gamma and the time grid; t_final = auto is 5/gamma. If
-    5/gamma overflows, the ConfigError names the factor of
-    1/gamma = delta/(pi*u^2) further from 1, ``delta`` or ``u``; if gamma
+    5/gamma overflows, the ConfigError names ``_width_key``; if gamma
     underflows to 0 for u != 0, it names ``u``."""
     gamma = analytic.gamma_from(params.u, params.delta)
     t_final = sampling["t_final"]
@@ -234,10 +232,9 @@ def _chooser_times(params: ChooserParams, sampling):
     if t_final is None:
         t_final = 5.0 / gamma
         if not math.isfinite(t_final):  # before linspace: its steps would be NaN
-            large_delta = math.log(params.delta) >= -2.0 * math.log(abs(params.u))
             raise ConfigError(
                 f"t_final = auto (5/gamma) overflows: gamma = pi*u^2/delta = {gamma:.3e}",
-                key="delta" if large_delta else "u",
+                key=_width_key(params),
             )
     return gamma, _time_grid(t_final, sampling["n_times"])
 
@@ -264,14 +261,25 @@ def _report_grid(params: ChooserParams, sampling):
 
 def _fit_grid(params: ChooserParams, sampling):
     """Time grid and decay-rate fit window [0.5/gamma, 2.5/gamma] of a
-    chooser sweep point, once the window holds 2 samples. A sweep's run and
-    its ``--check`` both call this."""
+    chooser sweep point, once the window holds 2 samples whose times the
+    fit can square. ``np.polyfit`` scales them by √Σt², so each t² must be
+    a normal float, t ≥ √(2.2e-308) = 1.5e-154, and n·max(t)² at most the
+    float limit 1.8e308; otherwise the ConfigError names ``_width_key``. A
+    sweep's run and its ``--check`` both call this."""
     gamma, times = _chooser_times(params, sampling)
     fit_window = (times >= 0.5 / gamma) & (times <= 2.5 / gamma)
     if np.count_nonzero(fit_window) < 2:
         raise ConfigError(
             "the decay-rate fit needs 2 samples in [0.5/gamma, 2.5/gamma]",
             key="n_times",
+        )
+    fit_times = times[fit_window]
+    first, last = float(fit_times[0]), float(fit_times[-1])
+    if not (first * first >= sys.float_info.min and len(fit_times) * last * last < math.inf):
+        raise ConfigError(
+            f"the decay-rate fit's times {first:.3e} to {last:.3e} cannot be squared "
+            "as normal floats",
+            key=_width_key(params),
         )
     return times, fit_window
 
@@ -284,24 +292,33 @@ def _head_weights(model, psi0, times, heads):
     the eigenvectors are kept, so the full eigenvectors are freed before
     ``evolve`` forms its phase blocks."""
     dec = _diagonalize(model)
-    dec.eigenvectors = dec.eigenvectors[heads]  # a copy: the full rows go
+    dec = SpectralDecomposition(dec.eigenvalues, dec.eigenvectors[heads])  # the full rows go
     weights = np.abs(_evolve(model, dec, psi0[heads], times)) ** 2
     return weights, np.vdot(psi0, psi0).real - weights.sum(axis=1)
+
+
+def _initial_state(part):
+    """The state a run evolves a model part from: a chooser's zero state,
+    or a telegraph site's warp resonance with its local mode occupied."""
+    if isinstance(part, ChooserParams):
+        psi0 = np.zeros(3 + part.n_band, dtype=complex)
+        if part.v == 0.0 and part.w == 0.0:
+            # w = 0 limit of the zero eigenvector: all weight on the projected
+            # band state; lets decay-rate studies start from a pure resonance.
+            psi0[2] = 1.0
+        else:
+            psi0[0], psi0[1], psi0[2] = analytic.zero_state_coeffs(part.v, part.w)
+        return psi0
+    n_grav = 1 + len(part.band)  # basis: (w, g) times (band..., local)
+    psi0 = np.zeros(2 * n_grav)
+    psi0[n_grav - 1] = 1.0
+    return psi0
 
 
 def _chooser_weights(params: ChooserParams, times):
     """|Q0>, |R0>, |Kproj> weights (rows: times) from the zero state, and
     w_band; the model is solved as a star, never as a dense matrix."""
-    psi0 = np.zeros(3 + params.n_band, dtype=complex)
-    if params.v == 0.0 and params.w == 0.0:
-        # w = 0 limit of the zero eigenvector: all weight on the projected
-        # band state; lets decay-rate studies start from a pure resonance.
-        psi0[2] = 1.0
-    else:
-        psi0[0], psi0[1], psi0[2] = analytic.zero_state_coeffs(
-            params.v, params.w
-        )
-    return _head_weights(params, psi0, times, [0, 1, 2])
+    return _head_weights(params, _initial_state(params), times, [0, 1, 2])
 
 
 def _run_chooser(p, sampling, prefix: Path):
@@ -334,7 +351,7 @@ def _run_chooser(p, sampling, prefix: Path):
 
 def _check_chooser(p, sampling):
     """Check lines for the star solve a run uses; first its report grid."""
-    params = _chooser_params(p, sampling, dense=True)
+    params = _chooser_params(p, sampling)
     _report_grid(params, sampling)
     return _check_parts([params], sampling)
 
@@ -345,13 +362,14 @@ _NO_KPROJ = (
 )
 
 
-def _chooser_part(p, sampling, dense):
+def _chooser_part(p, sampling):
     """A chooser sweep point's one part, its whole model, once its fit
     window holds the samples the solve needs and its zero state reaches
-    |Kproj>: with v = 0 and w != 0 it lies wholly on the uncoupled |Q0>."""
-    params = _chooser_params(p, sampling, dense)
+    |Kproj>: its weight there, (v/r)² for w != 0, must not underflow to 0
+    (with v = 0 and w != 0 it lies wholly on the uncoupled |Q0>)."""
+    params = _chooser_params(p, sampling)
     _fit_grid(params, sampling)
-    if params.v == 0.0 and params.w != 0.0:
+    if abs(_initial_state(params)[2]) ** 2 == 0.0:
         raise ContractViolationError(_NO_KPROJ)
     return (params,)
 
@@ -389,7 +407,7 @@ def telegraph_params_from(p, sampling):
             site = TelegraphSite(*(p[key] for key in keys), keys=keys)
         except ValueError as exc:  # only the band is checked
             raise ConfigError(str(exc), key=keys[4]) from None
-        sites.append(_admit(site, keys[4], sampling["n_times"]))
+        sites.append(_admit(site, sampling["n_times"]))
     return tuple(sites)
 
 
@@ -397,9 +415,7 @@ def _evolve_site(site: TelegraphSite, times):
     """Band and local-mode weights (P, L) of one site evolved alone from its
     warp resonance and local mode."""
     n_grav = 1 + len(site.band)  # basis: (w, g) times (band..., local)
-    psi0 = np.zeros(2 * n_grav)
-    psi0[n_grav - 1] = 1.0
-    local, band = _head_weights(site, psi0, times, [n_grav - 1, 2 * n_grav - 1])
+    local, band = _head_weights(site, _initial_state(site), times, [n_grav - 1, 2 * n_grav - 1])
     return band, local.sum(axis=1)
 
 
@@ -567,7 +583,10 @@ def _run_meanfield(p, sampling, prefix: Path):
 
 
 def _check_meanfield(p, sampling):
-    meanfield.stepper(_grid_state(p), sampling["dt"])  # checks dt and the profiles
+    """Check line for dt, the profiles and the run's first step (if any)."""
+    state = _grid_state(p)
+    march = meanfield.stepper(state, sampling["dt"])
+    list(march(state.psi, state.zeta, min(sampling["n_steps"], 1)))
     return ["check: step-size stability bound ok"]
 
 
@@ -602,7 +621,7 @@ class _Scenario(NamedTuple):
     check: Callable  # (parameters, sampling) -> check lines
     # sweep bases: points that share an independent part of their model share
     # its solve; building a point's parts runs every check its solve would
-    parts: Callable | None = None  # (parameters, sampling, dense) -> hashable parts
+    parts: Callable | None = None  # (parameters, sampling) -> hashable parts
     solve: Callable | None = None  # (part, sampling) -> solution
     point: Callable | None = None  # (parameters, its parts' solutions) -> row statistics
 
@@ -614,8 +633,7 @@ _SCENARIOS = {
     ),
     "telegraph": _Scenario(
         _run_telegraph, _check_telegraph,
-        lambda p, sampling, dense: telegraph_params_from(p, sampling),
-        _solve_telegraph, _point_telegraph,
+        telegraph_params_from, _solve_telegraph, _point_telegraph,
     ),
     "gravonon-modes": _Scenario(_run_gravonon_modes, _check_gravonon_modes),
     "meanfield": _Scenario(_run_meanfield, _check_meanfield),
@@ -627,15 +645,15 @@ _SCENARIOS = {
 # sweep
 
 
-def _grid(cfg: ScenarioConfig, dense=False):
+def _grid(cfg: ScenarioConfig):
     """Axis names, each grid point's parameters in a fixed order, and each
-    point's parts, admitted for a run (``dense``: for ``--check``). A
-    sweep's run and its ``--check`` both call this.
+    point's parts, admitted for a run. A sweep's run and its ``--check``
+    both call this.
 
     A point's parameters are the sweep's fixed keys with that point's axis
     values on top. ``grid_cap`` is checked on the axis lengths before any
-    point is built, and building every point's parts checks every point as
-    its solve would, so ``--check`` rejects each grid the run rejects.
+    point is built, and building a point's parts runs every check that
+    precedes its solve; ``--check`` then solves the first point's parts only.
     """
     names = sorted(cfg.sweep_axes)
     size = math.prod(len(cfg.sweep_axes[name]) for name in names)
@@ -647,7 +665,7 @@ def _grid(cfg: ScenarioConfig, dense=False):
     combos = itertools.product(*(cfg.sweep_axes[name] for name in names))
     points = [{**cfg.parameters, **dict(zip(names, c))} for c in combos]
     base = _SCENARIOS[cfg.parameters["base"]]
-    return names, points, [base.parts(p, cfg.sampling, dense) for p in points]
+    return names, points, [base.parts(p, cfg.sampling) for p in points]
 
 
 def _run_sweep(cfg: ScenarioConfig, prefix: Path, threads: int):
@@ -682,7 +700,7 @@ def _check(cfg: ScenarioConfig):
     """Invariant suite on the configured model (a sweep: every point's
     parameters and time window, then the model at its first point)."""
     if cfg.scenario == "sweep":
-        parts = _grid(cfg, dense=True)[2]
+        parts = _grid(cfg)[2]
         if not parts:
             return ["check: sweep grid is empty, nothing to check"]
         return _check_parts(parts[0], cfg.sampling)

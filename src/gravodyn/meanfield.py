@@ -187,8 +187,10 @@ class _Kernel:
         dx = s.dx
         # H = -(1/2m) D2 + U; D2 f = (f[i-1] - 2 f[i] + f[i+1]) / dx^2
         self.bands = {}  # field -> (2 kin, off-diagonal)
-        for field, mass in (("psi", s.m), ("zeta", s.m_g)):
+        for field, key, mass in (("psi", "m", s.m), ("zeta", "m_g", s.m_g)):
             kin = 1.0 / (2.0 * mass * dx * dx)
+            if not math.isfinite(kin):
+                raise ConfigError(f"the kinetic scale 1/(2 {key} dx^2) overflows", key=key)
             self.bands[field] = (2.0 * kin, -kin * np.ones(s.n_points - 1))
 
     def potential(self, field, other):
@@ -214,7 +216,8 @@ class _Kernel:
         The bound: I + iS = D + E with |d_j| ≥ 1 (Re d_j = 1) and
         ‖D⁻¹E‖∞ ≤ ρ, so a Neumann series gives
         |((I + iS)⁻¹)_ij| ≤ ρ^|i−j| / (1 − ρ), and the same on W alone;
-        ``check_stability`` keeps ρ ≤ 1/2. Off W every point is at least
+        ``check_stability`` keeps ρ ≤ 1/2, so zoff is finite (``_Kernel``
+        refuses a kinetic scale that is not). Off W every point is at least
         m + 1 points from T, and |f| ≤ TAU·M off T, so the full-grid y has
         |y_j| ≤ 2·TAU·M·(1 + 2ρ)/(1 − ρ)² ≤ 16·TAU·M there (ρ^m ≤ TAU), and
         its x_j = y_j − f_j is within 17·TAU·M of 0. On W the two solves
@@ -228,8 +231,6 @@ class _Kernel:
         two_kin, off = self.bands[field]
         z = 0.5j * dt
         zoff = z * off
-        if not np.isfinite(zoff).all():
-            raise ValueError("Crank–Nicolson off-diagonal is not finite")
         from scipy.linalg import get_lapack_funcs  # only grid runs pay its import
         gtsv, = get_lapack_funcs(("gtsv",), (zoff,))
         c0, c1 = self.coeffs[field]
@@ -295,7 +296,7 @@ class _Kernel:
 def check_stability(s: GridState, dt):
     """Documented step-size heuristic: dt must not exceed dx² · min(m, m_g)."""
     bound = s.dx * s.dx * min(s.m, s.m_g)
-    if dt > bound:
+    if not dt <= bound:  # a NaN dt fails too
         raise ContractViolationError(
             f"time step {dt:.3e} exceeds the stability heuristic "
             f"dx²·min(m, m_g) = {bound:.3e}"
@@ -310,8 +311,8 @@ def stepper(s: GridState, dt):
     sample_every=1)``, a generator of ``(index, psi, zeta)`` after every
     ``sample_every``-th step and after the last, with zeta read at the
     sample time (see the module docstring). Coupled, n steps with k
-    samples make 2n + k solves; with one field zero, n. ``--check`` builds
-    it too, so it fails where a run would.
+    samples make 2n + k solves; with one field zero, n. ``--check`` takes
+    a run's first step through it, so it fails where that step would.
     """
     if dt == 0:
         raise ConfigError("dt must be nonzero", key="dt")

@@ -27,7 +27,7 @@ from itertools import pairwise
 
 import numpy as np
 
-from .errors import ContractViolationError
+from .errors import ConfigError, ContractViolationError
 
 
 @dataclass(frozen=True)
@@ -122,6 +122,8 @@ class HamiltonianMatrix:
     ``entries`` are stored, frozen, as float64 when their imaginary part is
     exactly zero everywhere (a real-symmetric matrix) and as complex
     otherwise; the exact-Hermiticity check runs in that stored arithmetic.
+    An infinite entry (a sum of energy scales that overflowed) is then a
+    ConfigError, found by the same row blocks.
     """
 
     entries: np.ndarray
@@ -130,8 +132,11 @@ class HamiltonianMatrix:
         self.entries = _real_if_exact(self.entries)
         if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
             raise ContractViolationError("matrix must be square")
-        if not _hermitian(self.entries):
+        if not _hermitian(self.entries):  # a NaN fails here
             raise ContractViolationError("matrix is not Hermitian entrywise")
+        blocks = range(0, self.dim, _ROWS)
+        if not all(np.isfinite(self.entries[s:s + _ROWS]).all() for s in blocks):
+            raise ConfigError("a matrix entry is not finite: its energy scales overflow")
         self.entries.flags.writeable = False
 
     @property
@@ -182,9 +187,10 @@ def build_telegraph(site: TelegraphSite) -> HamiltonianMatrix:
     # h[a, b, a', b'] = <a b|H|a' b'>; accumulating into zeros keeps every
     # element the sum the ladder-operator expansion gives, signed zeros too
     h = np.zeros((2, n, 2, n))
-    h[[0, 1], :, [0, 1], :] += np.diag([*site.band[::-1], site.eps_grav])
-    grav = np.arange(n)
-    h[:, grav, :, grav] += h_matter
-    h[0, -1, 0, :-1] += site.v_gw  # the local mode is last
-    h[0, :-1, 0, -1] += site.v_gw
+    with np.errstate(over="ignore"):  # HamiltonianMatrix refuses a sum that overflows
+        h[[0, 1], :, [0, 1], :] += np.diag([*site.band[::-1], site.eps_grav])
+        grav = np.arange(n)
+        h[:, grav, :, grav] += h_matter
+        h[0, -1, 0, :-1] += site.v_gw  # the local mode is last
+        h[0, :-1, 0, -1] += site.v_gw
     return HamiltonianMatrix(h.reshape(2 * n, 2 * n))

@@ -88,8 +88,8 @@ def diagonalize(
     ``HamiltonianMatrix`` (square, exactly Hermitian) of a copy. Raises
     ContractViolationError if that check fails, if eigenvector residuals
     exceed 1e-10 times the spectral norm, or if the eigenbasis is not
-    orthonormal to 1e-12; raises ConfigError if an eigenvalue of a dense
-    matrix is not finite (finite entries near the float limit).
+    orthonormal to 1e-12; raises ConfigError if an entry or an eigenvalue
+    of a dense matrix is not finite (entries near the float limit).
     """
     if isinstance(h, ChooserParams):
         return _verified(*_star(h))
@@ -622,32 +622,31 @@ def _product(matrix, block):
     return (matrix @ block.view(float)).view(complex)
 
 
-def evolve(d: SpectralDecomposition, psi0, times, rows=None) -> np.ndarray:
+def evolve(d: SpectralDecomposition, psi0, times) -> np.ndarray:
     """Propagate: rows are states Ψ(t) on the supplied uniform time grid.
 
-    Ψ(t) = Σ_k e^{−iλ_k t} v_k ⟨v_k|Ψ(0)⟩ on the basis rows ``rows`` (all if
-    None), at times tₖ = t₀ + k·h: ``np.linspace`` output, or any one or two
-    times (ValueError for any other grid, see ``_uniform_grid``). A grid
+    Ψ(t) = Σ_k e^{−iλ_k t} v_k ⟨v_k|Ψ(0)⟩ on the eigenvector rows ``d``
+    carries, at times tₖ = t₀ + k·h: ``np.linspace`` output, or any one or
+    two times (ValueError for any other grid, see ``_uniform_grid``). A grid
     whose phases overflow, max|λ|·max|t| not finite, is refused with a
-    ConfigError before any phase is formed. The initial state must be
-    normalized (contract violation otherwise). The full state
-    keeps the norm ‖Ψ(0)‖ up to the eigenbasis orthonormality defect
-    (``--check`` measures it), so the other rows hold ‖Ψ(0)‖² minus the
-    weight on ``rows``. The states are complex also when the eigenvectors
-    are real.
+    ConfigError before any phase is formed. Ψ(0), given on those rows, must
+    be normalized (contract violation otherwise). The states are complex
+    also when the eigenvectors are real.
 
-    ``d`` may also carry a subset of a decomposition's eigenvector rows
-    (rows × dim, with all its eigenvalues), with Ψ(0) given on those rows:
-    that is exact when Ψ(0) lies on them, for ⟨v_k|Ψ(0)⟩ then sums over
-    them alone, and the norm check of Ψ(0) on them refuses any state that
-    does not. The other rows of the eigenvectors need not be kept.
+    ``d`` may carry a subset of a decomposition's rows, built as
+    ``SpectralDecomposition(dec.eigenvalues, dec.eigenvectors[rows])``: exact
+    when Ψ(0) lies on those rows, for ⟨v_k|Ψ(0)⟩ then sums over them alone,
+    and the norm check of Ψ(0) on them refuses any state that does not. The
+    full state keeps ‖Ψ(0)‖ up to the orthonormality defect (``--check``
+    measures it), so the other rows hold ‖Ψ(0)‖² minus the subset's weight.
 
     The phases are factored: with k = a·B + b,
     Ψ_r(t₀+kh) = Σ_k [V_rk·⟨v_k|Ψ(0)⟩·e^{−iλ_k(t₀+aBh)}]·e^{−iλ_k·bh}. The
-    brackets for every row r and coarse step a form one (rows·⌈n/B⌉ × dim)
-    matrix; one matrix product with the fine phases (dim × B) gives every
-    state. B ≈ √(n·(rows+1)), evened out to ⌈n/⌈n/B⌉⌉ ≤ n, balances the
-    ``exp`` blocks against the brackets: a few rows need no (dim × n) block.
+    brackets of ``_CHECK_BLOCK`` rows r and every coarse step a form one
+    (rows·⌈n/B⌉ × dim) matrix, and one product with the fine phases
+    (dim × B) gives those rows' states. B ≈ √(n·(rows+1)) for the rows of
+    one block, evened out to ⌈n/⌈n/B⌉⌉ ≤ n, balances the ``exp`` blocks
+    against the brackets: a few rows need no (dim × n) block.
     """
     psi0 = _check_normalized(psi0)
     times = np.asarray(times, dtype=float)
@@ -659,18 +658,23 @@ def evolve(d: SpectralDecomposition, psi0, times, rows=None) -> np.ndarray:
             f"the phases lambda*t overflow: max|lambda| = {scale:.3e} "
             f"times max|t| = {span:.3e} is not finite"
         )
-    vectors = d.eigenvectors if rows is None else d.eigenvectors[rows]
+    vectors = d.eigenvectors
     n = len(times)
-    coarse = -(-n // (math.isqrt(n * (len(vectors) + 1) - 1) + 1)) if n else 0
+    rows = min(len(vectors), _CHECK_BLOCK)
+    coarse = -(-n // (math.isqrt(n * (rows + 1) - 1) + 1)) if n else 0
     fine = -(-n // coarse) if n else 1  # B
     rate = -1j * d.eigenvalues
     # one coarse step starts at t₀ alone, and then B·h = n·h may overflow
     coarse_step = fine * h if coarse > 1 else 0.0
     starts = np.exp(np.outer(t0 + coarse_step * np.arange(coarse), rate))
-    starts *= _product(d.eigenvectors.conj().T, psi0[:, np.newaxis]).T  # ⟨v_k|Ψ(0)⟩
-    bracket = (vectors[:, np.newaxis, :] * starts).reshape(-1, d.dim)
+    starts *= _product(vectors.conj().T, psi0[:, np.newaxis]).T  # ⟨v_k|Ψ(0)⟩
     steps = np.exp(np.outer(rate, h * np.arange(fine)))
-    return (bracket @ steps).reshape(len(vectors), coarse * fine)[:, :n].T
+    states = np.empty((len(vectors), n), dtype=complex)
+    for s, e in _blocks(len(vectors), _CHECK_BLOCK):
+        bracket = (vectors[s:e, np.newaxis, :] * starts).reshape(-1, d.dim)
+        states[s:e] = (bracket @ steps).reshape(e - s, coarse * fine)[:, :n]
+        del bracket  # before the next block's
+    return states.T
 
 
 def total_norms(states) -> np.ndarray:

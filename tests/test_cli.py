@@ -26,7 +26,7 @@ from gravodyn import cli, config, models
 from gravodyn.config import load_config, parse_config
 from gravodyn.errors import ConfigError, ContractViolationError
 from gravodyn.models import ChooserParams, TelegraphSite
-from gravodyn.propagator import diagonalize, evolve
+from gravodyn.propagator import SpectralDecomposition, diagonalize, evolve
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
@@ -999,6 +999,15 @@ class TestCliRuns:
                 "w = 0.0\nn_band = 1024\ndelta = 0.02\nsweep_u = 5e-4, 1e-3, 2e-3",
                 "w = 1e-4\nn_band = 10\ndelta = 0.02\nsweep_u = 1e-3, 2e-3", "v", 3,
             ),
+            # within the run's memory estimate, not --check's dense one: the
+            # report window is refused first in both (--check once exited 4)
+            (
+                "chooser_demo.cfg",
+                "n_band = 200\ndelta = auto        # self-consistent band width pi*|u|\n\n"
+                "[sampling]\nn_times = 2048\nt_final = auto",
+                "n_band = 9000\ndelta = auto\n\n[sampling]\nn_times = 2048\nt_final = 1.0",
+                "t_final", 2,
+            ),
         ],
     )
     def test_check_rejects_what_the_run_rejects(
@@ -1012,6 +1021,87 @@ class TestCliRuns:
         assert f"key '{key}'" in run_err
         assert cli.main([cfg, "--check"]) == code
         assert capsys.readouterr().err == run_err
+        assert list(tmp_path.glob("run*")) == []
+
+    @pytest.mark.parametrize(
+        "name, values, code, start",
+        [
+            # g/r at x = 0 overflows the Crank–Nicolson diagonal at the first
+            # step: ψ alone, then with a live ζ
+            *(
+                pytest.param(
+                    "meanfield_free_packet.cfg",
+                    {"x_min": "-1000.0", "x_max": "1000.0", "n_points": "201",
+                     "g_newton": "1e308", "softening": "1.0", "packet_width": "100.0",
+                     "dt": "50.0", "n_steps": "4", **zeta},
+                    2, "config error: Crank–Nicolson diagonal or right-hand side is not finite",
+                    id=f"meanfield-gravity{'-zeta' if zeta else ''}",
+                )
+                for zeta in ({}, {"zeta_width": "100.0", "zeta_center": "0.0"})
+            ),
+            # 1/(2 m_g dx^2) overflows (once a numpy warning from the off-diagonal)
+            pytest.param(
+                "meanfield_free_packet.cfg",
+                {"n_points": "64", "m_g": "5e-324", "dt": "5e-324"},
+                2, "config error: [key 'm_g'] the kinetic scale", id="meanfield-m_g",
+            ),
+            # e_w + eps_grav overflows on the diagonal (once a numpy warning)
+            pytest.param(
+                "telegraph_switching.cfg", {"e_w1": "1.7e308", "eps_grav_1": "1.7e308"},
+                2, "config error: [key 'e_w1'] a matrix entry is not finite",
+                id="telegraph-entry",
+            ),
+            # gamma ~ 3e294: the fit window's t^2 underflow (once a numpy
+            # warning, LAPACK noise and a run that named no key) ...
+            pytest.param(
+                "sweep_residue.cfg", {"delta": "1e-300"},
+                2, "config error: [key 'delta'] the decay-rate fit's times",
+                id="fit-t2-underflows",
+            ),
+            # ... or gamma ~ 3e-180: they overflow (once a run that exited 0)
+            pytest.param(
+                "sweep_residue.cfg", {"u": "1e-100", "delta": "1e-20"},
+                2, "config error: [key 'u'] the decay-rate fit's times", id="fit-t2-overflows",
+            ),
+            # v = w = 5e-324: r = hypot(v, w) rounds to v, so the zero state
+            # (w, 0, -v)/r has norm √2 (--check once evolved another state)
+            pytest.param(
+                "chooser_demo.cfg", {"v": "5e-324", "w": "5e-324"},
+                3, "numerical contract violation: initial state norm 1.414",
+                id="zero-state-norm",
+            ),
+            # the zero state's |Kproj> weight (v/r)^2 underflows to 0
+            *(
+                pytest.param(
+                    "sweep_residue.cfg", {"v": v},
+                    3, "numerical contract violation: [key 'v'] w_Kproj <= 0",
+                    id=f"kproj-weight-v={v}",
+                )
+                for v in ("5e-324", "3.67e-172")
+            ),
+        ],
+    )
+    def test_run_and_check_refuse_alike_in_one_line(
+        self, tmp_path, capfd, name, values, code, start
+    ):
+        # the same exit code and one stderr line in a run and in --check: no
+        # warning, no LAPACK message, no file
+        text = (EXAMPLES / name).read_text()
+        if name == "sweep_residue.cfg":  # a small grid of two points
+            values = {"n_band": "32", "sweep_w": "5e-5, 1e-4", "n_times": "64", **values}
+        for key, value in values.items():
+            section = "sampling" if key in ("dt", "n_steps", "n_times") else "parameters"
+            text, _ = set_key(text, section, key, value)
+        cfg = self.write(tmp_path, text)
+        errors = []
+        for args in ([cfg, "--out", str(tmp_path / "run")], [cfg, "--check"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert cli.main(args) == code
+            out, err = capfd.readouterr()
+            assert out == "" and len(err.splitlines()) == 1 and err.startswith(start), err
+            errors.append(err)
+        assert errors[0] == errors[1]
         assert list(tmp_path.glob("run*")) == []
 
     @pytest.mark.parametrize(
@@ -1280,7 +1370,8 @@ def test_head_weights_match_a_full_evolve_reduction(tmp_path, monkeypatch, name)
         dec = diagonalize(ham)
         # the head rows alone (chooser_demo: v and w both nonzero, so psi0
         # lies on Q0 and Kproj) against every row of the full decomposition
-        rows = np.abs(evolve(dec, psi0, times, rows=heads)) ** 2
+        rows = SpectralDecomposition(dec.eigenvalues, dec.eigenvectors[heads])
+        rows = np.abs(evolve(rows, psi0[heads], times)) ** 2
         assert np.max(np.abs(weights - rows)) <= 1e-14
         full = np.abs(evolve(dec, psi0, times)) ** 2
         assert np.max(np.abs(weights - full[:, heads])) <= 1e-14

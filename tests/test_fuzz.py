@@ -1,7 +1,9 @@
 """Schema-driven fuzz of the runner: every input the config grammar accepts
 ends in exit 0, 2, 3 or 4, in a run and in ``--check``, never in a
 traceback, a failed run writes no files, and a run that exits 0 writes no
-``nan`` or ``inf``.
+``nan`` or ``inf``. Outside sweeps, ``--check`` refuses what the run
+refuses, with the same exit code and stderr (a sweep's ``--check`` solves
+only its first point).
 
 Each case starts from a small valid config (``BASELINES``). Up to three
 keys of its scenario's schema in ``config._SCHEMAS`` (a sweep's from
@@ -136,15 +138,17 @@ def config_texts(draw, case):
 def test_every_accepted_input_exits_0_2_3_or_4(case, data):
     text = data.draw(config_texts(case), label="config")
     threads = data.draw(st.integers(-1, 2), label="threads")
+    results = []
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "case.cfg"
         path.write_text(text)
         for args in ([str(path), "--out", f"{tmp}/run", "--threads", str(threads)],
                      [str(path), "--check"]):
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = cli.main(args)
             assert code in (0, 2, 3, 4)
+            results.append((code, err.getvalue()))
             if code != 0 or "--check" in args:
                 assert sorted(p.name for p in Path(tmp).iterdir()) == ["case.cfg"]
             for written in Path(tmp).glob("run*"):
@@ -152,3 +156,6 @@ def test_every_accepted_input_exits_0_2_3_or_4(case, data):
                 body = written.read_text().lower()
                 assert "nan" not in body and "inf" not in body, body
                 written.unlink()
+    run, check = results
+    if run[0] != 0 and BASELINES[case][0] != "sweep":
+        assert check == run

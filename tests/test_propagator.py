@@ -65,6 +65,14 @@ def random_state(dim, seed):
     return psi / np.linalg.norm(psi)
 
 
+def on_rows(d, psi0, rows):
+    """The rows ``rows`` of ``d``'s eigenvectors as a decomposition, and
+    ``psi0`` put on them: zero elsewhere and normalized (full, and on rows)."""
+    psi0 = np.where(np.isin(np.arange(d.dim), rows), psi0, 0.0)
+    psi0 /= np.linalg.norm(psi0)
+    return SpectralDecomposition(d.eigenvalues, d.eigenvectors[rows]), psi0, psi0[rows]
+
+
 class TestDiagonalize:
     def test_diagonal_matrix(self):
         h = np.diag([3.0, -1.0, 2.0]).astype(complex)
@@ -153,19 +161,34 @@ class TestEvolve:
         h = random_symmetric(12, seed) if real else random_hermitian(12, seed)
         h = h / np.max(np.abs(np.linalg.eigvalsh(h)))  # eigenvalues in [-1, 1]
         psi0 = random_state(12, seed + 1)
-        d = diagonalize(h)
+        full = diagonalize(h)
+        d, given = full, psi0
+        if rows is not None:  # the decomposition's rows, with psi0 on them
+            d, psi0, given = on_rows(full, psi0, rows)
         times = np.linspace(t0, t_final, n)
+        coeff = full.eigenvectors.conj().T @ psi0
+        direct = d.eigenvectors @ (np.exp(-1j * np.outer(d.eigenvalues, times)) * coeff[:, None])
+        # each phase λ·t is rounded at |λ·t| <= 50 in both: ~1e-14 per term
+        assert np.max(np.abs(evolve(d, given, times) - direct.T)) <= 1e-12
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_rows_beyond_one_block_match_the_spectral_sum(self, real):
+        # 300 rows: brackets of 128, 128 and 44 rows, one fine block for all
+        h = random_symmetric(300, 51) if real else random_hermitian(300, 51)
+        h = h / np.max(np.abs(np.linalg.eigvalsh(h)))
+        psi0 = random_state(300, 52)
+        d = diagonalize(h)
+        times = np.linspace(0.0, 40.0, 97)
         coeff = d.eigenvectors.conj().T @ psi0
         direct = d.eigenvectors @ (np.exp(-1j * np.outer(d.eigenvalues, times)) * coeff[:, None])
-        direct = direct.T if rows is None else direct[rows].T
-        # each phase λ·t is rounded at |λ·t| <= 50 in both: ~1e-14 per term
-        assert np.max(np.abs(evolve(d, psi0, times, rows=rows) - direct)) <= 1e-12
+        assert np.max(np.abs(evolve(d, psi0, times) - direct.T)) <= 1e-12
 
     def test_empty_grid(self):
         d = diagonalize(random_hermitian(4, seed=8))
         psi0 = random_state(4, seed=9)
         assert evolve(d, psi0, []).shape == (0, 4)
-        assert evolve(d, psi0, [], rows=[1, 3]).shape == (0, 2)
+        subset, _, on = on_rows(d, psi0, [1, 3])
+        assert evolve(subset, on, []).shape == (0, 2)
 
     def test_against_rk4_oracle(self):
         h = random_hermitian(10, seed=11)
@@ -253,7 +276,7 @@ class TestRealPath:
 
 
 class TestRows:
-    """``evolve(rows=...)`` is the full evolution read on those rows."""
+    """``evolve`` of a decomposition's rows is the full evolution read on them."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -272,10 +295,10 @@ class TestRows:
         h = random_symmetric(dim, seed) if real else random_hermitian(dim, seed)
         h = h / np.max(np.abs(np.linalg.eigvalsh(h)))  # eigenvalues in [-1, 1]
         rows = data.draw(st.lists(st.integers(0, dim - 1), min_size=1, unique=True))
-        psi0 = random_state(dim, seed + 1)
         d = diagonalize(h)
+        subset, psi0, on = on_rows(d, random_state(dim, seed + 1), rows)
         full = evolve(d, psi0, times)
-        heads = evolve(d, psi0, times, rows=rows)
+        heads = evolve(subset, on, times)
         assert heads.shape == (len(times), len(rows))
         assert np.max(np.abs(heads - full[:, rows])) <= 1e-14
         rest = np.vdot(psi0, psi0).real - np.sum(np.abs(heads) ** 2, axis=1)
@@ -289,13 +312,33 @@ class TestRows:
         psi0[2] = 1.0
         times = np.linspace(0.0, 5e4, 2048)
         block = 16 * d.dim * len(times)  # one complex (dim × n_times) array: 33.6 MB
+        heads = SpectralDecomposition(d.eigenvalues, d.eigenvectors[:3])
         tracemalloc.start()
         try:
-            evolve(d, psi0, times, rows=[0, 1, 2])
+            evolve(heads, psi0[:3], times)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < block / 4
+
+    def test_all_rows_hold_no_dim_by_dim_bracket(self):
+        # every row of a dim-1027 decomposition, as --check evolves it: the
+        # brackets go 128 rows at a time, so none is a complex dim × dim array
+        p = ChooserParams(v=1e-4, w=1e-5, n_band=1024, delta=0.02, u=1e-3)
+        d = diagonalize(p)
+        psi0 = np.zeros(d.dim, dtype=complex)
+        psi0[0] = 1.0
+        times = np.linspace(0.0, 5e4, 8)
+        square = 16 * d.dim * d.dim  # one complex dim × dim array: 16.9 MB
+        tracemalloc.start()
+        try:
+            states = evolve(d, psi0, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert states.shape == (len(times), d.dim)
+        assert np.max(np.abs(np.sum(np.abs(states) ** 2, axis=1) - 1.0)) <= 1e-10
+        assert peak < square / 4
 
 
 @st.composite
