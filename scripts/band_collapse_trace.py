@@ -26,14 +26,9 @@ import math
 
 import numpy as np
 
-from gravodyn.analytic import (
-    band_weight,
-    finite_band_weight,
-    gamma_from,
-    zero_state_coeffs,
-)
+from gravodyn.analytic import band_weight, finite_band_weight, gamma_from
+from gravodyn.cli import head_weights
 from gravodyn.models import ChooserParams
-from gravodyn.propagator import SpectralDecomposition, diagonalize, evolve
 
 
 def main():
@@ -45,13 +40,8 @@ def main():
           f"gamma={gamma:.4e}")
 
     times = np.linspace(0.0, 5.0 / gamma, 2048)
-    dec = diagonalize(params)  # solved as a star, never as a dense matrix
-    psi0 = np.zeros(3 + n_band, dtype=complex)
-    psi0[0], psi0[1], psi0[2] = zero_state_coeffs(v, w)
-    # only the head rows Q0, R0, Kproj; the band holds the rest of the norm
-    heads = SpectralDecomposition(dec.eigenvalues, dec.eigenvectors[:3])
-    weights = np.abs(evolve(heads, psi0[:3], times)) ** 2
-    w_band = np.vdot(psi0, psi0).real - weights.sum(axis=1)
+    # the runner's zero state and its Q0, R0, Kproj rows; the band holds the rest
+    weights, w_band = head_weights(params, times)
     analytic = band_weight(times, u, w, gamma)
     finite = finite_band_weight(times, u, v, w, delta)
 

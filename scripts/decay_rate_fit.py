@@ -10,20 +10,16 @@ log-log slope of rate vs u should be 2.
 import numpy as np
 
 from gravodyn.analytic import gamma_from
+from gravodyn.cli import head_weights
 from gravodyn.models import ChooserParams
-from gravodyn.propagator import SpectralDecomposition, diagonalize, evolve
 
 
 def fitted_rate(u, delta, n_band):
     gamma = gamma_from(u, delta)
     params = ChooserParams(v=0.0, w=0.0, n_band=n_band, delta=delta, u=u)
-    dec = diagonalize(params)  # solved as a star, never as a dense matrix
-    psi0 = np.zeros(3 + n_band, dtype=complex)
-    psi0[2] = 1.0
     times = np.linspace(0.5 / gamma, 2.5 / gamma, 400)
-    # only the Kproj row, on which psi0 lies
-    kproj = SpectralDecomposition(dec.eigenvalues, dec.eigenvectors[[2]])
-    weight = np.abs(evolve(kproj, psi0[[2]], times)[:, 0]) ** 2
+    # v = w = 0: the runner starts wholly on Kproj, the third of its rows
+    weight = head_weights(params, times)[0][:, 2]
     slope, _ = np.polyfit(times, np.log(weight), 1)
     return -slope, gamma
 

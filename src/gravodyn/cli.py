@@ -125,7 +125,7 @@ def _check_parts(parts, sampling):
             t_final = _chooser_times(part, sampling)[1][-1]
         else:
             t_final = sampling["t_final"]
-        states = _evolve(part, dec, _initial_state(part), _time_grid(t_final, 8))
+        states = _evolve(part, dec, _initial_state(part)[0], _time_grid(t_final, 8))
         norms = np.sqrt(np.sum(np.abs(states) ** 2, axis=1))
         if np.max(np.abs(norms - 1.0)) > NORM_TOL:
             raise ContractViolationError(f"norm not conserved to {NORM_TOL:.0e}")
@@ -152,7 +152,7 @@ def _part_bytes(part, n_times, dense=False):
 
     ``evolve``'s phase blocks (16·3·dim·B, B ≈ √(4·n_times)) come after the
     solve in a run, which keeps only the eigenvector rows it reads
-    (``_head_weights``), and on top of the eigenvectors in ``--check``.
+    (``head_weights``), and on top of the eigenvectors in ``--check``.
     ~400 bytes per sample are added for the weights and the CSV.
     """
     if isinstance(part, ChooserParams):
@@ -177,14 +177,17 @@ def _admit(part, n_times, dense=False):
     return part
 
 
+def _overflows(start, stop, n):
+    """Whether ``np.linspace(start, stop, n)`` overflows on the way (numpy
+    warns): its last product (n − 1)·((stop − start)/(n − 1)) is not finite."""
+    steps = max(n - 1, 1)
+    return not math.isfinite((stop - start) / steps * steps)
+
+
 def _time_grid(t_final, n_times):
     """The sample times ``np.linspace(0, t_final, n_times)``, or a ConfigError
-    naming ``t_final`` if they overflow on the way: linspace's last product
-    (n − 1)·(t_final/(n − 1)) rounds up to inf for a t_final within rounding
-    of the float limit (numpy warns, and ``evolve`` would refuse the grid
-    naming no key)."""
-    steps = max(n_times - 1, 1)
-    if not math.isfinite(t_final / steps * steps):
+    naming ``t_final`` if they overflow (``evolve`` would name no key)."""
+    if _overflows(0.0, t_final, n_times):
         raise ConfigError(
             f"the time grid overflows: t_final = {t_final!r} is within rounding "
             "of the float limit",
@@ -284,47 +287,42 @@ def _fit_grid(params: ChooserParams, sampling):
     return times, fit_window
 
 
-def _head_weights(model, psi0, times, heads):
-    """Weights of the basis rows ``heads`` (rows: times), and the rest of the
-    conserved norm, ‖ψ0‖² − Σ heads, which the other rows hold. ``model``
-    is anything ``diagonalize`` takes, and ψ0 lies on ``heads`` (``evolve``
-    refuses ψ0[heads] otherwise): only the eigenvalues and the head rows of
-    the eigenvectors are kept, so the full eigenvectors are freed before
-    ``evolve`` forms its phase blocks."""
-    dec = _diagonalize(model)
-    dec = SpectralDecomposition(dec.eigenvalues, dec.eigenvectors[heads])  # the full rows go
-    weights = np.abs(_evolve(model, dec, psi0[heads], times)) ** 2
-    return weights, np.vdot(psi0, psi0).real - weights.sum(axis=1)
-
-
 def _initial_state(part):
-    """The state a run evolves a model part from: a chooser's zero state,
-    or a telegraph site's warp resonance with its local mode occupied."""
+    """The state a run evolves a model part from and the rows it reads (the
+    heads): a chooser's zero state and its |Q0>, |R0>, |Kproj>, or a telegraph
+    site's warp resonance with its local mode occupied and that mode under w, g."""
     if isinstance(part, ChooserParams):
         psi0 = np.zeros(3 + part.n_band, dtype=complex)
         if part.v == 0.0 and part.w == 0.0:
-            # w = 0 limit of the zero eigenvector: all weight on the projected
-            # band state; lets decay-rate studies start from a pure resonance.
+            # the w -> 0 limit of the zero state: a pure |Kproj> resonance
             psi0[2] = 1.0
         else:
             psi0[0], psi0[1], psi0[2] = analytic.zero_state_coeffs(part.v, part.w)
-        return psi0
+        return psi0, [0, 1, 2]
     n_grav = 1 + len(part.band)  # basis: (w, g) times (band..., local)
     psi0 = np.zeros(2 * n_grav)
     psi0[n_grav - 1] = 1.0
-    return psi0
+    return psi0, [n_grav - 1, 2 * n_grav - 1]
 
 
-def _chooser_weights(params: ChooserParams, times):
-    """|Q0>, |R0>, |Kproj> weights (rows: times) from the zero state, and
-    w_band; the model is solved as a star, never as a dense matrix."""
-    return _head_weights(params, _initial_state(params), times, [0, 1, 2])
+def head_weights(part, times):
+    """Weights of a model part's heads (``_initial_state``; rows: times)
+    evolved from its initial state, and the rest of the conserved norm,
+    ‖ψ0‖² − Σ heads, which the other rows hold. ψ0 lies on the heads, so
+    only the eigenvalues and the head rows of the eigenvectors are kept:
+    the full eigenvectors are freed before ``evolve`` forms its phase
+    blocks. A chooser model is solved as a star, never as a dense matrix."""
+    psi0, heads = _initial_state(part)
+    dec = _diagonalize(part)
+    dec = SpectralDecomposition(dec.eigenvalues, dec.eigenvectors[heads])  # the full rows go
+    weights = np.abs(_evolve(part, dec, psi0[heads], times)) ** 2
+    return weights, np.vdot(psi0, psi0).real - weights.sum(axis=1)
 
 
 def _run_chooser(p, sampling, prefix: Path):
     params = _chooser_params(p, sampling)
     gamma, times, residue = _report_grid(params, sampling)
-    weights, w_band = _chooser_weights(params, times)
+    weights, w_band = head_weights(params, times)
     csv_text = _csv(["t", "w_Q0", "w_R0", "w_Kproj", "w_band"], (times, *weights.T, w_band))
 
     analytic_band = analytic.band_weight(times, params.u, params.w, gamma)
@@ -369,7 +367,8 @@ def _chooser_part(p, sampling):
     (with v = 0 and w != 0 it lies wholly on the uncoupled |Q0>)."""
     params = _chooser_params(p, sampling)
     _fit_grid(params, sampling)
-    if abs(_initial_state(params)[2]) ** 2 == 0.0:
+    psi0, heads = _initial_state(params)
+    if abs(psi0[heads[2]]) ** 2 == 0.0:  # |Kproj>, the third head
         raise ContractViolationError(_NO_KPROJ)
     return (params,)
 
@@ -378,7 +377,7 @@ def _solve_chooser(params, sampling):
     """A chooser point's row statistics: a row depends on its one part alone,
     and reducing it here keeps no (times x dim) weights alive across the sweep."""
     times, fit_window = _fit_grid(params, sampling)
-    weights, w_band = _chooser_weights(params, times)
+    weights, w_band = head_weights(params, times)
     w_kproj = weights[fit_window, 2]
     if np.any(w_kproj <= 0.0):
         raise ContractViolationError(_NO_KPROJ)
@@ -414,8 +413,7 @@ def telegraph_params_from(p, sampling):
 def _evolve_site(site: TelegraphSite, times):
     """Band and local-mode weights (P, L) of one site evolved alone from its
     warp resonance and local mode."""
-    n_grav = 1 + len(site.band)  # basis: (w, g) times (band..., local)
-    local, band = _head_weights(site, _initial_state(site), times, [n_grav - 1, 2 * n_grav - 1])
+    local, band = head_weights(site, times)
     return band, local.sum(axis=1)
 
 
@@ -459,8 +457,9 @@ def switching_count(channel_1, channel_2):
 
 
 def _run_telegraph(p, sampling, prefix: Path):
+    sites = telegraph_params_from(p, sampling)  # admitted first, as in --check
     times = _time_grid(sampling["t_final"], sampling["n_times"])
-    channels = telegraph_channels(telegraph_params_from(p, sampling), p["weight_site1"], times)
+    channels = telegraph_channels(sites, p["weight_site1"], times)
     csv_text = _csv(
         ["t", "w_band_site1", "w_band_site2", "w_loc_site1", "w_loc_site2"],
         (times, *channels),
@@ -503,7 +502,8 @@ def _omega(p):
     sigma = basis.envelope_width  # as build_omega evaluates it
     if sigma * sigma == 0.0:
         raise ConfigError("envelope_width squared underflows to 0", key="envelope_width")
-    kinetic = 1.0 / (4.0 * basis.m_g * sigma * sigma)
+    scale = 4.0 * basis.m_g * sigma * sigma  # underflows to 0 where 1/scale overflows
+    kinetic = 1.0 / scale if scale else math.inf
     if not math.isfinite(kinetic):
         raise ConfigError("the kinetic scale 1/(4 m_g sigma^2) overflows", key="m_g")
     if not math.isfinite(basis.theta * basis.theta):
@@ -561,8 +561,8 @@ def _grid_state(p):
     """Initial fields on the grid; zeta_width = auto leaves zeta at zero."""
     if p["x_max"] <= p["x_min"]:
         raise ConfigError("x_max must exceed x_min", key="x_max")
-    if not math.isfinite(p["x_max"] - p["x_min"]):
-        raise ConfigError("the grid span x_max - x_min overflows", key="x_max")
+    if _overflows(p["x_min"], p["x_max"], p["n_points"]):
+        raise ConfigError("the x grid from x_min to x_max overflows", key="x_max")
     x = np.linspace(p["x_min"], p["x_max"], p["n_points"])
     psi = _packet(p, x, "packet")
     zeta = np.zeros_like(psi) if p["zeta_width"] is None else _packet(p, x, "zeta")
@@ -595,7 +595,7 @@ def _check_meanfield(p, sampling):
 
 
 def _g11_rows(p):
-    constants = dimensional.PhysicalConstants(G=p["g_newton"], c=p["c"])
+    constants = dimensional.PhysicalConstants(G=p["g_newton"])
     try:
         return dimensional.g11_table(constants, radii=tuple(p["radii"]))
     except ValueError as exc:

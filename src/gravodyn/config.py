@@ -128,7 +128,6 @@ _SCHEMAS = {
     "dimensional": {
         "parameters": {
             "g_newton": FieldSpec("float", default=1e-40, above=0.0),
-            "c": FieldSpec("float", default=137.036, above=0.0),
             "radii": FieldSpec("floats", default=(1e4, 1e3, 1e2, 10.0), above=0.0),
         },
         "sampling": {},

@@ -24,7 +24,7 @@ from ladder_oracle import ladder_reference, occupied
 
 from gravodyn import cli, config, models
 from gravodyn.config import load_config, parse_config
-from gravodyn.errors import ConfigError, ContractViolationError
+from gravodyn.errors import ConfigError
 from gravodyn.models import ChooserParams, TelegraphSite
 from gravodyn.propagator import SpectralDecomposition, diagonalize, evolve
 
@@ -140,10 +140,10 @@ class TestConfigParser:
     def test_comments_and_blank_lines_ignored(self):
         cfg = parse_config(
             "# leading comment\nscenario = dimensional\n\n"
-            "[parameters]\nc = 137.036  # inline comment\n"
+            "[parameters]\ng_newton = 137.036  # inline comment\n"
         )
         assert cfg.scenario == "dimensional"
-        assert cfg.parameters["c"] == 137.036
+        assert cfg.parameters["g_newton"] == 137.036
 
     def test_unknown_key_reports_line_and_key(self):
         bad = CHOOSER_TEXT.replace("n_band = 200", "n_bandz = 200")
@@ -733,6 +733,13 @@ class TestCliRuns:
             ("gravonon_chain.cfg", {"envelope_width": "1e-170"}, "key 'envelope_width'"),
             ("gravonon_chain.cfg", {"envelope_width": "1e-200"}, "key 'envelope_width'"),
             ("gravonon_chain.cfg", {"m_g": "1e-320"}, "key 'm_g'"),
+            # 4 m_g sigma^2 underflows to 0 while sigma^2 does not (once a
+            # ZeroDivisionError traceback)
+            (
+                "gravonon_chain.cfg",
+                {"envelope_width": "3.412344595071182e-53", "m_g": "5.4187438379721765e-303"},
+                "key 'm_g'",
+            ),
             # the frequency matrix is not finite: inf, or inf times a zero
             # kinetic factor 1 - d^2/(2 sigma^2) at d^2 = 2 sigma^2
             ("gravonon_chain.cfg", {"vgrav": ", ".join(["1e200"] * 5)}, "key 'vgrav'"),
@@ -1045,11 +1052,24 @@ class TestCliRuns:
                 {"n_points": "64", "m_g": "5e-324", "dt": "5e-324"},
                 2, "config error: [key 'm_g'] the kinetic scale", id="meanfield-m_g",
             ),
+            # the x grid's last point (n - 1)*(span/(n - 1)) overflows in
+            # np.linspace (once a numpy warning and a refusal naming packet_width)
+            pytest.param(
+                "meanfield_free_packet.cfg", {"x_min": "-1.7976931348623157e+308"},
+                2, "config error: [key 'x_max'] the x grid", id="meanfield-x-grid",
+            ),
             # e_w + eps_grav overflows on the diagonal (once a numpy warning)
             pytest.param(
                 "telegraph_switching.cfg", {"e_w1": "1.7e308", "eps_grav_1": "1.7e308"},
                 2, "config error: [key 'e_w1'] a matrix entry is not finite",
                 id="telegraph-entry",
+            ),
+            # the site is refused for its size before its time grid is built
+            # (a run once named t_final, --check band_1)
+            pytest.param(
+                "telegraph_switching.cfg",
+                {"band_1": "linspace(-1.0, 1.0, 20000)", "t_final": "1.7976931348623157e+308"},
+                4, "resource cap: [key 'band_1'] estimated memory", id="telegraph-cap-first",
             ),
             # gamma ~ 3e294: the fit window's t^2 underflow (once a numpy
             # warning, LAPACK noise and a run that named no key) ...
@@ -1090,8 +1110,8 @@ class TestCliRuns:
         if name == "sweep_residue.cfg":  # a small grid of two points
             values = {"n_band": "32", "sweep_w": "5e-5, 1e-4", "n_times": "64", **values}
         for key, value in values.items():
-            section = "sampling" if key in ("dt", "n_steps", "n_times") else "parameters"
-            text, _ = set_key(text, section, key, value)
+            sampled = key in ("dt", "n_steps", "n_times", "t_final")
+            text, _ = set_key(text, "sampling" if sampled else "parameters", key, value)
         cfg = self.write(tmp_path, text)
         errors = []
         for args in ([cfg, "--out", str(tmp_path / "run")], [cfg, "--check"]):
@@ -1343,13 +1363,23 @@ def test_config_scenario_names_match_the_runner_records():
     "script", sorted(EXAMPLES.parent.glob("*.py")), ids=lambda path: path.name
 )
 def test_experiment_script_runs(tmp_path, script):
+    # pyproject's filterwarnings does not reach a subprocess: -W makes a numpy
+    # RuntimeWarning fail the script there
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     result = subprocess.run(
-        [sys.executable, str(script)], cwd=tmp_path, env=env, capture_output=True, text=True
+        [sys.executable, "-W", "error::RuntimeWarning", str(script)],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
     )
-    assert result.returncode == 0, result.stderr
-    if script.name == "switching_trace.py":
-        assert re.search(r"(?m)^crossings: 4 at t = ", result.stdout)  # the README's count
+    assert result.returncode == 0 and result.stderr == "", result.stderr
+    documented = {  # the numbers the README and the scripts' docstrings state
+        "switching_trace.py": [r"crossings: 4 at t = "],
+        "decay_rate_fit.py": [r"log-log slope of rate vs u: 2\.0270 "],
+        "band_collapse_trace.py": [
+            r"  discreteness \(.*\): 1\.59e-03$", r"  finite band \(.*\): 0\.1797$"
+        ],
+    }
+    for line in documented[script.name]:
+        assert re.search(rf"(?m)^{line}", result.stdout), line
     assert list(tmp_path.iterdir()) == []
 
 
@@ -1357,17 +1387,18 @@ def test_experiment_script_runs(tmp_path, script):
 def test_head_weights_match_a_full_evolve_reduction(tmp_path, monkeypatch, name):
     # a run evolves only the rows it reads; the rest of the norm stands for the others
     calls = []
-    head_weights = cli._head_weights
+    head_weights = cli.head_weights
 
-    def recorded(ham, psi0, times, heads):
-        calls.append((ham, psi0, times, heads, head_weights(ham, psi0, times, heads)))
+    def recorded(part, times):
+        calls.append((part, times, head_weights(part, times)))
         return calls[-1][-1]
 
-    monkeypatch.setattr(cli, "_head_weights", recorded)
+    monkeypatch.setattr(cli, "head_weights", recorded)
     cli.run_scenario(load_config(EXAMPLES / name), out_prefix=tmp_path / "run")
     assert len(calls) == (1 if name.startswith("chooser") else 2)  # telegraph: two sites
-    for ham, psi0, times, heads, (weights, rest) in calls:
-        dec = diagonalize(ham)
+    for part, times, (weights, rest) in calls:
+        psi0, heads = cli._initial_state(part)
+        dec = diagonalize(part)
         # the head rows alone (chooser_demo: v and w both nonzero, so psi0
         # lies on Q0 and Kproj) against every row of the full decomposition
         rows = SpectralDecomposition(dec.eigenvalues, dec.eigenvectors[heads])
@@ -1376,16 +1407,6 @@ def test_head_weights_match_a_full_evolve_reduction(tmp_path, monkeypatch, name)
         full = np.abs(evolve(dec, psi0, times)) ** 2
         assert np.max(np.abs(weights - full[:, heads])) <= 1e-14
         assert np.max(np.abs(rest - np.delete(full, heads, axis=1).sum(axis=1))) <= 1e-14
-
-
-def test_head_weights_refuse_a_state_off_the_heads():
-    # only the head rows are evolved, so psi0 must lie on them: the norm of
-    # psi0[heads] is checked
-    p = ChooserParams(v=0.3, w=0.2, n_band=8, delta=1.0, u=0.4)
-    psi0 = np.zeros(3 + p.n_band, dtype=complex)
-    psi0[[2, 5]] = 0.6, 0.8
-    with pytest.raises(ContractViolationError, match="initial state norm"):
-        cli._head_weights(p, psi0, np.linspace(0.0, 1.0, 4), [0, 1, 2])
 
 
 def test_a_chooser_point_frees_its_eigenvectors_before_evolve():

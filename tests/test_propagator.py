@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gravodyn import cli, propagator
+from gravodyn import propagator
 from gravodyn.errors import ConfigError, ContractViolationError
 from gravodyn.models import ChooserParams, build_chooser
 from gravodyn.propagator import (
@@ -401,8 +401,13 @@ class TestStar:
         psi0 = np.zeros(3 + p.n_band, dtype=complex)
         psi0[[0, 2]] = 0.6, -0.8
         times = np.linspace(0.0, 20.0 / norm, 9)
-        heads, rest = cli._head_weights(p, psi0, times, [0, 1, 2])
-        dense_heads, dense_rest = cli._head_weights(build_chooser(p), psi0, times, [0, 1, 2])
+        # a run's head readout from each: the Q0, R0, Kproj rows and the rest of the norm
+        readouts = []
+        for d in (star, dense):
+            rows = SpectralDecomposition(d.eigenvalues, d.eigenvectors[[0, 1, 2]])
+            weights = np.abs(evolve(rows, psi0[[0, 1, 2]], times)) ** 2
+            readouts.append((weights, np.vdot(psi0, psi0).real - weights.sum(axis=1)))
+        (heads, rest), (dense_heads, dense_rest) = readouts
         assert np.max(np.abs(heads - dense_heads)) <= 1e-12
         assert np.max(np.abs(rest - dense_rest)) <= 1e-12
 
