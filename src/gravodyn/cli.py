@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import analytic, dimensional, meanfield
-from .config import ScenarioConfig, load_config
+from .config import SITE_KEYS, ScenarioConfig, load_config
 from .errors import (
     DEFAULT_MEMORY_CAP,
     ConfigError,
@@ -39,6 +39,7 @@ from .gravonon import SiteBasis, build_omega
 from .models import ChooserParams, TelegraphSite, build_chooser
 from .propagator import (
     NORM_TOL, RESIDUAL_TOL, SpectralDecomposition, dense_residual, diagonalize, evolve,
+    total_norms,
 )
 
 EXIT_OK = 0
@@ -126,7 +127,7 @@ def _check_parts(parts, sampling):
         else:
             t_final = sampling["t_final"]
         states = _evolve(part, dec, _initial_state(part)[0], _time_grid(t_final, 8))
-        norms = np.sqrt(np.sum(np.abs(states) ** 2, axis=1))
+        norms = np.sqrt(total_norms(states))
         if np.max(np.abs(norms - 1.0)) > NORM_TOL:
             raise ContractViolationError(f"norm not conserved to {NORM_TOL:.0e}")
     return [
@@ -391,17 +392,11 @@ def _solve_chooser(params, sampling):
 # telegraph
 
 
-_SITE_KEYS = (  # each site's keys, in TelegraphSite's field order
-    ("e_g1", "e_w1", "v_loc_1", "eps_grav_1", "band_1", "v_gw_1"),
-    ("e_g2", "e_w2", "v_loc_2", "eps_grav_2", "band_2", "v_gw_2"),
-)
-
-
 def telegraph_params_from(p, sampling):
     """Sites 1 and 2 of a telegraph config, each admitted for solving over
     the config's samples before anything is built."""
     sites = []
-    for keys in _SITE_KEYS:
+    for keys in SITE_KEYS:
         try:
             site = TelegraphSite(*(p[key] for key in keys), keys=keys)
         except ValueError as exc:  # only the band is checked

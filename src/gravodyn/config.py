@@ -58,19 +58,18 @@ _CHOOSER_PARAMS = {
     "alpha": FieldSpec("float", default=0.0),
 }
 
-_TELEGRAPH_PARAMS = {
-    "e_g1": FieldSpec("float", required=True),
-    "e_g2": FieldSpec("float", required=True),
-    "e_w1": FieldSpec("float", required=True),
-    "e_w2": FieldSpec("float", required=True),
-    "v_loc_1": FieldSpec("float", required=True),
-    "v_loc_2": FieldSpec("float", required=True),
-    "eps_grav_1": FieldSpec("float", required=True),
-    "eps_grav_2": FieldSpec("float", required=True),
-    "band_1": FieldSpec("floats", required=True),
-    "band_2": FieldSpec("floats", required=True),
-    "v_gw_1": FieldSpec("float", required=True),
-    "v_gw_2": FieldSpec("float", required=True),
+SITE_KEYS = (  # each telegraph site's keys, in TelegraphSite's field order
+    ("e_g1", "e_w1", "v_loc_1", "eps_grav_1", "band_1", "v_gw_1"),
+    ("e_g2", "e_w2", "v_loc_2", "eps_grav_2", "band_2", "v_gw_2"),
+)
+
+_SITE_KINDS = ("float",) * 4 + ("floats", "float")  # each site field's kind
+
+_TELEGRAPH_PARAMS = {  # the two sites' keys interleaved, field by field
+    **{
+        key: FieldSpec(kind, required=True)
+        for pair, kind in zip(zip(*SITE_KEYS), _SITE_KINDS) for key in pair
+    },
     "weight_site1": FieldSpec("float", default=0.5, minimum=0.0, maximum=1.0),
 }
 

@@ -1,4 +1,4 @@
-"""Hermitian Hamiltonian assembly.
+"""Real-symmetric Hamiltonian assembly.
 
 Two builders share one matrix representation:
 
@@ -12,11 +12,9 @@ Two builders share one matrix representation:
   one gravonon quantum the model is the block of each site alone: that
   site's matter pair times that site's gravonon modes.
 
-Every off-diagonal element is written into a zeroed array in lockstep
-with its conjugate partner, with the same value, so the stored matrix is
-Hermitian entrywise exactly. A matrix whose entries are all real is stored
-as float64, where exact Hermiticity is exact symmetry, so the spectral
-layer can stay in real arithmetic.
+Every coupling is real and every off-diagonal element is written into a
+zeroed float64 array in lockstep with its transposed partner, so the stored
+matrix is real symmetric exactly, which is exact Hermiticity.
 """
 
 from __future__ import annotations
@@ -94,42 +92,36 @@ class TelegraphSite:
             raise ValueError("band must be sorted ascending")
 
 
-def _real_if_exact(entries):
-    """``entries`` as float64 when no imaginary part is nonzero, else complex."""
-    entries = np.asarray(entries)
-    if np.iscomplexobj(entries) and entries.imag.any():
-        return entries.astype(complex, copy=False)
-    return np.ascontiguousarray(entries.real, dtype=float)
-
-
 _ROWS = 128  # rows per block of the exact-Hermiticity comparison
 
 
 def _hermitian(entries):
-    """Whether a square ``entries`` equals its conjugate transpose exactly,
-    compared ``_ROWS`` rows at a time, so no dim × dim mask (nor a complex
-    conjugate copy) is formed: a NaN anywhere fails, +0 and −0 compare equal."""
+    """Whether a real square ``entries`` equals its transpose exactly, compared
+    ``_ROWS`` rows at a time, so no dim × dim mask is formed: a NaN anywhere
+    fails, +0 and −0 compare equal."""
     return all(
-        np.array_equal(entries[s:s + _ROWS], entries[:, s:s + _ROWS].conj().T)
+        np.array_equal(entries[s:s + _ROWS], entries[:, s:s + _ROWS].T)
         for s in range(0, len(entries), _ROWS)
     )
 
 
 @dataclass
 class HamiltonianMatrix:
-    """Dense Hermitian matrix, the one place exact Hermiticity is checked.
+    """Dense real-symmetric matrix, the one place exact Hermiticity is checked.
 
-    ``entries`` are stored, frozen, as float64 when their imaginary part is
-    exactly zero everywhere (a real-symmetric matrix) and as complex
-    otherwise; the exact-Hermiticity check runs in that stored arithmetic.
-    An infinite entry (a sum of energy scales that overflowed) is then a
-    ConfigError, found by the same row blocks.
+    ``entries`` are stored, frozen, as float64; a complex array is taken as
+    its real part when its imaginary part is exactly zero, and refused
+    otherwise. An infinite entry (a sum of energy scales that overflowed) is
+    then a ConfigError, found by the same row blocks.
     """
 
     entries: np.ndarray
 
     def __post_init__(self):
-        self.entries = _real_if_exact(self.entries)
+        entries = np.asarray(self.entries)
+        if np.iscomplexobj(entries) and entries.imag.any():
+            raise ContractViolationError("matrix is not real symmetric")
+        self.entries = np.ascontiguousarray(entries.real, dtype=float)
         if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
             raise ContractViolationError("matrix must be square")
         if not _hermitian(self.entries):  # a NaN fails here

@@ -9,12 +9,10 @@ All model bases here are at most a few thousand states, so full
 diagonalization is cheaper and more accurate than step integration
 (a small-step integrator survives only as a test oracle).
 
-Every eigensolve of the package runs here. A matrix whose imaginary part is
-exactly zero stays real throughout: it is decomposed by real ``eigh``, its
-contracts (exact symmetry, residual, orthonormality) are checked in real
-arithmetic, and ``evolve`` projects on the real eigenvectors with a real
-matrix product. Complex input takes the same steps in complex arithmetic.
-States are complex either way.
+Every eigensolve of the package runs here, on a real-symmetric matrix, in
+real arithmetic: real ``eigh``, real contract checks (exact symmetry,
+residual, orthonormality), and ``evolve`` projects on the real eigenvectors
+with a real matrix product; only the states are complex.
 
 The chooser model is never formed as a matrix on the run path: given its
 ``ChooserParams``, ``diagonalize`` solves it as a star (the hub |Kproj>
@@ -32,7 +30,7 @@ eigenvector rows, the star residual) runs over blocks of ``_BLOCK`` roots
 in one small workspace allocated once per solve, and writes each block's
 eigenvector rows straight into the one dim × dim array of eigenvectors:
 the per-root bookkeeping stays vectorized over all roots. The contract
-checks, for dense input too, form VᴴV and H·V − V·Λ by blocks of
+checks, for dense input too, form VᵀV and H·V − V·Λ by blocks of
 ``_CHECK_BLOCK`` eigenvectors, so a star solve holds no dim × dim array
 but its eigenvectors (peak ~1.2 × 8·dim²). Every ``SpectralDecomposition``
 that ``diagonalize`` returns carries both measured margins.
@@ -58,10 +56,11 @@ RESIDUAL_TOL = 1e-10
 
 @dataclass
 class SpectralDecomposition:
-    """Eigenpairs of a Hermitian matrix: ascending eigenvalues, orthonormal columns.
+    """Eigenpairs of a real-symmetric matrix: ascending eigenvalues, orthonormal
+    real columns.
 
     ``residual`` is the worst measured ‖H·v − λv‖ over ‖H‖ = max |λ| and
-    ``ortho_defect`` the largest entry of |VᴴV − 1|, as ``diagonalize``
+    ``ortho_defect`` the largest entry of |VᵀV − 1|, as ``diagonalize``
     checked them (NaN for a decomposition made elsewhere).
     """
 
@@ -78,18 +77,16 @@ class SpectralDecomposition:
 def diagonalize(
     h: HamiltonianMatrix | np.ndarray | ChooserParams | TelegraphSite,
 ) -> SpectralDecomposition:
-    """Eigendecompose a Hermitian matrix, verifying the spectral contract.
+    """Eigendecompose a real-symmetric matrix, verifying the spectral contract.
 
-    Input with no nonzero imaginary part is decomposed as a real-symmetric
-    matrix (real eigenvectors); the contracts are checked in the input's
-    own arithmetic. A ``ChooserParams`` is solved as a star from its
-    secular equation (see ``_star``) without forming the matrix, a
-    ``TelegraphSite`` as its dense block. A bare array is wrapped in a
-    ``HamiltonianMatrix`` (square, exactly Hermitian) of a copy. Raises
-    ContractViolationError if that check fails, if eigenvector residuals
-    exceed 1e-10 times the spectral norm, or if the eigenbasis is not
-    orthonormal to 1e-12; raises ConfigError if an entry or an eigenvalue
-    of a dense matrix is not finite (entries near the float limit).
+    A ``ChooserParams`` is solved as a star from its secular equation (see
+    ``_star``) without forming the matrix, a ``TelegraphSite`` as its dense
+    block. A bare array is wrapped in a ``HamiltonianMatrix`` (square,
+    exactly real symmetric) of a copy. Raises ContractViolationError if that
+    check fails, if eigenvector residuals exceed 1e-10 times the spectral
+    norm, or if the eigenbasis is not orthonormal to 1e-12; raises
+    ConfigError if an entry or an eigenvalue of a dense matrix is not finite
+    (entries near the float limit).
     """
     if isinstance(h, ChooserParams):
         return _verified(*_star(h))
@@ -133,8 +130,8 @@ def dense_residual(entries, eigenvalues, eigenvectors) -> float:
 def _verified(eigenvalues, eigenvectors, residual) -> SpectralDecomposition:
     """The decomposition with its measured margins, once both contracts hold.
 
-    The orthonormality defect max |VᴴV − 1| is taken over the Gram's upper
-    triangle, a block of ``_CHECK_BLOCK`` rows V[:, s:e]ᴴ·V[:, s:] at a time,
+    The orthonormality defect max |VᵀV − 1| is taken over the Gram's upper
+    triangle, a block of ``_CHECK_BLOCK`` rows V[:, s:e]ᵀ·V[:, s:] at a time,
     so no dim × dim Gram is formed.
     """
     if not residual <= RESIDUAL_TOL:  # NaN fails too
@@ -152,14 +149,11 @@ def _verified(eigenvalues, eigenvectors, residual) -> SpectralDecomposition:
 
 
 def _gram_defect(vectors, s, e):
-    """max |G − 1| over rows s:e of the Gram's upper triangle, G = V[:, s:e]ᴴ·V[:, s:]."""
-    gram = vectors[:, s:e].conj().T @ vectors[:, s:]
+    """max |G − 1| over rows s:e of the Gram's upper triangle, G = V[:, s:e]ᵀ·V[:, s:]."""
+    gram = vectors[:, s:e].T @ vectors[:, s:]
     diagonal = np.arange(e - s)
     gram[diagonal, diagonal] -= 1.0
-    if np.iscomplexobj(gram):
-        gram = np.abs(gram)
-    # for real G without a |G| copy; a NaN propagates
-    return np.maximum(gram.max(), 0.0 - gram.min())
+    return np.maximum(gram.max(), 0.0 - gram.min())  # no |G| copy; a NaN propagates
 
 
 # ---------------------------------------------------------------------------
@@ -613,15 +607,6 @@ def _uniform_grid(times):
     return t0, h
 
 
-def _product(matrix, block):
-    """matrix @ block for a C-ordered complex block. A real matrix is applied
-    with one real product: the block read as float64 holds the real and
-    imaginary parts interleaved, so no complex copy of the matrix is made."""
-    if np.iscomplexobj(matrix):
-        return matrix @ block
-    return (matrix @ block.view(float)).view(complex)
-
-
 def evolve(d: SpectralDecomposition, psi0, times) -> np.ndarray:
     """Propagate: rows are states Ψ(t) on the supplied uniform time grid.
 
@@ -630,8 +615,8 @@ def evolve(d: SpectralDecomposition, psi0, times) -> np.ndarray:
     two times (ValueError for any other grid, see ``_uniform_grid``). A grid
     whose phases overflow, max|λ|·max|t| not finite, is refused with a
     ConfigError before any phase is formed. Ψ(0), given on those rows, must
-    be normalized (contract violation otherwise). The states are complex
-    also when the eigenvectors are real.
+    be normalized (contract violation otherwise). The eigenvectors must be
+    real (ValueError otherwise, before any product); the states are complex.
 
     ``d`` may carry a subset of a decomposition's rows, built as
     ``SpectralDecomposition(dec.eigenvalues, dec.eigenvectors[rows])``: exact
@@ -648,6 +633,9 @@ def evolve(d: SpectralDecomposition, psi0, times) -> np.ndarray:
     one block, evened out to ⌈n/⌈n/B⌉⌉ ≤ n, balances the ``exp`` blocks
     against the brackets: a few rows need no (dim × n) block.
     """
+    vectors = d.eigenvectors
+    if np.iscomplexobj(vectors):
+        raise ValueError("evolve needs the real eigenvectors of a real-symmetric matrix")
     psi0 = _check_normalized(psi0)
     times = np.asarray(times, dtype=float)
     t0, h = _uniform_grid(times)
@@ -658,7 +646,6 @@ def evolve(d: SpectralDecomposition, psi0, times) -> np.ndarray:
             f"the phases lambda*t overflow: max|lambda| = {scale:.3e} "
             f"times max|t| = {span:.3e} is not finite"
         )
-    vectors = d.eigenvectors
     n = len(times)
     rows = min(len(vectors), _CHECK_BLOCK)
     coarse = -(-n // (math.isqrt(n * (rows + 1) - 1) + 1)) if n else 0
@@ -667,7 +654,9 @@ def evolve(d: SpectralDecomposition, psi0, times) -> np.ndarray:
     # one coarse step starts at t₀ alone, and then B·h = n·h may overflow
     coarse_step = fine * h if coarse > 1 else 0.0
     starts = np.exp(np.outer(t0 + coarse_step * np.arange(coarse), rate))
-    starts *= _product(vectors.conj().T, psi0[:, np.newaxis]).T  # ⟨v_k|Ψ(0)⟩
+    # ⟨v_k|Ψ(0)⟩ by one real product: Ψ(0) read as float64 interleaves its
+    # real and imaginary parts, so no complex copy of V is made
+    starts *= (vectors.T @ psi0[:, np.newaxis].view(float)).view(complex).T
     steps = np.exp(np.outer(rate, h * np.arange(fine)))
     states = np.empty((len(vectors), n), dtype=complex)
     for s, e in _blocks(len(vectors), _CHECK_BLOCK):

@@ -128,6 +128,14 @@ def out_of_range_cases():
 
 
 class TestConfigParser:
+    def test_telegraph_schema_is_built_from_the_site_keys(self):
+        # the two sites' keys interleaved field by field, then weight_site1:
+        # the order that missing-key and unknown-key messages list them in
+        assert list(config._SCHEMAS["telegraph"]["parameters"]) == [
+            "e_g1", "e_g2", "e_w1", "e_w2", "v_loc_1", "v_loc_2", "eps_grav_1",
+            "eps_grav_2", "band_1", "band_2", "v_gw_1", "v_gw_2", "weight_site1",
+        ]
+
     def test_valid_chooser_fills_defaults(self):
         cfg = parse_config(CHOOSER_TEXT)
         assert cfg.scenario == "chooser"

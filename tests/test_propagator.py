@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from gravodyn import propagator
 from gravodyn.errors import ConfigError, ContractViolationError
-from gravodyn.models import ChooserParams, build_chooser
+from gravodyn.models import ChooserParams, HamiltonianMatrix, build_chooser
 from gravodyn.propagator import (
     ORTHO_TOL,
     RESIDUAL_TOL,
@@ -44,12 +44,6 @@ def rk4_evolve(h, psi0, times):
         t = t_next
         out.append(psi.copy())
     return np.array(out)
-
-
-def random_hermitian(dim, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return a + a.conj().T
 
 
 def random_symmetric(dim, seed):
@@ -87,9 +81,9 @@ class TestDiagonalize:
         assert np.allclose(d.eigenvalues, [-5.0, 0.0, 5.0], atol=1e-13)
 
     def test_reconstruction(self):
-        h = random_hermitian(6, seed=7)
+        h = random_symmetric(6, seed=7)
         d = diagonalize(h)
-        rebuilt = (d.eigenvectors * d.eigenvalues) @ d.eigenvectors.conj().T
+        rebuilt = (d.eigenvectors * d.eigenvalues) @ d.eigenvectors.T
         assert np.max(np.abs(rebuilt - h)) < 1e-10 * np.max(np.abs(d.eigenvalues))
 
     def test_rejects_non_hermitian(self):
@@ -97,14 +91,14 @@ class TestDiagonalize:
             diagonalize(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
     def test_orthonormal_columns(self):
-        d = diagonalize(random_hermitian(12, seed=3))
-        gram = d.eigenvectors.conj().T @ d.eigenvectors
+        d = diagonalize(random_symmetric(12, seed=3))
+        gram = d.eigenvectors.T @ d.eigenvectors
         assert np.max(np.abs(gram - np.eye(12))) <= 1e-12
 
 
 class TestEvolve:
     def test_t0_returns_initial(self):
-        h = random_hermitian(5, seed=1)
+        h = random_symmetric(5, seed=1)
         psi0 = random_state(5, seed=2)
         states = evolve(diagonalize(h), psi0, [0.0])
         assert np.allclose(states[0], psi0, atol=1e-13)
@@ -135,7 +129,7 @@ class TestEvolve:
         [[0.0, 1.0, 7.3], [0.0, 1.0, 2.0, 3.1], [0.0, math.nan], [math.nan], [0.0, math.inf]],
     )
     def test_rejects_a_non_uniform_or_non_finite_grid(self, times):
-        d = diagonalize(random_hermitian(3, seed=6))
+        d = diagonalize(random_symmetric(3, seed=6))
         with pytest.raises(ValueError, match="uniform time grid"):
             evolve(d, random_state(3, seed=7), times)
 
@@ -149,65 +143,64 @@ class TestEvolve:
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 1000),
-        real=st.booleans(),
         t0=st.floats(-50, 50),
         t_final=st.floats(-50, 50),
         n=st.integers(1, 2100),
         rows=st.none() | st.lists(st.integers(0, 11), min_size=1, max_size=3, unique=True),
     )
     # a subnormal span: its step is rounded to whole subnormal units
-    @example(seed=0, real=False, t0=0.0, t_final=6.780773377419546e-308, n=96, rows=None)
-    def test_factored_phases_match_the_spectral_sum(self, seed, real, t0, t_final, n, rows):
-        h = random_symmetric(12, seed) if real else random_hermitian(12, seed)
-        h = h / np.max(np.abs(np.linalg.eigvalsh(h)))  # eigenvalues in [-1, 1]
+    @example(seed=0, t0=0.0, t_final=6.780773377419546e-308, n=96, rows=None)
+    def test_factored_phases_match_the_spectral_sum(self, seed, t0, t_final, n, rows):
+        h = random_symmetric(12, seed)
         psi0 = random_state(12, seed + 1)
         full = diagonalize(h)
         d, given = full, psi0
         if rows is not None:  # the decomposition's rows, with psi0 on them
             d, psi0, given = on_rows(full, psi0, rows)
         times = np.linspace(t0, t_final, n)
-        coeff = full.eigenvectors.conj().T @ psi0
+        coeff = full.eigenvectors.T @ psi0
         direct = d.eigenvectors @ (np.exp(-1j * np.outer(d.eigenvalues, times)) * coeff[:, None])
         # each phase λ·t is rounded at |λ·t| <= 50 in both: ~1e-14 per term
         assert np.max(np.abs(evolve(d, given, times) - direct.T)) <= 1e-12
 
     @pytest.mark.parametrize("real", [True, False])
     def test_rows_beyond_one_block_match_the_spectral_sum(self, real):
-        # 300 rows: brackets of 128, 128 and 44 rows, one fine block for all
-        h = random_symmetric(300, 51) if real else random_hermitian(300, 51)
-        h = h / np.max(np.abs(np.linalg.eigvalsh(h)))
+        # 300 rows: brackets of 128, 128 and 44 rows, one fine block for all;
+        # a real Ψ(0) reaches the interleaved product with zero imaginary parts
+        h = random_symmetric(300, 51)
         psi0 = random_state(300, 52)
+        if real:
+            psi0 = psi0.real / np.linalg.norm(psi0.real)
         d = diagonalize(h)
         times = np.linspace(0.0, 40.0, 97)
-        coeff = d.eigenvectors.conj().T @ psi0
+        coeff = d.eigenvectors.T @ psi0
         direct = d.eigenvectors @ (np.exp(-1j * np.outer(d.eigenvalues, times)) * coeff[:, None])
         assert np.max(np.abs(evolve(d, psi0, times) - direct.T)) <= 1e-12
 
     def test_empty_grid(self):
-        d = diagonalize(random_hermitian(4, seed=8))
+        d = diagonalize(random_symmetric(4, seed=8))
         psi0 = random_state(4, seed=9)
         assert evolve(d, psi0, []).shape == (0, 4)
         subset, _, on = on_rows(d, psi0, [1, 3])
         assert evolve(subset, on, []).shape == (0, 2)
 
     def test_against_rk4_oracle(self):
-        h = random_hermitian(10, seed=11)
-        h = h / np.max(np.abs(np.linalg.eigvalsh(h)))  # eigenvalues in [-1, 1]
+        h = random_symmetric(10, seed=11)
         psi0 = random_state(10, seed=12)
         times = np.linspace(0.0, 10.0, 6)
         exact = evolve(diagonalize(h), psi0, times)
         oracle = rk4_evolve(h, psi0, times)
-        assert np.max(np.abs(exact - oracle)) < 1e-6
+        assert np.max(np.abs(exact - oracle)) < 1e-12  # measured 2.4e-14
 
     def test_norm_conserved(self):
-        h = random_hermitian(8, seed=21)
+        h = random_symmetric(8, seed=21)
         psi0 = random_state(8, seed=22)
         states = evolve(diagonalize(h), psi0, np.linspace(0, 50, 200))
         norms = total_norms(states)
         assert np.max(np.abs(norms - 1.0)) < 1e-10
 
     def test_energy_conserved(self):
-        h = random_hermitian(8, seed=31)
+        h = random_symmetric(8, seed=31)
         psi0 = random_state(8, seed=32)
         states = evolve(diagonalize(h), psi0, np.linspace(0, 30, 100))
         energies = np.real(np.einsum("ti,ij,tj->t", states.conj(), h, states))
@@ -215,7 +208,7 @@ class TestEvolve:
         assert np.max(np.abs(energies - ref)) < 1e-9 * max(abs(ref), 1.0)
 
     def test_time_reversal(self):
-        h = random_hermitian(7, seed=41)
+        h = random_symmetric(7, seed=41)
         psi0 = random_state(7, seed=42)
         d = diagonalize(h)
         t = 13.7
@@ -226,14 +219,14 @@ class TestEvolve:
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 1000), t=st.floats(0, 100))
     def test_unitarity_property(self, seed, t):
-        h = random_hermitian(5, seed=seed)
+        h = random_symmetric(5, seed=seed)
         psi0 = random_state(5, seed=seed + 1)
         state = evolve(diagonalize(h), psi0, [t])[0]
         assert abs(np.linalg.norm(state) - 1.0) < 1e-10
 
 
 class TestRealPath:
-    """Real-symmetric input stays real; complex input takes the complex path."""
+    """Every matrix is decomposed and evolved in real arithmetic."""
 
     def test_real_input_decomposed_in_float64(self):
         h = random_symmetric(50, seed=101)
@@ -241,19 +234,22 @@ class TestRealPath:
             assert d.eigenvectors.dtype == np.float64
             assert np.max(np.abs(d.eigenvalues - np.linalg.eigvalsh(h.astype(complex)))) < 1e-13
 
-    def test_complex_input_stays_complex(self):
-        assert diagonalize(random_hermitian(6, seed=102)).eigenvectors.dtype == np.complex128
+    def test_rejects_asymmetric(self):
+        with pytest.raises(ContractViolationError, match="not Hermitian"):
+            diagonalize(np.array([[0.0, 1.0], [1.0 + 1e-15, 0.0]]))
 
     @pytest.mark.parametrize(
         "h",
         [
-            np.array([[0.0, 1.0], [1.0 + 1e-15, 0.0]]),  # real, not symmetric
+            np.array([[0.0, 1j], [-1j, 0.0]]),  # Hermitian
             np.array([[0.0, 1j], [1j, 0.0]]),  # complex symmetric, not Hermitian
+            np.array([[0.0, 1.0 + 5e-324j], [1.0 - 5e-324j, 0.0]]),  # a subnormal part
         ],
     )
-    def test_rejects_asymmetric_in_either_arithmetic(self, h):
-        with pytest.raises(ContractViolationError, match="not Hermitian"):
-            diagonalize(h)
+    def test_rejects_a_nonzero_imaginary_part(self, h):
+        for solve in (HamiltonianMatrix, diagonalize):
+            with pytest.raises(ContractViolationError, match="not real symmetric"):
+                solve(h)
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_bare_array_stays_writable_and_unchanged(self, dtype):
@@ -263,16 +259,17 @@ class TestRealPath:
         assert h.flags.writeable
         assert h.dtype == dtype and np.array_equal(h, before)
 
-    def test_real_evolve_matches_complex_path_and_oracle(self):
-        h = random_symmetric(50, seed=103)
-        psi0 = random_state(50, seed=104)
-        times = np.linspace(0.0, 10.0, 6)
-        real = evolve(diagonalize(h), psi0, times)
-        eigenvalues, eigenvectors = np.linalg.eigh(h.astype(complex))
-        complex_path = evolve(SpectralDecomposition(eigenvalues, eigenvectors), psi0, times)
-        assert real.dtype == np.complex128
-        assert np.max(np.abs(real - complex_path)) < 1e-12
-        assert np.max(np.abs(real - rk4_evolve(h, psi0, times))) < 1e-12
+    @pytest.mark.parametrize("rows, n", [(1, 4), (2, 1), (2, 0)])
+    def test_evolve_refuses_complex_eigenvectors(self, rows, n):
+        # one row and four times make two coarse steps: without the check, the
+        # real-view product of complex vectors is a (2 × dim) block that
+        # broadcasts onto the two coarse phase rows; a one-time or empty grid
+        # is refused too, before any product
+        eigenvalues, eigenvectors = np.linalg.eigh(np.array([[0.0, 1j], [-1j, 0.0]]))
+        d = SpectralDecomposition(eigenvalues, eigenvectors[:rows])
+        psi0 = np.ones(rows) / math.sqrt(rows)
+        with pytest.raises(ValueError, match="real eigenvectors"):
+            evolve(d, psi0, np.linspace(0.0, 1.0, n))
 
 
 class TestRows:
@@ -283,17 +280,15 @@ class TestRows:
         data=st.data(),
         dim=st.integers(1, 24),
         seed=st.integers(0, 1000),
-        real=st.booleans(),
         t0=st.floats(0, 50),
         t_final=st.floats(0, 50),
         n=st.integers(1, 5),
     )
     def test_rows_match_the_full_state_and_the_rest_of_the_norm(
-        self, data, dim, seed, real, t0, t_final, n
+        self, data, dim, seed, t0, t_final, n
     ):
         times = np.linspace(t0, t_final, n)
-        h = random_symmetric(dim, seed) if real else random_hermitian(dim, seed)
-        h = h / np.max(np.abs(np.linalg.eigvalsh(h)))  # eigenvalues in [-1, 1]
+        h = random_symmetric(dim, seed)
         rows = data.draw(st.lists(st.integers(0, dim - 1), min_size=1, unique=True))
         d = diagonalize(h)
         subset, psi0, on = on_rows(d, random_state(dim, seed + 1), rows)
@@ -423,10 +418,9 @@ class TestStar:
         # measured 1.235: the eigenvectors, then the workspace or a Gram block
         assert peak <= 1.3 * d.eigenvectors.nbytes  # 8·dim²
 
-    @pytest.mark.parametrize("dtype", [float, complex])
-    def test_dense_checks_hold_a_few_column_blocks(self, dtype):
+    def test_dense_checks_hold_a_few_column_blocks(self):
         dim = 5 * propagator._CHECK_BLOCK
-        h = random_symmetric(dim, seed=3) if dtype is float else random_hermitian(dim, seed=3)
+        h = random_symmetric(dim, seed=3)
         eigenvalues, eigenvectors = np.linalg.eigh(h)
         tracemalloc.start()
         try:
@@ -435,29 +429,27 @@ class TestStar:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # measured 2.2 blocks of (dim × _CHECK_BLOCK); whole, H·V and VᴴV are 5 each
+        # measured 2.2 blocks of (dim × _CHECK_BLOCK); whole, H·V and VᵀV are 5 each
         assert peak <= 3 * eigenvectors.itemsize * dim * propagator._CHECK_BLOCK
 
-    @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("dim", [5, 3 * propagator._CHECK_BLOCK + 5])
-    def test_eigenvectors_holding_a_nan_fail_the_orthonormality_contract(self, dtype, dim):
+    def test_eigenvectors_holding_a_nan_fail_the_orthonormality_contract(self, dim):
         # at dim > 3 blocks, in the last block of Gram rows (and the column
         # of every block before it): no block's NaN may be dropped
-        vectors = np.eye(dim, dtype=dtype)
+        vectors = np.eye(dim)
         vectors[3, dim - 4] = np.nan
         with pytest.raises(ContractViolationError, match="orthonormality defect nan"):
             propagator._verified(np.arange(float(dim)), vectors, 0.0)
 
-    @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("first", [127, 382])
-    def test_a_non_orthogonal_pair_fails_across_and_inside_blocks(self, dtype, first):
+    def test_a_non_orthogonal_pair_fails_across_and_inside_blocks(self, first):
         # columns 127 and 128 straddle the first two blocks of Gram rows;
         # 382 and 383 are the last block's
         assert propagator._CHECK_BLOCK == 128
         dim = 3 * propagator._CHECK_BLOCK
         s = 1e-6
-        vectors = np.eye(dim, dtype=dtype)
-        vectors[first, first + 1] = s * (1j if dtype is complex else 1.0)
+        vectors = np.eye(dim)
+        vectors[first, first + 1] = s
         vectors[first + 1, first + 1] = math.sqrt(1.0 - s * s)
         with pytest.raises(ContractViolationError, match="orthonormality defect 1.000e-06"):
             propagator._verified(np.arange(float(dim)), vectors, 0.0)
@@ -535,14 +527,14 @@ class TestStar:
         assert cases[columns]
 
     def test_dense_margins_are_kept(self):
-        d = diagonalize(random_hermitian(12, seed=5))
+        d = diagonalize(random_symmetric(12, seed=5))
         assert 0.0 < d.residual <= RESIDUAL_TOL
         assert 0.0 < d.ortho_defect <= ORTHO_TOL
 
     @pytest.mark.parametrize("power", [-900, 1000])
     def test_dense_residual_is_the_same_at_any_scale(self, power):
         # unscaled, its squares would underflow to 0 or overflow to inf
-        h = random_hermitian(12, seed=5)
+        h = random_symmetric(12, seed=5)
         d = diagonalize(h)
         margin = propagator.dense_residual(h, d.eigenvalues, d.eigenvectors)
         unit = math.ldexp(1.0, power)

@@ -58,6 +58,14 @@ def test_only_the_spectral_layer_calls_an_eigensolver():
     assert callers == ["propagator.py"]
 
 
+def test_the_spectral_layer_conjugates_nothing():
+    # every Hamiltonian is real symmetric, so the model and spectral layers
+    # have one arithmetic: no complex-conjugate path beside the real one
+    for name in ("models.py", "propagator.py"):
+        tree = ast.parse((ROOT / "src" / "gravodyn" / name).read_text(encoding="utf-8"))
+        assert not {"conj", "conjugate"} & names_used(tree), name
+
+
 def test_cli_sizes_every_model_part_by_one_byte_estimate():
     # the memory cap is read where a part is admitted and where sweep workers
     # are capped, and nowhere else; the count cap stays with the parser
