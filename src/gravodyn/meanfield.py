@@ -43,8 +43,8 @@ coefficients of each potential, which is affine in the other field's
 density (U = c0 + c1·|other|²), and each field's kinetic diagonal and
 off-diagonal. A sub-step f -> (I + iS)⁻¹(I - iS) f, S = (dt/2) H, equals
 2 (I + iS)⁻¹ f - f (the Cayley form), so it is one LAPACK ``gtsv`` solve
-with right-hand side 2f on bare arrays and one subtraction, after a
-finiteness check of the diagonal's imaginary part and of 2f.
+with right-hand side 2f on bare arrays, in place in the result, and one
+subtraction. A diagonal or 2f that is not finite is refused.
 
 Each solve runs only on a window where its field lives: the support
 {|f| > TAU·max|f|}, TAU = 1e-30, widened by m points on each side, where
@@ -62,6 +62,16 @@ coupled, this error moves the other field's potential as rounding does,
 and rounding is ~1e10 times larger per solve. A window that reaches both
 grid edges is the full-grid solve; so is the solve of a field whose max|f|
 is not finite, which the finiteness check then refuses.
+
+A solve reads only windows. A run carries each field's window from the
+solve that gave it (the whole grid for an initial field), and the field is
+exactly 0 off it. So the support scan runs over that window alone, and the
+bound on the diagonal, which needs Σ|other|², over the other field's.
+Zeros are never in the support, so each window is the one a scan of the
+whole grid finds. A solve off the full grid checks no entry for finiteness:
+that bound keeps every |im| at or below a quarter of the float limit, and
+2f is finite where 2·max|f| is. A full-grid solve, or one where 2·max|f|
+overflows, checks every entry of im and 2f.
 """
 
 from __future__ import annotations
@@ -199,7 +209,7 @@ class _Kernel:
         return c0 + c1 * np.abs(other) ** 2
 
     def substep(self, field, dt):
-        """One field's Crank–Nicolson sub-step of length dt, as ``solve(f, other)``.
+        """One field's Crank–Nicolson sub-step of length dt, as a ``solve`` (below).
 
         The step f -> (I + iS)⁻¹(I - iS) f, S = (dt/2) H, H = -(1/2m) D2 + U,
         with Dirichlet boundaries (fields must be negligible at the edges),
@@ -226,7 +236,18 @@ class _Kernel:
         grid edges is the full-grid solve. So is every solve where the full
         grid could refuse what the window does not form: an empty support
         (max|f| is 0, inf or NaN), or an im off W that might not be finite
-        (|base| + |slope|·Σ|other|² above a quarter of the float limit).
+        (|base| + |slope|·Σ|other|² above a quarter of the float limit; the
+        sum is 0 when ``other`` is None).
+
+        ``solve(f, other=None, span=(0, n), other_span=(0, n))`` returns
+        ``(x, (lo, hi))``. f must be exactly 0 off ``span`` and ``other``
+        off ``other_span``, as each x is off its [lo, hi): the scan for T
+        reads f on ``span`` only, and Σ|other|² reads ``other`` on
+        ``other_span`` only. Off the full grid no entry of im or 2f is
+        checked for finiteness: the bound above keeps every |im| within a
+        quarter of the float limit, and |Re f_j|, |Im f_j| ≤ M, so 2f is
+        finite when 2M is. A full-grid solve, or one with 2M above the
+        float limit, checks each entry and refuses one that is not finite.
         """
         two_kin, off = self.bands[field]
         z = 0.5j * dt
@@ -244,21 +265,28 @@ class _Kernel:
         rho = 2.0 * abs(zoff[0])  # dt·kin, at most 1/2 under check_stability
         margin = math.ceil(math.log(TAU) / math.log(rho)) if 0.0 < rho < 1.0 else n
         im_limit = 0.25 * np.finfo(float).max
+        half_limit = 0.5 * np.finfo(float).max
 
-        def window(f, other):  # [lo, hi), see above
-            mag = np.abs(f)
-            live = mag > TAU * mag.max()  # all False if max|f| is 0, inf or NaN
-            lo = int(live.argmax()) - margin
-            hi = n - int(live[::-1].argmax()) + margin
+        def solve(f, other=None, span=(0, n), other_span=(0, n)):
+            # f is exactly 0 off span, other off other_span
+            a, b = span
+            mag = np.abs(f[a:b])
+            top = mag.max()
+            live = mag > TAU * top  # all False if max|f| is 0, inf or NaN
+            first = int(live.argmax())
             # every |other_j|² ≤ Σ|other|², so this bounds |im| on the whole grid
-            mass = 0.0 if other is None else float(np.vdot(other, other).real)
-            if not base_max + slope_max * mass <= im_limit:
-                return 0, n
-            return max(lo, 0), min(hi, n)
-
-        def solve(f, other=None):
-            lo, hi = window(f, other)
-            fw = f[lo:hi]
+            mass = 0.0
+            if other is not None:
+                carried = other[other_span[0]:other_span[1]]
+                mass = float(np.vdot(carried, carried).real)
+            if live[first] and base_max + slope_max * mass <= im_limit:
+                lo = max(a + first - margin, 0)
+                hi = min(b - int(live[::-1].argmax()) + margin, n)
+            else:
+                lo, hi = 0, n
+            x = np.zeros(n, dtype=complex)
+            fw, rhs = f[lo:hi], x[lo:hi]
+            np.add(fw, fw, out=rhs)
             if other is None:
                 im = base[lo:hi]
             else:
@@ -266,8 +294,11 @@ class _Kernel:
                 im *= im
                 im *= slope[lo:hi]
                 im += base[lo:hi]
-            rhs = fw + fw
-            if not (np.isfinite(im).all() and np.isfinite(rhs.view(float)).all()):
+            # off the full grid the guard bounds |im|, and 2f is finite where
+            # 2·max|f| is; elsewhere each entry is checked
+            if (hi - lo == n or not top <= half_limit) and not (
+                np.isfinite(im).all() and np.isfinite(rhs.view(float)).all()
+            ):
                 raise ValueError(
                     "Crank–Nicolson diagonal or right-hand side is not finite"
                 )
@@ -275,20 +306,16 @@ class _Kernel:
             d.real = 1.0
             d.imag = im
             # gtsv leaves its LU factors in dl and du, so the shared zoff goes
-            # in as a copy; rhs is this call's own and becomes the solution
+            # in as a copy; it solves in place, in x's window
             dl = zoff[lo:hi - 1]
-            _, _, _, y, info = gtsv(
+            info = gtsv(
                 dl, d, dl, rhs,
                 overwrite_dl=0, overwrite_d=1, overwrite_du=0, overwrite_b=1,
-            )
+            )[-1]
             if info != 0:
                 raise np.linalg.LinAlgError(f"tridiagonal solve failed (gtsv info {info})")
-            y -= fw
-            if hi - lo == n:
-                return y
-            x = np.zeros_like(f)
-            x[lo:hi] = y
-            return x
+            rhs -= fw
+            return x, (lo, hi)
 
         return solve
 
@@ -323,25 +350,28 @@ def stepper(s: GridState, dt):
 
     def march(psi, zeta, n_steps, sample_every=1):
         psi_live, zeta_live = psi.any(), zeta.any()  # NaN counts as nonzero
+        # each field carries the window it is exactly 0 off: the grid at the
+        # start, then that of the solve that gave it
+        psi_span = zeta_span = (0, s.n_points)
         if not (psi_live and zeta_live):
             # a zero field stays zero, so the live field's potential is fixed
             # and its full step is the whole step
             for index in range(1, n_steps + 1):
                 if psi_live:
-                    psi = psi_full(psi)
+                    psi, psi_span = psi_full(psi, None, psi_span)
                 elif zeta_live:
-                    zeta = zeta_full(zeta)
+                    zeta, zeta_span = zeta_full(zeta, None, zeta_span)
                 if index % sample_every == 0 or index == n_steps:
                     yield index, psi, zeta
             return
         if n_steps:
-            zeta = zeta_half(zeta, psi)  # zeta(dt/2)
+            zeta, zeta_span = zeta_half(zeta, psi, zeta_span, psi_span)  # zeta(dt/2)
         for index in range(1, n_steps + 1):
-            psi = psi_full(psi, zeta)
+            psi, psi_span = psi_full(psi, zeta, psi_span, zeta_span)
             if index % sample_every == 0 or index == n_steps:
-                yield index, psi, zeta_half(zeta, psi)
+                yield index, psi, zeta_half(zeta, psi, zeta_span, psi_span)[0]
             if index < n_steps:
-                zeta = zeta_full(zeta, psi)
+                zeta, zeta_span = zeta_full(zeta, psi, zeta_span, psi_span)
 
     return march
 

@@ -377,6 +377,18 @@ def coupled_state(zero=(), n=129, half_width=12.0, psi_center=-1.0):
     )
 
 
+def grid_like_state():
+    """perfbench's meanfield_grid state: 2 801 points on ±70, both fields live."""
+    n, half_width = 2801, 70.0
+    x = np.linspace(-half_width, half_width, n)
+    return GridState(
+        x_min=-half_width, x_max=half_width, n_points=n,
+        psi=gaussian_packet(x, -5.0, 1.0, momentum=0.5),
+        zeta=gaussian_packet(x, 5.0, 1.5, momentum=-0.5),
+        m=1.0, m_g=1.0, g_newton=0.5, d_spatial=3, softening=1.0,
+    )
+
+
 ZERO_FIELDS = [(), ("zeta",), ("psi",), ("psi", "zeta")]
 
 
@@ -402,9 +414,9 @@ class TestReferenceStepper:
         def counting(kernel, field, dt):
             solve = substep(kernel, field, dt)
 
-            def counted(f, other=None):
+            def counted(*args, **kwargs):
                 calls.append(field)
-                return solve(f, other)
+                return solve(*args, **kwargs)
 
             return counted
 
@@ -464,9 +476,9 @@ def solved_lengths(monkeypatch):
     def counting(names, arrays):
         gtsv, = real(names, arrays)
 
-        def counted(dl, d, du, b, **kwargs):
-            lengths.append(len(d))
-            return gtsv(dl, d, du, b, **kwargs)
+        def counted(*args, **kwargs):
+            lengths.append(len(args[1] if len(args) > 1 else kwargs["d"]))
+            return gtsv(*args, **kwargs)
 
         return (counted,)
 
@@ -512,7 +524,7 @@ class TestSupportWindow:
             for dt in (0.005, 0.0025):
                 rho = dt / (2.0 * mass * s.dx * s.dx)
                 margin = math.ceil(math.log(tau) / math.log(rho))
-                got = kernel.substep(field, dt)(box, other)
+                got, _ = kernel.substep(field, dt)(box, other)
                 want = reference(field, box, 0.0 * box if other is None else other, dt)
                 assert np.max(np.abs(got - want)) <= window_budget(tau), (field, dt)
                 solved = np.flatnonzero(got)  # exactly 0 outside the window
@@ -525,22 +537,61 @@ class TestSupportWindow:
 
     def test_a_meanfield_grid_like_run_solves_under_half_the_grid(self, solved_lengths):
         # perfbench's meanfield_grid config, for 20 of its 2000 steps
-        n, half_width = 2801, 70.0
-        x = np.linspace(-half_width, half_width, n)
-        s = GridState(
-            x_min=-half_width, x_max=half_width, n_points=n,
-            psi=gaussian_packet(x, -5.0, 1.0, momentum=0.5),
-            zeta=gaussian_packet(x, 5.0, 1.5, momentum=-0.5),
-            m=1.0, m_g=1.0, g_newton=0.5, d_spatial=3, softening=1.0,
-        )
+        s = grid_like_state()
         run(s, 6e-4, 20, sample_every=10)
         assert len(solved_lengths) == 2 * 20 + 2
-        assert max(solved_lengths) < n // 2
+        assert max(solved_lengths) < s.n_points // 2
+
+    def test_carried_windows_solve_what_full_grid_scans_solve(self, monkeypatch, solved_lengths):
+        # a solve's result is exactly 0 off its window, so scanning only that
+        # window finds the support a scan of the whole grid finds
+        s = grid_like_state()
+
+        def march():
+            steps = meanfield.stepper(s, 6e-4)(s.psi, s.zeta, 100, sample_every=10)
+            return [psi.tobytes() + zeta.tobytes() for _, psi, zeta in steps]
+
+        carried = march()
+        carried_lengths = solved_lengths[:]
+        solved_lengths.clear()
+        substep = meanfield._Kernel.substep
+
+        def full_scan(kernel, field, dt):
+            solve = substep(kernel, field, dt)
+            return lambda f, other=None, *spans: solve(f, other)
+
+        monkeypatch.setattr(meanfield._Kernel, "substep", full_scan)
+        assert march() == carried
+        assert solved_lengths == carried_lengths
+        assert len(carried_lengths) == 2 * 100 + 10 and max(carried_lengths) < s.n_points // 2
+
+    # the narrow psi packet at -1 has a window inside the grid, where the
+    # guard and 2·max|f| stand in for checking each entry
+    @pytest.mark.parametrize("v_o", [np.inf, -np.inf, np.nan])
+    def test_a_non_finite_diagonal_with_the_other_field_zero_is_refused(self, v_o):
+        s = coupled_state(n=601, half_width=30.0)
+        _, (lo, hi) = meanfield._Kernel(s).substep("zeta", 0.005)(s.psi)
+        assert 0 < lo and hi < s.n_points
+        s.v_o = v_o
+        solve = meanfield._Kernel(s).substep("zeta", 0.005)
+        with pytest.raises(ValueError, match="diagonal or right-hand side is not finite"):
+            solve(s.psi)
+
+    def test_a_right_hand_side_that_stays_finite_is_solved(self):
+        # |f| = 0.57·float_max is above float_max/2, but 2f is finite
+        s = coupled_state(n=601, half_width=30.0)
+        f = s.psi.copy()
+        f[290] = 0.4 * np.finfo(float).max * (1 + 1j)
+        solve = meanfield._Kernel(s).substep("psi", 0.005)
+        with np.errstate(all="ignore"):
+            _, (lo, hi) = solve(f, s.zeta)
+        assert 0 < lo and hi < s.n_points
 
     # psi at -1 is f; its window ends near x = 16 at dt = 0.005, so index 315
     # (x = 1.5, zeta's center) is inside it and index 550 (x = 25) outside
     @pytest.mark.parametrize("where, index, value", [
         ("f", 290, np.inf), ("f", 290, np.nan),
+        ("f", 290, 0.6 * np.finfo(float).max),  # finite, but 2f overflows
         ("other", 315, np.inf), ("other", 315, np.nan),
         ("other", 550, np.inf), ("other", 550, np.nan),
         ("other", 550, 1e200),  # finite, but |other|² overflows
@@ -550,7 +601,7 @@ class TestSupportWindow:
     ):
         s = coupled_state(n=601, half_width=30.0)
         solve = meanfield._Kernel(s).substep("psi", 0.005)
-        clean = solve(s.psi, s.zeta)
+        clean, _ = solve(s.psi, s.zeta)
         assert clean[315] != 0 and clean[550] == 0  # inside and outside the window
         f, other = s.psi.copy(), s.zeta.copy()
         (f if where == "f" else other)[index] = value
