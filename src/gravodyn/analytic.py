@@ -23,6 +23,8 @@ import math
 
 import numpy as np
 
+from .propagator import _phase_sum
+
 
 def gamma_from(u, delta):
     """Golden-rule width of the projected band state: pi*u^2/delta."""
@@ -242,9 +244,11 @@ def finite_band_weight(t, u, v, w, delta, alpha=0.0):
     exponential. For v = w = 0 and delta >> gamma it tends to
     1 - e^{-2*gamma*t}.
 
-    Raises ValueError for non-finite input, u = 0, delta <= 0, or when the
-    band quadrature would need more than 16384 panels (roughly delta/gamma
-    above 8000, or |t| above 6e4/delta).
+    ``t`` is a scalar or a uniform grid t_k = t_0 + k*h, summed over the
+    poles and nodes by ``propagator._phase_sum``. Raises ValueError for a
+    non-uniform t (but v = 0 < |w| gives zeros for any t), non-finite
+    input, u = 0, delta <= 0, or when the band quadrature would need more
+    than 16384 panels (roughly delta/gamma above 8000, or |t| above 6e4/delta).
     """
     t = np.asarray(t, dtype=float)
     finite = all(map(math.isfinite, (u, v, w, delta, alpha)))
@@ -262,13 +266,6 @@ def finite_band_weight(t, u, v, w, delta, alpha=0.0):
     poles, bound = _bound_states(u, v, w, delta, alpha, psi0)
     t_max = float(np.max(np.abs(t), initial=0.0))
     nodes, band = _band_quadrature(u, v, w, delta, alpha, psi0, t_max)
-    energies = np.concatenate([poles, nodes])
-    amplitudes = np.concatenate([bound, band])
-
-    flat = t.ravel()
-    core = np.empty((flat.size, 3), dtype=complex)
-    rows = max(1, (1 << 20) // energies.size)  # phase matrix <= 16 MB
-    for i in range(0, flat.size, rows):
-        phases = np.exp(-1j * np.outer(flat[i:i + rows], energies))
-        core[i:i + rows] = phases @ amplitudes
-    return (1.0 - np.sum(np.abs(core) ** 2, axis=1)).reshape(t.shape)
+    amplitudes = np.concatenate([bound, band]).T
+    core = _phase_sum(np.concatenate([poles, nodes]), amplitudes, 1.0, t.ravel())
+    return (1.0 - np.sum(np.abs(core) ** 2, axis=0)).reshape(t.shape)

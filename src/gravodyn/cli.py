@@ -648,7 +648,7 @@ def _grid(cfg: ScenarioConfig):
     A point's parameters are the sweep's fixed keys with that point's axis
     values on top. ``grid_cap`` is checked on the axis lengths before any
     point is built, and building a point's parts runs every check that
-    precedes its solve; ``--check`` then solves the first point's parts only.
+    precedes its solve; ``--check`` then solves every distinct part once.
     """
     names = sorted(cfg.sweep_axes)
     size = math.prod(len(cfg.sweep_axes[name]) for name in names)
@@ -693,12 +693,12 @@ def _run_sweep(cfg: ScenarioConfig, prefix: Path, threads: int):
 
 def _check(cfg: ScenarioConfig):
     """Invariant suite on the configured model (a sweep: every point's
-    parameters and time window, then the model at its first point)."""
+    parameters and time window, then each distinct part its run solves)."""
     if cfg.scenario == "sweep":
         parts = _grid(cfg)[2]
         if not parts:
             return ["check: sweep grid is empty, nothing to check"]
-        return _check_parts(parts[0], cfg.sampling)
+        return _check_parts(dict.fromkeys(itertools.chain.from_iterable(parts)), cfg.sampling)
     return _SCENARIOS[cfg.scenario].check(cfg.parameters, cfg.sampling)
 
 

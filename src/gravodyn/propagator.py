@@ -4,7 +4,7 @@ The solution of i dΨ/dt = HΨ is evaluated as the spectral sum
 Ψ(t) = Σ_k e^{−iλ_k t} v_k ⟨v_k|Ψ(0)⟩ over the full eigendecomposition,
 on every basis row or only on the rows a reduction reads, at the times
 tₖ = t₀ + k·h of a uniform grid: coarse phase steps are folded into the
-rows' eigenvectors, and one matrix product applies the fine ones (``evolve``).
+rows' eigenvectors, and one matrix product applies the fine ones (``_phase_sum``).
 All model bases here are at most a few thousand states, so full
 diagonalization is cheaper and more accurate than step integration
 (a small-step integrator survives only as a test oracle).
@@ -582,14 +582,6 @@ _GRID_TOL = 8.0 * _EPS  # a uniform grid's drift from t₀ + k·h, relative to m
 _GRID_FLOOR = 2.0 * float(np.finfo(float).smallest_subnormal)  # per time: a subnormal h rounds
 
 
-def _check_normalized(psi0):
-    psi0 = np.asarray(psi0, dtype=complex)
-    norm = float(np.linalg.norm(psi0))
-    if abs(norm - 1.0) > NORM_TOL:
-        raise ContractViolationError(f"initial state norm {norm} is not 1 within {NORM_TOL:.0e}")
-    return psi0
-
-
 def _uniform_grid(times):
     """First time and step (t₀, h) of a grid tₖ = t₀ + k·h, to rounding.
 
@@ -603,43 +595,28 @@ def _uniform_grid(times):
         drift = np.max(np.abs(times - (t0 + np.arange(n) * h)), initial=0.0)
     bound = max(_GRID_TOL * np.max(np.abs(times), initial=0.0), _GRID_FLOOR * n)
     if not drift <= bound:  # NaN fails too
-        raise ValueError("evolve needs a finite, uniform time grid t_k = t_0 + k*h")
+        raise ValueError("a phase sum needs a finite, uniform time grid t_k = t_0 + k*h")
     return t0, h
 
 
-def evolve(d: SpectralDecomposition, psi0, times) -> np.ndarray:
-    """Propagate: rows are states Ψ(t) on the supplied uniform time grid.
+def _phase_sum(energies, rows, weights, times):
+    """Σ_k rows_rk·w_k·e^{−iE_k t}, w = ``weights``, for each row at each time: (rows × n).
 
-    Ψ(t) = Σ_k e^{−iλ_k t} v_k ⟨v_k|Ψ(0)⟩ on the eigenvector rows ``d``
-    carries, at times tₖ = t₀ + k·h: ``np.linspace`` output, or any one or
-    two times (ValueError for any other grid, see ``_uniform_grid``). A grid
-    whose phases overflow, max|λ|·max|t| not finite, is refused with a
-    ConfigError before any phase is formed. Ψ(0), given on those rows, must
-    be normalized (contract violation otherwise). The eigenvectors must be
-    real (ValueError otherwise, before any product); the states are complex.
-
-    ``d`` may carry a subset of a decomposition's rows, built as
-    ``SpectralDecomposition(dec.eigenvalues, dec.eigenvectors[rows])``: exact
-    when Ψ(0) lies on those rows, for ⟨v_k|Ψ(0)⟩ then sums over them alone,
-    and the norm check of Ψ(0) on them refuses any state that does not. The
-    full state keeps ‖Ψ(0)‖ up to the orthonormality defect (``--check``
-    measures it), so the other rows hold ‖Ψ(0)‖² minus the subset's weight.
-
-    The phases are factored: with k = a·B + b,
-    Ψ_r(t₀+kh) = Σ_k [V_rk·⟨v_k|Ψ(0)⟩·e^{−iλ_k(t₀+aBh)}]·e^{−iλ_k·bh}. The
-    brackets of ``_CHECK_BLOCK`` rows r and every coarse step a form one
-    (rows·⌈n/B⌉ × dim) matrix, and one product with the fine phases
-    (dim × B) gives those rows' states. B ≈ √(n·(rows+1)) for the rows of
+    The one phase sum of ``evolve`` and ``analytic.finite_band_weight``, on
+    a uniform grid tₖ = t₀ + k·h: ``np.linspace`` output, or any one or two
+    times (ValueError for any other grid, see ``_uniform_grid``). A grid
+    whose phases overflow, max|E|·max|t| not finite, is refused with a
+    ConfigError before any phase is formed. With k = a·B + b the phases factor:
+    Σ_k rows_rk·w_k·e^{−iE_k(t₀+kh)} = Σ_k [rows_rk·w_k·e^{−iE_k(t₀+aBh)}]·e^{−iE_k·bh}.
+    The brackets of ``_CHECK_BLOCK`` rows r and every coarse step a form
+    one (rows·⌈n/B⌉ × dim) matrix, and one product with the fine phases
+    (dim × B) gives those rows' sums. B ≈ √(n·(rows+1)) for the rows of
     one block, evened out to ⌈n/⌈n/B⌉⌉ ≤ n, balances the ``exp`` blocks
     against the brackets: a few rows need no (dim × n) block.
     """
-    vectors = d.eigenvectors
-    if np.iscomplexobj(vectors):
-        raise ValueError("evolve needs the real eigenvectors of a real-symmetric matrix")
-    psi0 = _check_normalized(psi0)
     times = np.asarray(times, dtype=float)
     t0, h = _uniform_grid(times)
-    scale = float(np.max(np.abs(d.eigenvalues), initial=0.0))
+    scale = float(np.max(np.abs(energies), initial=0.0))
     span = float(np.max(np.abs(times), initial=0.0))
     if not math.isfinite(scale * span):  # before any exp block: e^{-i inf} is NaN
         raise ConfigError(
@@ -647,23 +624,48 @@ def evolve(d: SpectralDecomposition, psi0, times) -> np.ndarray:
             f"times max|t| = {span:.3e} is not finite"
         )
     n = len(times)
-    rows = min(len(vectors), _CHECK_BLOCK)
-    coarse = -(-n // (math.isqrt(n * (rows + 1) - 1) + 1)) if n else 0
+    block = min(len(rows), _CHECK_BLOCK)
+    coarse = -(-n // (math.isqrt(n * (block + 1) - 1) + 1)) if n else 0
     fine = -(-n // coarse) if n else 1  # B
-    rate = -1j * d.eigenvalues
+    rate = -1j * energies
     # one coarse step starts at t₀ alone, and then B·h = n·h may overflow
     coarse_step = fine * h if coarse > 1 else 0.0
-    starts = np.exp(np.outer(t0 + coarse_step * np.arange(coarse), rate))
+    starts = np.exp(np.outer(t0 + coarse_step * np.arange(coarse), rate)) * weights
+    steps = np.exp(np.outer(rate, h * np.arange(fine)))
+    sums = np.empty((len(rows), n), dtype=complex)
+    for s, e in _blocks(len(rows), _CHECK_BLOCK):
+        bracket = (rows[s:e, np.newaxis, :] * starts).reshape(-1, len(energies))
+        sums[s:e] = (bracket @ steps).reshape(e - s, coarse * fine)[:, :n]
+        del bracket  # before the next block's
+    return sums
+
+
+def evolve(d: SpectralDecomposition, psi0, times) -> np.ndarray:
+    """Propagate: rows are states Ψ(t) on the supplied uniform time grid.
+
+    Ψ(t) = Σ_k e^{−iλ_k t} v_k ⟨v_k|Ψ(0)⟩ on the eigenvector rows ``d``
+    carries, by ``_phase_sum`` (its grid and overflow rules). Ψ(0), given on
+    those rows, must be normalized (contract violation otherwise). The
+    eigenvectors must be real (ValueError otherwise); the states are complex.
+
+    ``d`` may carry a subset of a decomposition's rows, built as
+    ``SpectralDecomposition(dec.eigenvalues, dec.eigenvectors[rows])``: exact
+    when Ψ(0) lies on those rows, for ⟨v_k|Ψ(0)⟩ then sums over them alone,
+    and the norm check of Ψ(0) on them refuses any state that does not. The
+    full state keeps ‖Ψ(0)‖ up to the orthonormality defect (``--check``
+    measures it), so the other rows hold ‖Ψ(0)‖² minus the subset's weight.
+    """
+    vectors = d.eigenvectors
+    if np.iscomplexobj(vectors):
+        raise ValueError("evolve needs the real eigenvectors of a real-symmetric matrix")
+    psi0 = np.asarray(psi0, dtype=complex)
+    norm = float(np.linalg.norm(psi0))
+    if abs(norm - 1.0) > NORM_TOL:
+        raise ContractViolationError(f"initial state norm {norm} is not 1 within {NORM_TOL:.0e}")
     # ⟨v_k|Ψ(0)⟩ by one real product: Ψ(0) read as float64 interleaves its
     # real and imaginary parts, so no complex copy of V is made
-    starts *= (vectors.T @ psi0[:, np.newaxis].view(float)).view(complex).T
-    steps = np.exp(np.outer(rate, h * np.arange(fine)))
-    states = np.empty((len(vectors), n), dtype=complex)
-    for s, e in _blocks(len(vectors), _CHECK_BLOCK):
-        bracket = (vectors[s:e, np.newaxis, :] * starts).reshape(-1, d.dim)
-        states[s:e] = (bracket @ steps).reshape(e - s, coarse * fine)[:, :n]
-        del bracket  # before the next block's
-    return states.T
+    overlaps = (vectors.T @ psi0[:, np.newaxis].view(float)).view(complex).T
+    return _phase_sum(d.eigenvalues, vectors, overlaps, times).T
 
 
 def total_norms(states) -> np.ndarray:

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gravodyn.analytic import (
+    _band_quadrature,
+    _bound_states,
     band_weight,
     finite_band_weight,
     gamma_from,
@@ -245,8 +247,32 @@ class TestFiniteBandWeight:
         weight = finite_band_weight(times, self.U, 0.0, self.W, self.DELTA)
         assert np.array_equal(weight, np.zeros(8))
 
-    def test_rejects_degenerate_inputs(self):
+    def direct_band_weight(self, times, alpha=0.0):
+        """1 - sum |exp(-iEt) A|^2 over the poles and quadrature nodes, one phase at a time."""
+        psi0 = zero_state_coeffs(self.V, self.W)
+        args = (self.U, self.V, self.W, self.DELTA, alpha, psi0)
+        poles, bound = _bound_states(*args)
+        nodes, band = _band_quadrature(*args, np.max(np.abs(times)))
+        energies = np.concatenate([poles, nodes])
+        amplitudes = np.concatenate([bound, band])
+        core = np.exp(-1j * np.outer(times, energies)) @ amplitudes
+        return 1.0 - np.sum(np.abs(core) ** 2, axis=1)
+
+    @pytest.mark.parametrize("alpha", [0.0, -2e-3])
+    def test_factored_phase_sum_matches_the_direct_sum(self, alpha):
+        times = np.linspace(0.0, 5.0 / gamma_from(self.U, self.DELTA), 2048)
+        curve = finite_band_weight(times, self.U, self.V, self.W, self.DELTA, alpha)
+        assert np.max(np.abs(curve - self.direct_band_weight(times, alpha))) <= 1e-14
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_empty_times_keep_their_shape(self, shape):
+        weight = finite_band_weight(np.zeros(shape), self.U, self.V, self.W, self.DELTA)
+        assert weight.shape == shape
+
+    @pytest.mark.parametrize(
+        "t, u, delta",
+        [(1.0, 0.0, DELTA), (1.0, U, 0.0), ([0.0, 1.0, 3.0], U, DELTA)],
+    )
+    def test_rejects_degenerate_inputs(self, t, u, delta):
         with pytest.raises(ValueError):
-            finite_band_weight(1.0, 0.0, self.V, self.W, self.DELTA)
-        with pytest.raises(ValueError):
-            finite_band_weight(1.0, self.U, self.V, self.W, 0.0)
+            finite_band_weight(t, u, self.V, self.W, delta)

@@ -944,6 +944,26 @@ class TestCliRuns:
             assert err[0].startswith(f"config error: [key '{key}'] {message}")
         assert list(tmp_path.glob("run*")) == []
 
+    def test_sweep_check_solves_every_point_its_run_solves(self, tmp_path, capsys):
+        # the first point passes; from the second (e_g1 = 6e307) site 1's phases overflow
+        text = SHIPPED["telegraph"].read_text().replace(
+            "scenario = telegraph", "scenario = sweep"
+        ).replace("n_times = 2048", "n_times = 64")
+        text, _ = set_key(text, "parameters", "base", "telegraph")
+        text = text.replace("e_g1 = 0.0\n", "sweep_e_g1 = linspace(0.0, 1.7976931348623157e+308, 4)\n")
+        cfg = self.write(tmp_path, text)
+        errs = []
+        for args in ([cfg, "--out", str(tmp_path / "run")], [cfg, "--check"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a numpy RuntimeWarning fails
+                assert cli.main(args) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errs.append(captured.err)
+        assert errs[0] == errs[1]
+        assert errs[0].startswith("config error: [key 'e_g1'] the phases lambda*t overflow")
+        assert list(tmp_path.glob("run*")) == []
+
     @pytest.mark.parametrize(
         "key, value",
         [

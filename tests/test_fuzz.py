@@ -2,8 +2,8 @@
 ends in exit 0, 2, 3 or 4, in a run and in ``--check``, never in a
 traceback, a failed run writes no files, and a run that exits 0 writes no
 ``nan`` or ``inf``. Outside sweeps, ``--check`` refuses what the run
-refuses, with the same exit code and stderr (a sweep's ``--check`` solves
-only its first point).
+refuses, with the same exit code and stderr (a sweep's ``--check`` fits
+no point, so its run may still refuse a decay-rate fit).
 
 Each case starts from a small valid config (``BASELINES``). Up to three
 keys of its scenario's schema in ``config._SCHEMAS`` (a sweep's from
