@@ -7,8 +7,8 @@ and float formatting is fixed to 12 significant digits).
 
 Each scenario has one record in ``_SCENARIOS``: its run, its ``--check``
 and, for the sweep bases, a point's independent model parts (telegraph:
-its two sites), one part's solve and one point's reduction. All share one
-model builder per scenario, so they always see the same model.
+its two sites), one part's solve and a block of points' reduction. All
+share one model builder per scenario, so they always see the same model.
 
 Exit codes: 0 success, 2 config error, 3 numerical-contract violation,
 4 resource cap exceeded.
@@ -17,6 +17,7 @@ Exit codes: 0 success, 2 config error, 3 numerical-contract violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import os
@@ -95,11 +96,11 @@ def _diagonalize(part):
 
 def _evolve(part, dec, psi0, times):
     """``evolve`` of ``dec``, the decomposition of ``part``. If its phases
-    λ·t overflow, the ConfigError names ``t_final`` when the times are the
-    larger factor, else the part's largest energy key."""
+    λ·t overflow or keep too few digits, the ConfigError names ``t_final``
+    when the times are the larger factor, else the part's largest energy key."""
     try:
         return evolve(dec, psi0, times)
-    except ConfigError as exc:  # only the phase bound raises it
+    except ConfigError as exc:  # only the phase bounds raise it
         times_larger = times[-1] > np.max(np.abs(dec.eigenvalues))
         key = "t_final" if times_larger else _largest_key(part)
         raise ConfigError(str(exc), key=key) from None
@@ -154,7 +155,8 @@ def _part_bytes(part, n_times, dense=False):
     ``evolve``'s phase blocks (16·3·dim·B, B ≈ √(4·n_times)) come after the
     solve in a run, which keeps only the eigenvector rows it reads
     (``head_weights``), and on top of the eigenvectors in ``--check``.
-    ~400 bytes per sample are added for the weights and the CSV.
+    ~400 bytes per sample are added for the weights and the CSV; a sweep's
+    block of 16 telegraph points (``_POINT_BLOCK``) stacks 256 of them.
     """
     if isinstance(part, ChooserParams):
         dim = 3 + part.n_band
@@ -412,13 +414,6 @@ def _evolve_site(site: TelegraphSite, times):
     return band, local.sum(axis=1)
 
 
-def _weigh(solutions, weight_site1):
-    """(w·P1, (1-w)·P2, w·L1, (1-w)·L2) from the two sites' (P, L)."""
-    (band_1, loc_1), (band_2, loc_2) = solutions
-    w_1, w_2 = weight_site1, 1.0 - weight_site1
-    return w_1 * band_1, w_2 * band_2, w_1 * loc_1, w_2 * loc_2
-
-
 def telegraph_channels(sites, weight_site1, times):
     """Site-resolved gravonon weights (w_band 1, w_band 2, w_loc 1, w_loc 2).
 
@@ -428,7 +423,9 @@ def telegraph_channels(sites, weight_site1, times):
     channels are (w·P1, (1-w)·P2, w·L1, (1-w)·L2): the "switching" is the
     crossings of two independently weighted site decays.
     """
-    return _weigh([_evolve_site(site, times) for site in sites], weight_site1)
+    (band_1, loc_1), (band_2, loc_2) = (_evolve_site(site, times) for site in sites)
+    w_1, w_2 = weight_site1, 1.0 - weight_site1
+    return w_1 * band_1, w_2 * band_2, w_1 * loc_1, w_2 * loc_2
 
 
 SWITCH_TIE = 1e-12  # |channel_1 - channel_2| at or below this is a tie
@@ -470,10 +467,17 @@ def _solve_telegraph(site, sampling):
     return _evolve_site(site, _time_grid(sampling["t_final"], sampling["n_times"]))
 
 
-def _point_telegraph(p, solutions):
-    band_1, band_2, _, _ = _weigh(solutions, p["weight_site1"])
-    plateau = float(np.percentile(band_1, 95))
-    return plateau, None, switching_count(band_1, band_2)
+def _points_telegraph(points, solutions):
+    """Row statistics of a block of points at once: each point's w·P1 and
+    (1-w)·P2 (``telegraph_channels``) stacked into two (points x times)
+    arrays, one 95th percentile of the rows and one ``switching_count`` per row."""
+    weight_1 = np.array([[p["weight_site1"]] for p in points])
+    band_1 = np.array([site_1[0] for site_1, _ in solutions])
+    band_1 *= weight_1
+    band_2 = np.array([site_2[0] for _, site_2 in solutions])
+    band_2 *= 1.0 - weight_1
+    plateaus = np.percentile(band_1, 95, axis=1).tolist()
+    return [(q, None, switching_count(b_1, b_2)) for q, b_1, b_2 in zip(plateaus, band_1, band_2)]
 
 
 # ---------------------------------------------------------------------------
@@ -618,17 +622,19 @@ class _Scenario(NamedTuple):
     # its solve; building a point's parts runs every check its solve would
     parts: Callable | None = None  # (parameters, sampling) -> hashable parts
     solve: Callable | None = None  # (part, sampling) -> solution
-    point: Callable | None = None  # (parameters, its parts' solutions) -> row statistics
+    # (a block of points' parameters, each one's parts' solutions) -> their row
+    # statistics; ``_run_sweep`` passes at most ``_POINT_BLOCK`` points at once
+    points: Callable | None = None
 
 
 _SCENARIOS = {
     "chooser": _Scenario(
         _run_chooser, _check_chooser,
-        _chooser_part, _solve_chooser, lambda p, solutions: solutions[0],
+        _chooser_part, _solve_chooser, lambda points, solutions: [s[0] for s in solutions],
     ),
     "telegraph": _Scenario(
         _run_telegraph, _check_telegraph,
-        telegraph_params_from, _solve_telegraph, _point_telegraph,
+        telegraph_params_from, _solve_telegraph, _points_telegraph,
     ),
     "gravonon-modes": _Scenario(_run_gravonon_modes, _check_gravonon_modes),
     "meanfield": _Scenario(_run_meanfield, _check_meanfield),
@@ -663,20 +669,36 @@ def _grid(cfg: ScenarioConfig):
     return names, points, [base.parts(p, cfg.sampling) for p in points]
 
 
+_POINT_BLOCK = 16  # grid points reduced at once: 2 arrays of 8 B per sample each
+
+
 def _run_sweep(cfg: ScenarioConfig, prefix: Path, threads: int):
+    """CSV of a sweep: one row of statistics per grid point, in grid order.
+
+    Each distinct part is solved once, for this sweep only: on the calling
+    thread for one worker, else in a pool of ``threads`` workers, clamped to
+    the parts, the CPUs and the memory cap of parts held at once. Either way
+    the first part that raises, in grid order, ends the run. The base's
+    ``points`` then reduces the rows ``_POINT_BLOCK`` points at a time,
+    within the bytes per sample ``_part_bytes`` counts.
+    """
     names, points, parts = _grid(cfg)
     base = _SCENARIOS[cfg.parameters["base"]]
-    # each distinct part is solved once, for this sweep only; the workers
-    # together hold at most the memory cap of parts at once
     distinct = list(dict.fromkeys(itertools.chain.from_iterable(parts)))
     per_worker = max((_part_bytes(p, cfg.sampling["n_times"]) for p in distinct), default=1)
     workers = max(1, min(
         threads, len(distinct), os.cpu_count() or 1, DEFAULT_MEMORY_CAP // per_worker
     ))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        solutions = pool.map(lambda part: base.solve(part, cfg.sampling), distinct)
-        solved = dict(zip(distinct, solutions))
-    stats = [base.point(p, [solved[part] for part in ps]) for p, ps in zip(points, parts)]
+    solve = functools.partial(base.solve, sampling=cfg.sampling)
+    if workers == 1:
+        solved = dict(zip(distinct, map(solve, distinct)))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            solved = dict(zip(distinct, pool.map(solve, distinct)))
+    stats = []
+    for s in range(0, len(points), _POINT_BLOCK):
+        block = slice(s, s + _POINT_BLOCK)
+        stats += base.points(points[block], [[solved[p] for p in ps] for ps in parts[block]])
 
     header = ["grid_index"] + names + ["plateau", "decay_rate", "switching_count"]
     columns = [

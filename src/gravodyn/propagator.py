@@ -599,6 +599,9 @@ def _uniform_grid(times):
     return t0, h
 
 
+_PHASE_SPAN = NORM_TOL / _EPS  # ≈ 4.5e5: the largest max|λ|·max|t| of a phase sum
+
+
 def _phase_sum(energies, rows, weights, times):
     """Σ_k rows_rk·w_k·e^{−iE_k t}, w = ``weights``, for each row at each time: (rows × n).
 
@@ -606,7 +609,16 @@ def _phase_sum(energies, rows, weights, times):
     a uniform grid tₖ = t₀ + k·h: ``np.linspace`` output, or any one or two
     times (ValueError for any other grid, see ``_uniform_grid``). A grid
     whose phases overflow, max|E|·max|t| not finite, is refused with a
-    ConfigError before any phase is formed. With k = a·B + b the phases factor:
+    ConfigError before any phase is formed, and so is one whose phases keep
+    too few digits: a phase E·t is rounded to within eps·|E·t|, so past
+    max|E|·max|t| = ``_PHASE_SPAN`` = NORM_TOL/eps a sum of unit norm, and a
+    weight read from it, may move by more than the norm contract. Against
+    mpmath phases, the float64 weights of a dim-35 chooser (n_band = 32;
+    five choices of v, w, u and alpha) are off by 0.003–0.11 times
+    eps·max|E|·max|t| from 1e5 to 1e8: ≤ 3.3e-12 at 3e5, up to 1.6e-10 at
+    1e7, and ~0.2, no digit left, from 1e16 on.
+
+    With k = a·B + b the phases factor:
     Σ_k rows_rk·w_k·e^{−iE_k(t₀+kh)} = Σ_k [rows_rk·w_k·e^{−iE_k(t₀+aBh)}]·e^{−iE_k·bh}.
     The brackets of ``_CHECK_BLOCK`` rows r and every coarse step a form
     one (rows·⌈n/B⌉ × dim) matrix, and one product with the fine phases
@@ -622,6 +634,11 @@ def _phase_sum(energies, rows, weights, times):
         raise ConfigError(
             f"the phases lambda*t overflow: max|lambda| = {scale:.3e} "
             f"times max|t| = {span:.3e} is not finite"
+        )
+    if scale * span > _PHASE_SPAN:
+        raise ConfigError(
+            f"the phases lambda*t lose their digits: max|lambda| = {scale:.3e} "
+            f"times max|t| = {span:.3e} exceeds {_PHASE_SPAN:.2e}"
         )
     n = len(times)
     block = min(len(rows), _CHECK_BLOCK)
@@ -644,7 +661,7 @@ def evolve(d: SpectralDecomposition, psi0, times) -> np.ndarray:
     """Propagate: rows are states Ψ(t) on the supplied uniform time grid.
 
     Ψ(t) = Σ_k e^{−iλ_k t} v_k ⟨v_k|Ψ(0)⟩ on the eigenvector rows ``d``
-    carries, by ``_phase_sum`` (its grid and overflow rules). Ψ(0), given on
+    carries, by ``_phase_sum`` (its grid, overflow and digit rules). Ψ(0), given on
     those rows, must be normalized (contract violation otherwise). The
     eigenvectors must be real (ValueError otherwise); the states are complex.
 

@@ -627,17 +627,20 @@ class TestCliRuns:
         assert cli.main([cfg, "--check"]) == 0
 
     @pytest.mark.parametrize(
-        "section, key, value",
+        "values",
         [
             # a subnormal time step, rounded to whole subnormal units
-            ("sampling", "t_final", "1e-310"),
-            # entries whose squares overflow in an unscaled residual
-            ("parameters", "v_gw_1", "1e300"),
-            ("parameters", "e_g1", "1e300"),
+            pytest.param({"t_final": "1e-310"}, id="sampling-t_final-1e-310"),
+            # entries whose squares overflow in an unscaled residual, over
+            # times short enough for the phases to keep their digits
+            pytest.param({"v_gw_1": "1e300", "t_final": "1e-296"}, id="parameters-v_gw_1-1e300"),
+            pytest.param({"e_g1": "1e300", "t_final": "1e-296"}, id="parameters-e_g1-1e300"),
         ],
     )
-    def test_telegraph_at_the_edges_of_float_range_runs(self, tmp_path, section, key, value):
-        text, _ = set_key(SHIPPED["telegraph"].read_text(), section, key, value)
+    def test_telegraph_at_the_edges_of_float_range_runs(self, tmp_path, values):
+        text = SHIPPED["telegraph"].read_text()
+        for k, v in values.items():
+            text, _ = set_key(text, "sampling" if k == "t_final" else "parameters", k, v)
         cfg = self.write(tmp_path, text)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy RuntimeWarning fails
@@ -811,6 +814,40 @@ class TestCliRuns:
     @pytest.mark.parametrize(
         "name, values, key",
         [
+            # max|lambda|·max|t| ~ 1e301: finite phases with no digit left
+            # (once exit 0 with a deviation of 0.9999 from the wide-band curve)
+            ("chooser_demo.cfg", {"alpha": "10.0", "n_band": "32", "n_times": "64",
+                                  "t_final": "1e300"}, "t_final"),
+            # a site's largest energy times t_final = 131 is ~1e302
+            ("telegraph_switching.cfg", {"v_gw_1": "1e300"}, "v_gw_1"),
+            ("telegraph_switching.cfg", {"e_g1": "1e300"}, "e_g1"),
+        ],
+    )
+    def test_phases_that_keep_no_digit_exit_2_naming_key(
+        self, tmp_path, capsys, name, values, key
+    ):
+        text = (EXAMPLES / name).read_text()
+        for k, v in values.items():
+            section = "sampling" if k in ("n_times", "t_final") else "parameters"
+            text, _ = set_key(text, section, k, v)
+        cfg = self.write(tmp_path, text)
+        errs = []
+        for args in ([cfg, "--out", str(tmp_path / "run")], [cfg, "--check"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a numpy RuntimeWarning fails
+                assert cli.main(args) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errs.append(captured.err)
+        assert errs[0] == errs[1]
+        assert errs[0].startswith(
+            f"config error: [key '{key}'] the phases lambda*t lose their digits"
+        )
+        assert list(tmp_path.glob("run*")) == []
+
+    @pytest.mark.parametrize(
+        "name, values, key",
+        [
             # 1/gamma = delta/(pi*u^2) overflows through delta
             ("chooser_demo.cfg", {"delta": "1.1295239091784514e+302"}, "delta"),
             ("sweep_decay.cfg", {"delta": "1.1295239091784514e+302"}, "delta"),
@@ -867,9 +904,15 @@ class TestCliRuns:
 
     def test_one_coarse_step_near_the_float_limit_runs_clean(self, tmp_path, capsys):
         # --check evolves 8 times in one coarse step of B = 8 > n - 1 fine
-        # steps; B·h overflows although every time is finite
-        text = (EXAMPLES / "chooser_demo.cfg").read_text()
-        for k, v in {"v": "0.0", "n_band": "32"}.items():
+        # steps; B·h overflows although every time is finite. Energies of
+        # ~1e-304 keep max|lambda|·max|t| ~ 1e4, so the phases keep their digits.
+        text = SHIPPED["telegraph"].read_text()
+        for k, v in {
+            "band_1": "linspace(-1e-304, 1e-304, 20)",
+            "band_2": "linspace(-0.575e-304, 0.575e-304, 20)",
+            "v_gw_1": "0.1294e-304",
+            "v_gw_2": "0.0760e-304",
+        }.items():
             text, _ = set_key(text, "parameters", k, v)
         text, _ = set_key(text, "sampling", "n_times", "64")
         text, _ = set_key(text, "sampling", "t_final", "1.5729814930045264e+308")
@@ -944,14 +987,18 @@ class TestCliRuns:
             assert err[0].startswith(f"config error: [key '{key}'] {message}")
         assert list(tmp_path.glob("run*")) == []
 
-    def test_sweep_check_solves_every_point_its_run_solves(self, tmp_path, capsys):
-        # the first point passes; from the second (e_g1 = 6e307) site 1's phases overflow
+    def overflowing_sweep(self, tmp_path):
+        """A telegraph sweep whose first point passes; from the second
+        (e_g1 = 6e307) site 1's phases overflow."""
         text = SHIPPED["telegraph"].read_text().replace(
             "scenario = telegraph", "scenario = sweep"
         ).replace("n_times = 2048", "n_times = 64")
         text, _ = set_key(text, "parameters", "base", "telegraph")
         text = text.replace("e_g1 = 0.0\n", "sweep_e_g1 = linspace(0.0, 1.7976931348623157e+308, 4)\n")
-        cfg = self.write(tmp_path, text)
+        return self.write(tmp_path, text)
+
+    def test_sweep_check_solves_every_point_its_run_solves(self, tmp_path, capsys):
+        cfg = self.overflowing_sweep(tmp_path)
         errs = []
         for args in ([cfg, "--out", str(tmp_path / "run")], [cfg, "--check"]):
             with warnings.catch_warnings():
@@ -962,6 +1009,23 @@ class TestCliRuns:
             errs.append(captured.err)
         assert errs[0] == errs[1]
         assert errs[0].startswith("config error: [key 'e_g1'] the phases lambda*t overflow")
+        assert list(tmp_path.glob("run*")) == []
+
+    def test_sweep_whose_part_raises_exits_alike_at_any_thread_count(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # three site-1 parts raise; the calling thread and a pool of two both
+        # report the first of them in grid order, e_g1 = 6e307
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        cfg = self.overflowing_sweep(tmp_path)
+        errs = []
+        for threads in ("1", "2"):
+            assert cli.main([cfg, "--out", str(tmp_path / "run"), "--threads", threads]) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert errs[0].startswith(
+            "config error: [key 'e_g1'] the phases lambda*t overflow: max|lambda| = 5.99"
+        )
         assert list(tmp_path.glob("run*")) == []
 
     @pytest.mark.parametrize(
@@ -1608,7 +1672,7 @@ class TestTelegraphChannels:
         # 6 distinct site blocks: one for site 1, one per v_gw_2 for site 2
         cfg = parse_config(sweep_text("telegraph", "0.01, 0.02, 0.03, 0.04, 0.05"))
         cli.run_scenario(cfg, out_prefix=tmp_path / "sweep", threads=threads)
-        assert seen == [workers]
+        assert seen == ([workers] if workers > 1 else [])  # one worker: the calling thread
 
     @pytest.mark.parametrize(
         "base, values",
@@ -1635,5 +1699,45 @@ class TestTelegraphChannels:
         monkeypatch.setattr(cli, "ThreadPoolExecutor", recording)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
         capped = cli.run_scenario(cfg, out_prefix=tmp_path / "sweep", threads=4)
-        assert seen == [workers]
+        assert seen == ([workers] if workers > 1 else [])  # one worker: the calling thread
         assert capped == one
+
+    def test_chooser_sweep_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
+        seen = []
+        real = cli.ThreadPoolExecutor
+
+        def recording(max_workers):
+            seen.append(max_workers)
+            return real(max_workers=max_workers)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", recording)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        cfg = parse_config(sweep_text("chooser", "1e-3, 2e-3, 3e-3"))
+        one = cli.run_scenario(cfg, out_prefix=tmp_path / "sweep", threads=1)
+        two = cli.run_scenario(cfg, out_prefix=tmp_path / "sweep", threads=2)
+        assert seen == [2]  # the calling thread, then a pool of two
+        assert one == two
+
+    def test_sweep_reduces_points_a_block_at_a_time_as_one_at_a_time(self, tmp_path):
+        # 4 v_gw_1 x 5 weight_site1 = 20 points: a block of 16 and one of 4
+        text = (BENCH_CONFIGS / "telegraph_sweep.cfg").read_text()
+        text, _ = set_key(text, "parameters", "sweep_weight_site1", "0.3, 0.45, 0.6, 0.75, 0.9")
+        text, _ = set_key(text, "sampling", "n_times", "512")
+        cfg = parse_config(text)
+        names, points, parts = cli._grid(cfg)
+        assert len(points) == 20 > cli._POINT_BLOCK
+        times = np.linspace(0.0, cfg.sampling["t_final"], cfg.sampling["n_times"])
+        plateaus, counts = [], []
+        for p, sites in zip(points, parts):
+            band_1, band_2, _, _ = cli.telegraph_channels(sites, p["weight_site1"], times)
+            plateaus.append(float(np.percentile(band_1, 95)))
+            counts.append(cli.switching_count(band_1, band_2))
+        reference = cli._csv(
+            ["grid_index", *names, "plateau", "decay_rate", "switching_count"],
+            [range(20), *([p[name] for p in points] for name in names),
+             plateaus, [None] * 20, counts],
+        )
+        prefix = tmp_path / "sweep"
+        for threads in (1, 2):
+            outputs = cli.run_scenario(cfg, out_prefix=prefix, threads=threads)
+            assert outputs == {tmp_path / "sweep.csv": reference}

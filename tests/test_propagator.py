@@ -140,6 +140,17 @@ class TestEvolve:
         with pytest.raises(ConfigError, match="phases lambda\\*t overflow"):
             evolve(d, random_state(3, seed=7), np.linspace(0.0, t_final, 5))
 
+    def test_refuses_phases_that_keep_too_few_digits(self, monkeypatch):
+        # max|lambda|·max|t| at the bound runs; the next float up is refused
+        # before a phase is formed
+        d = diagonalize(np.diag([1.0, -1.0, 0.5]))
+        psi0 = random_state(3, seed=7)
+        span = propagator._PHASE_SPAN
+        assert evolve(d, psi0, np.linspace(0.0, span, 5)).shape == (5, 3)
+        monkeypatch.setattr(np, "exp", lambda *_: pytest.fail("a phase was formed"))
+        with pytest.raises(ConfigError, match="phases lambda\\*t lose their digits"):
+            evolve(d, psi0, np.linspace(0.0, np.nextafter(span, math.inf), 5))
+
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 1000),
