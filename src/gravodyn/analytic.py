@@ -248,7 +248,9 @@ def finite_band_weight(t, u, v, w, delta, alpha=0.0):
     poles and nodes by ``propagator._phase_sum``. Raises ValueError for a
     non-uniform t (but v = 0 < |w| gives zeros for any t), non-finite
     input, u = 0, delta <= 0, or when the band quadrature would need more
-    than 16384 panels (roughly delta/gamma above 8000, or |t| above 6e4/delta).
+    than 16384 panels (roughly delta/gamma above 8000, or |t| above 6e4/delta),
+    and ConfigError when the phases overflow or keep too few digits (the
+    rules of ``_phase_sum``).
     """
     t = np.asarray(t, dtype=float)
     finite = all(map(math.isfinite, (u, v, w, delta, alpha)))

@@ -424,8 +424,17 @@ def telegraph_channels(sites, weight_site1, times):
     crossings of two independently weighted site decays.
     """
     (band_1, loc_1), (band_2, loc_2) = (_evolve_site(site, times) for site in sites)
-    w_1, w_2 = weight_site1, 1.0 - weight_site1
-    return w_1 * band_1, w_2 * band_2, w_1 * loc_1, w_2 * loc_2
+    site_1, site_2 = _weigh(weight_site1, np.array([band_1, loc_1]), np.array([band_2, loc_2]))
+    return site_1[0], site_2[0], site_1[1], site_2[1]
+
+
+def _weigh(weight_site1, site_1, site_2):
+    """w·site_1 and (1-w)·site_2, w = ``weight_site1``, for two new stacks of
+    the sites' channels, weighed in place; w is a number or a column over
+    the stacked rows."""
+    site_1 *= weight_site1
+    site_2 *= 1.0 - weight_site1
+    return site_1, site_2
 
 
 SWITCH_TIE = 1e-12  # |channel_1 - channel_2| at or below this is a tie
@@ -471,11 +480,11 @@ def _points_telegraph(points, solutions):
     """Row statistics of a block of points at once: each point's w·P1 and
     (1-w)·P2 (``telegraph_channels``) stacked into two (points x times)
     arrays, one 95th percentile of the rows and one ``switching_count`` per row."""
-    weight_1 = np.array([[p["weight_site1"]] for p in points])
-    band_1 = np.array([site_1[0] for site_1, _ in solutions])
-    band_1 *= weight_1
-    band_2 = np.array([site_2[0] for _, site_2 in solutions])
-    band_2 *= 1.0 - weight_1
+    band_1, band_2 = _weigh(
+        np.array([[p["weight_site1"]] for p in points]),
+        np.array([site_1[0] for site_1, _ in solutions]),
+        np.array([site_2[0] for _, site_2 in solutions]),
+    )
     plateaus = np.percentile(band_1, 95, axis=1).tolist()
     return [(q, None, switching_count(b_1, b_2)) for q, b_1, b_2 in zip(plateaus, band_1, band_2)]
 

@@ -599,7 +599,7 @@ def _uniform_grid(times):
     return t0, h
 
 
-_PHASE_SPAN = NORM_TOL / _EPS  # ≈ 4.5e5: the largest max|λ|·max|t| of a phase sum
+_PHASE_TOL = 8.0 * NORM_TOL  # a phase sum's largest drift bound D (``_phase_sum``)
 
 
 def _phase_sum(energies, rows, weights, times):
@@ -610,13 +610,14 @@ def _phase_sum(energies, rows, weights, times):
     times (ValueError for any other grid, see ``_uniform_grid``). A grid
     whose phases overflow, max|E|·max|t| not finite, is refused with a
     ConfigError before any phase is formed, and so is one whose phases keep
-    too few digits: a phase E·t is rounded to within eps·|E·t|, so past
-    max|E|·max|t| = ``_PHASE_SPAN`` = NORM_TOL/eps a sum of unit norm, and a
-    weight read from it, may move by more than the norm contract. Against
-    mpmath phases, the float64 weights of a dim-35 chooser (n_band = 32;
-    five choices of v, w, u and alpha) are off by 0.003–0.11 times
-    eps·max|E|·max|t| from 1e5 to 1e8: ≤ 3.3e-12 at 3e5, up to 1.6e-10 at
-    1e7, and ~0.2, no digit left, from 1e16 on.
+    too few digits. A phase E_k·t is rounded by about eps·|E_k|·max|t|, so
+    row r's sum drifts by up to about D_r = Σ_k |a_rk|·min(2, eps·|E_k|·max|t|),
+    a = rows·w: an energy moves it only by the amplitude it carries in that
+    row. The grid is refused when max_r D_r > ``_PHASE_TOL`` = 8·NORM_TOL.
+    Against mpmath phases, the float64 weights of a dim-35 chooser (n_band =
+    32; seven choices of v, w, u and alpha; float eigenpairs taken as exact)
+    are off by at most 0.11·max D_r for max D_r from 1e-12 to 2e-7, so at
+    the bound by under NORM_TOL; they keep no digit once D_r saturates.
 
     With k = a·B + b the phases factor:
     Σ_k rows_rk·w_k·e^{−iE_k(t₀+kh)} = Σ_k [rows_rk·w_k·e^{−iE_k(t₀+aBh)}]·e^{−iE_k·bh}.
@@ -635,10 +636,14 @@ def _phase_sum(energies, rows, weights, times):
             f"the phases lambda*t overflow: max|lambda| = {scale:.3e} "
             f"times max|t| = {span:.3e} is not finite"
         )
-    if scale * span > _PHASE_SPAN:
+    drift = np.abs(weights).reshape(-1) * np.minimum(2.0, _EPS * span * np.abs(energies))
+    blocks = _blocks(len(rows), _CHECK_BLOCK)
+    worst = max(((np.abs(rows[s:e]) @ drift).max() for s, e in blocks), default=0.0)
+    if worst > _PHASE_TOL:
         raise ConfigError(
-            f"the phases lambda*t lose their digits: max|lambda| = {scale:.3e} "
-            f"times max|t| = {span:.3e} exceeds {_PHASE_SPAN:.2e}"
+            f"the phases lambda*t lose their digits: their rounding may move a "
+            f"sum by {worst:.3e} > {_PHASE_TOL:.0e} (max|lambda| = {scale:.3e}, "
+            f"max|t| = {span:.3e})"
         )
     n = len(times)
     block = min(len(rows), _CHECK_BLOCK)

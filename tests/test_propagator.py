@@ -141,15 +141,16 @@ class TestEvolve:
             evolve(d, random_state(3, seed=7), np.linspace(0.0, t_final, 5))
 
     def test_refuses_phases_that_keep_too_few_digits(self, monkeypatch):
-        # max|lambda|·max|t| at the bound runs; the next float up is refused
-        # before a phase is formed
-        d = diagonalize(np.diag([1.0, -1.0, 0.5]))
-        psi0 = random_state(3, seed=7)
-        span = propagator._PHASE_SPAN
-        assert evolve(d, psi0, np.linspace(0.0, span, 5)).shape == (5, 3)
+        # Ψ(0) on the eigenvalue 1 alone drifts by eps·max|t| at most: the
+        # bound runs at half its times, and twice them are refused before a
+        # phase is formed. The eigenvalue 1e300 carries none of Ψ(0).
+        d = diagonalize(np.diag([1.0, 1e300, -1.0]))
+        psi0 = np.array([1.0, 0.0, 0.0])
+        t_bound = propagator._PHASE_TOL / propagator._EPS
+        assert evolve(d, psi0, np.linspace(0.0, t_bound / 2, 5)).shape == (5, 3)
         monkeypatch.setattr(np, "exp", lambda *_: pytest.fail("a phase was formed"))
         with pytest.raises(ConfigError, match="phases lambda\\*t lose their digits"):
-            evolve(d, psi0, np.linspace(0.0, np.nextafter(span, math.inf), 5))
+            evolve(d, psi0, np.linspace(0.0, 2 * t_bound, 5))
 
     @settings(max_examples=40, deadline=None)
     @given(
