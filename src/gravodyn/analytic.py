@@ -50,11 +50,12 @@ def zero_state_coeffs(v, w):
     (w, 0, -v)/sqrt(v^2+w^2): the screen state carries no weight, the
     source and projected-band components have magnitudes w/r and v/r, and
     their relative sign is negative (required by v*C_Q0 + w*C_K = 0).
-    For w/v -> 0 all weight sits on the projected band state.
+    For w/v -> 0 all weight sits on the projected band state, and v = w = 0
+    gives that limit, a pure |Kproj> resonance (0, 0, 1).
     """
     r = math.hypot(v, w)
     if r == 0.0:
-        raise ValueError("v = w = 0 leaves the zero eigenvector undefined")
+        return 0.0, 0.0, 1.0
     return w / r, 0.0, -v / r
 
 
@@ -263,7 +264,7 @@ def finite_band_weight(t, u, v, w, delta, alpha=0.0):
     if v == 0.0 and w != 0.0:
         # the zero state is then |Q0>, which nothing couples to
         return np.zeros(t.shape)
-    psi0 = (0.0, 0.0, 1.0) if v == 0.0 and w == 0.0 else zero_state_coeffs(v, w)
+    psi0 = zero_state_coeffs(v, w)
 
     poles, bound = _bound_states(u, v, w, delta, alpha, psi0)
     t_max = float(np.max(np.abs(t), initial=0.0))

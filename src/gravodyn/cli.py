@@ -296,11 +296,7 @@ def _initial_state(part):
     site's warp resonance with its local mode occupied and that mode under w, g."""
     if isinstance(part, ChooserParams):
         psi0 = np.zeros(3 + part.n_band, dtype=complex)
-        if part.v == 0.0 and part.w == 0.0:
-            # the w -> 0 limit of the zero state: a pure |Kproj> resonance
-            psi0[2] = 1.0
-        else:
-            psi0[0], psi0[1], psi0[2] = analytic.zero_state_coeffs(part.v, part.w)
+        psi0[:3] = analytic.zero_state_coeffs(part.v, part.w)
         return psi0, [0, 1, 2]
     n_grav = 1 + len(part.band)  # basis: (w, g) times (band..., local)
     psi0 = np.zeros(2 * n_grav)
@@ -322,6 +318,12 @@ def head_weights(part, times):
     return weights, np.vdot(psi0, psi0).real - weights.sum(axis=1)
 
 
+def _plateau(times, w_band):
+    """A chooser run's band plateau: the mean band weight over the last 20 %
+    of its times."""
+    return float(np.mean(w_band[times >= times[-1] * 0.8]))
+
+
 def _run_chooser(p, sampling, prefix: Path):
     params = _chooser_params(p, sampling)
     gamma, times, residue = _report_grid(params, sampling)
@@ -331,8 +333,7 @@ def _run_chooser(p, sampling, prefix: Path):
     analytic_band = analytic.band_weight(times, params.u, params.w, gamma)
     window = times >= 1.0 / gamma
     deviation = float(np.max(np.abs(w_band[window] - analytic_band[window])))
-    tail = times >= times[-1] * 0.8
-    plateau = float(np.mean(w_band[tail]))
+    plateau = _plateau(times, w_band)
     target = 1.0 - residue
     report = "scenario = chooser\n" + "".join(
         f"{key} = {_FLOAT_FMT % value}\n"
@@ -370,8 +371,7 @@ def _chooser_part(p, sampling):
     (with v = 0 and w != 0 it lies wholly on the uncoupled |Q0>)."""
     params = _chooser_params(p, sampling)
     _fit_grid(params, sampling)
-    psi0, heads = _initial_state(params)
-    if abs(psi0[heads[2]]) ** 2 == 0.0:  # |Kproj>, the third head
+    if analytic.zero_state_coeffs(params.v, params.w)[2] ** 2 == 0.0:  # its |Kproj> weight
         raise ContractViolationError(_NO_KPROJ)
     return (params,)
 
@@ -384,10 +384,8 @@ def _solve_chooser(params, sampling):
     w_kproj = weights[fit_window, 2]
     if np.any(w_kproj <= 0.0):
         raise ContractViolationError(_NO_KPROJ)
-    tail = times >= times[-1] * 0.8
-    plateau = float(np.mean(w_band[tail]))
     slope, _ = np.polyfit(times[fit_window], np.log(w_kproj), 1)
-    return plateau, float(-slope), None
+    return _plateau(times, w_band), float(-slope), None
 
 
 # ---------------------------------------------------------------------------
@@ -397,14 +395,10 @@ def _solve_chooser(params, sampling):
 def telegraph_params_from(p, sampling):
     """Sites 1 and 2 of a telegraph config, each admitted for solving over
     the config's samples before anything is built."""
-    sites = []
-    for keys in SITE_KEYS:
-        try:
-            site = TelegraphSite(*(p[key] for key in keys), keys=keys)
-        except ValueError as exc:  # only the band is checked
-            raise ConfigError(str(exc), key=keys[4]) from None
-        sites.append(_admit(site, sampling["n_times"]))
-    return tuple(sites)
+    return tuple(
+        _admit(TelegraphSite(*(p[key] for key in keys), keys=keys), sampling["n_times"])
+        for keys in SITE_KEYS
+    )
 
 
 def _evolve_site(site: TelegraphSite, times):

@@ -360,8 +360,6 @@ def parse_config(text) -> ScenarioConfig:
                         f"{target!r} is both fixed and swept", line=line, key=key
                     )
                 sweep_axes[target] = parameters.pop(key)
-            elif key.startswith("sweep_"):
-                parameters.pop(key)
         if not sweep_axes:
             raise ConfigError(
                 "sweep scenario needs at least one sweep_<key> axis", key="sweep_*"

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import pairwise
 
 import numpy as np
 
@@ -68,8 +67,9 @@ class TelegraphSite:
 
     A core level (energy ``e_g``), a locally distorted resonance (``e_w``)
     reachable by the hopping ``v_loc``, a local gravonon mode (``eps_grav``)
-    and a finite gravonon continuum (``band``, ascending energies). ``v_gw``
-    couples the local gravonon to each continuum mode, times n_w.
+    and a finite gravonon continuum (``band``, its mode energies in any
+    order: no observable depends on it). ``v_gw`` couples the local gravonon
+    to each continuum mode, times n_w.
     ``keys`` are the config keys of these six fields, for an error to name;
     they take no part in comparing sites.
     """
@@ -85,11 +85,9 @@ class TelegraphSite:
     )
 
     def __post_init__(self):
-        object.__setattr__(self, "band", tuple(float(e) for e in self.band))
-        if any(not math.isfinite(e) for e in self.band):
+        object.__setattr__(self, "band", tuple(map(float, self.band)))
+        if not all(map(math.isfinite, self.band)):
             raise ValueError("band entries must be finite")
-        if any(b < a for a, b in pairwise(self.band)):  # no copy of a long band
-            raise ValueError("band must be sorted ascending")
 
 
 _ROWS = 128  # rows per block of the exact-Hermiticity comparison

@@ -120,8 +120,8 @@ class TestEigenvaluesAndZeroState:
         assert abs(c_k) == pytest.approx(1.0, abs=1e-15)
 
     def test_zero_state_degenerate_input(self):
-        with pytest.raises(ValueError):
-            zero_state_coeffs(0.0, 0.0)
+        # v = w = 0: the w -> 0 limit, all weight on the projected band state
+        assert zero_state_coeffs(0.0, 0.0) == (0.0, 0.0, 1.0)
 
     def test_zero_state_matches_numeric_eigenvector(self):
         v, w = 0.6, 0.25

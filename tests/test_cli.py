@@ -1387,16 +1387,26 @@ class TestCliRuns:
         assert list(tmp_path.glob("run*")) == []
 
     @pytest.mark.parametrize("key", ["band_1", "band_2"])
-    def test_unsorted_band_exits_2_naming_its_key(self, tmp_path, capsys, key):
-        text = (EXAMPLES / "telegraph_switching.cfg").read_text()
-        text, count = re.subn(rf"(?m)^{key} = .*$", f"{key} = 0.2, 0.1", text)
+    def test_permuted_band_runs_like_its_sorted_band(self, tmp_path, capsys, key):
+        sorted_text = (EXAMPLES / "telegraph_switching.cfg").read_text()
+        band = parse_config(sorted_text).parameters[key]
+        assert band == sorted(band)
+        reversed_band = ", ".join(map(repr, band[::-1]))
+        text, count = re.subn(rf"(?m)^{key} = .*$", f"{key} = {reversed_band}", sorted_text)
         assert count == 1
         cfg = self.write(tmp_path, text)
         for args in ([cfg, "--out", str(tmp_path / "run")], [cfg, "--check"]):
-            assert cli.main(args) == 2
-            err = capsys.readouterr().err.splitlines()
-            assert err == [f"config error: [key '{key}'] band must be sorted ascending"]
-        assert list(tmp_path.glob("run*")) == []
+            assert cli.main(args) == 0
+            assert capsys.readouterr().err == ""
+        assert (tmp_path / "run.csv").exists()
+        channels = []
+        for p, sampling in (
+            (c.parameters, c.sampling) for c in map(parse_config, (sorted_text, text))
+        ):
+            times = np.linspace(0.0, sampling["t_final"], sampling["n_times"])
+            sites = cli.telegraph_params_from(p, sampling)
+            channels.append(cli.telegraph_channels(sites, p["weight_site1"], times))
+        np.testing.assert_allclose(*channels, rtol=0.0, atol=1e-12)
 
     def test_runtime_path_does_not_import_the_reference_engine(self):
         # fock is the ladder-operator reference of the tests, not of a run
@@ -1535,6 +1545,39 @@ def test_chooser_check_tests_the_star_against_the_dense_matrix(monkeypatch, caps
     assert cli.main([str(EXAMPLES / "chooser_demo.cfg"), "--check"]) == 0
     assert len(solved) == len(built) == 1
     assert solved == built and isinstance(solved[0], ChooserParams)
+
+
+@pytest.mark.parametrize(
+    "name, target, fake, args, message",
+    [
+        (
+            "chooser_demo.cfg", "dense_residual", lambda *args: 2e-10, ["--check"],
+            "dense eigenpair residual exceeds 1e-10·‖H‖",
+        ),
+        (
+            "telegraph_switching.cfg", "total_norms",
+            lambda states: np.full(len(states), 2.25), ["--check"],
+            "norm not conserved to 1e-10",
+        ),
+        (
+            "sweep_residue.cfg", "head_weights",
+            lambda part, times: (np.zeros((len(times), 3)), np.ones(len(times))), [],
+            cli._NO_KPROJ,
+        ),
+    ],
+    ids=["dense-residual", "norm", "fit-window"],
+)
+def test_contract_refusals_exit_3_and_write_nothing(
+    tmp_path, monkeypatch, capsys, name, target, fake, args, message
+):
+    # each refusal reached by faking the one measurement it tests
+    monkeypatch.chdir(tmp_path)  # the configs' relative [output] prefix lands here
+    monkeypatch.setattr(cli, target, fake)
+    assert cli.main([str(EXAMPLES / name), *args]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"numerical contract violation: {message}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def full_matrix_channels(sites, weight, times):

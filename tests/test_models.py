@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -191,7 +192,7 @@ class TestHamiltonianMatrix:
 
 
 energies = st.floats(-10, 10)
-bands = st.lists(energies, max_size=4).map(sorted)
+bands = st.lists(energies, max_size=4)
 
 
 class TestTelegraph:
@@ -240,6 +241,21 @@ class TestTelegraph:
         split = math.sqrt(((0.2 + 0.1) / 2) ** 2 + 0.05**2)
         assert np.allclose(eig, [mean - split, mean + split], atol=1e-14)
 
-    def test_band_must_be_sorted(self):
-        with pytest.raises(ValueError, match="ascending"):
-            TelegraphSite(e_g=0, e_w=0, v_loc=0, eps_grav=0, band=(0.2, 0.1))
+    def test_band_in_any_order_is_its_sorted_block_relabelled(self):
+        band = (0.2, -0.1, 0.3, 0.0)
+        site = TelegraphSite(e_g=0.1, e_w=-0.2, v_loc=0.05, eps_grav=0.0, band=band, v_gw=0.07)
+        assert site.band == band  # kept in the order given
+        order = np.argsort(band)
+        ascending = build_telegraph(replace(site, band=tuple(np.array(band)[order])))
+        # basis: (w, g) times (band modes in reverse order, local); ascending mode i
+        # is mode order[i] of the band as given
+        n = len(band)
+        modes = [n - 1 - j for j in order[::-1]] + [n]
+        index = [a * (n + 1) + m for a in (0, 1) for m in modes]
+        block = build_telegraph(site).entries[np.ix_(index, index)]
+        assert block.tobytes() == ascending.entries.tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_band_entries_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="band entries must be finite"):
+            TelegraphSite(e_g=0, e_w=0, v_loc=0, eps_grav=0, band=(0.1, bad))
