@@ -150,7 +150,11 @@ def _part_bytes(part, n_times, dense=False):
     (counted as 136 rows); the Hermiticity check's 128-row blocks are
     smaller. A telegraph site's block (dim 2·(1 + len(band))) goes through
     dense ``eigh``: ~2.3 × 8·dim² under tracemalloc, and 4.4–4.7 × 8·dim² of
-    resident growth with LAPACK's workspace, so 5 are counted.
+    resident growth with LAPACK's workspace, so 5 are counted. A
+    gravonon-modes basis of n sites (``SiteBasis``, ``n_times`` 0) is built
+    into its n × n frequency matrix (``build_omega``, 5.0 × 8·n² under
+    tracemalloc) and diagonalized densely; a run or ``--check`` of 1 500 and
+    2 500 sites grew resident by 5.4 and 5.2 × 8·n², so 6 are counted.
 
     ``evolve``'s phase blocks (16·3·dim·B, B ≈ √(4·n_times)) come after the
     solve in a run, which keeps only the eigenvector rows it reads
@@ -161,6 +165,8 @@ def _part_bytes(part, n_times, dense=False):
     if isinstance(part, ChooserParams):
         dim = 3 + part.n_band
         entry, work = (16, 136) if dense else (8, 90)  # bytes per dim², rows of 16·dim
+    elif isinstance(part, SiteBasis):
+        dim, entry, work = part.n_sites, 48, 0
     else:
         dim, entry, work = 2 * (1 + len(part.band)), 40, 0
     fine = math.isqrt(4 * n_times - 1) + 1 if n_times else 1
@@ -172,7 +178,10 @@ def _admit(part, n_times, dense=False):
     """``part``, or a SizeLimitError naming its size key if it is over the cap."""
     need = _part_bytes(part, n_times, dense)
     if need > DEFAULT_MEMORY_CAP:
-        key = "n_band" if isinstance(part, ChooserParams) else part.keys[4]
+        if isinstance(part, TelegraphSite):
+            key = part.keys[4]
+        else:
+            key = "n_band" if isinstance(part, ChooserParams) else "positions"
         raise SizeLimitError(
             f"[key '{key}'] estimated memory of {need} bytes exceeds cap of "
             f"{DEFAULT_MEMORY_CAP} bytes"
@@ -489,7 +498,8 @@ def _points_telegraph(points, solutions):
 
 def _omega(p):
     """The frequency matrix of a gravonon-modes config, once it is finite
-    (θ² first: ``build_omega`` raises if it overflows). A run and its
+    (θ² first: ``build_omega`` raises if it overflows) and admitted against
+    the memory cap (``_admit``, naming ``positions``). A run and its
     ``--check`` both call this."""
     if len(p["vgrav"]) != len(p["positions"]):
         raise ConfigError("one coupling value per site required", key="vgrav")
@@ -510,6 +520,7 @@ def _omega(p):
         raise ConfigError("the kinetic scale 1/(4 m_g sigma^2) overflows", key="m_g")
     if not math.isfinite(basis.theta * basis.theta):
         raise ConfigError("theta^2 overflows", key="theta")
+    _admit(basis, 0)
     with np.errstate(all="ignore"):
         omega = build_omega(basis)
     if not np.isfinite(omega).all():  # a potential above the kinetic scale is to blame

@@ -25,7 +25,14 @@ in LAPACK ``dlaed6``), and their eigenvectors follow in closed form with Löwner
 (Gu & Eisenstat 1994; Stor, Slapničar & Barlow, arXiv:1302.7203). The
 residual contract is measured by applying H through the star, the
 orthonormality contract by the same VᵀV product as for dense input.
-Each O(N²) kernel (a secular sweep's sums, the Löwner products, the
+A secular sweep costs O(N), not O(N²): the band's levels are equispaced
+with equal weights, so its sums over them telescope into differences of
+the digamma function ψ (``_sums``), evaluated in numpy (``_digammas``).
+The ±v leaves and the levels deflation moved or merged are O(1) explicit
+terms per root, and the few roots beyond the band are summed directly.
+The closed form is exact for levels on the ideal grid, each within
+~eps·‖H‖ of its float; a root is exact once |F| is within that bound,
+the ψ values' error and the sum's rounding. Each O(N²) kernel (the Löwner products, the
 eigenvector rows, the star residual) runs over blocks of ``_BLOCK`` roots
 in one small workspace allocated once per solve, and writes each block's
 eigenvector rows straight into the one dim × dim array of eigenvectors:
@@ -43,6 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -183,8 +191,9 @@ def _star(p: ChooserParams):
     the basis [Q0, R0, Kproj, band...] and the worst relative residual of H
     applied to them through the star, never as a dense product.
 
-    Every O(N²) kernel runs over blocks of ``_BLOCK`` roots (or eigenvector
-    rows) in one workspace allocated here.
+    The secular sums read the band as a grid (``_band``). Every O(N²)
+    kernel runs over blocks of ``_BLOCK`` roots (or eigenvector rows) in
+    one workspace allocated here.
     """
     dim = 3 + p.n_band
     band = p.band_energies()
@@ -205,7 +214,9 @@ def _star(p: ChooserParams):
 
     work = np.empty((2, (_BLOCK + 1) * dim))  # two blocks of up to _BLOCK + 1 rows
     kept, d, z, deflated, levels, rotations = _deflate(poles, weights)
-    origins, tau, lowner = _secular_roots(d, np.abs(z), alpha, work)
+    spacing = p.delta / max(p.n_band - 1, 1) / scale  # np.linspace's step
+    grid = _band(poles[2:], spacing, kept, d, np.abs(z), rotations)
+    origins, tau, lowner = _secular_roots(d, np.abs(z), alpha, work, grid)
     values = np.concatenate([origins + tau, levels])
     order = np.argsort(values, kind="stable")
     values = values[order]
@@ -295,23 +306,171 @@ def _differences(d, origins, tau, out):
     return out
 
 
-def _sums(d, z, origins, tau, work):
-    """ψ = Σ_j z_j²/(d_j − λ), its part over the poles d_j > λ, and the same
-    two parts of ψ' = Σ_j z_j²/(d_j − λ)², for the roots λ = origin + τ,
-    a block of roots at a time."""
-    n = len(d)
-    sums = np.empty((4, len(tau)))
-    for s, e in _blocks(len(tau)):
-        diff = _differences(d, origins[s:e], tau[s:e], _block(work, 0, e - s, n))
-        leaves = np.divide(z, diff, out=diff)
-        above = np.maximum(leaves, 0.0, out=_block(work, 1, e - s, n))
-        sums[0, s:e], sums[1, s:e] = leaves @ z, above @ z
-        sums[2, s:e] = np.einsum("ij,ij->i", leaves, leaves)
-        sums[3, s:e] = np.einsum("ij,ij->i", above, above)
+class _Band(NamedTuple):
+    """The chooser band as the secular sums read it (``_band``, ``_sums``).
+
+    ``levels`` are the N band floats (ascending), within ``eta`` of the grid
+    b₀ + j·h, h = ``step``, each of weight² ``weight2``; ``plain`` marks the
+    levels that are kept leaves as they were. The other terms are explicit:
+    ``poles`` with signed weights² ``weights2``, the kept leaves that are no
+    plain level (+, ``index`` −1) and the levels that are none (−, ``index``
+    the level's). ``psi_error`` bounds the error of the four ψ values a
+    root's band sums take.
+    """
+
+    levels: np.ndarray
+    step: float
+    weight2: float
+    plain: np.ndarray
+    poles: np.ndarray
+    weights2: np.ndarray
+    index: np.ndarray
+    eta: float
+    psi_error: float
+
+
+def _band(levels, step, kept, d, z, rotations):
+    """The ``_Band`` of the band ``levels`` (leaves 2, 3, ... of the star,
+    ``step`` apart, all of weight ``z`` until deflated), or None if
+    deflation (``_deflate``) kept none of them as it was."""
+    n = len(levels)
+    kept = np.array(kept, dtype=int)
+    plain = np.zeros(n + 2, dtype=bool)  # over the star's leaves
+    plain[kept] = True
+    plain[[leaf for a, b, _, _ in rotations for leaf in (a, b)]] = False
+    plain[:2] = False
+    leaf, plain = plain[kept], plain[2:]
+    if not leaf.any():
+        return None
+    weight2 = float(z[leaf.argmax()]) ** 2
+    others = np.flatnonzero(~plain)
+    # the grid check's own rounding is within eps·max|b| too
+    eta = np.abs(levels - (levels[0] + step * np.arange(n))).max()
+    eta += _EPS * max(-levels[0], levels[-1])
+    return _Band(
+        levels, step, weight2, plain,
+        poles=np.concatenate([d[~leaf], levels[others]]),
+        weights2=np.concatenate([z[~leaf] ** 2, np.full(len(others), -weight2)]),
+        index=np.concatenate([np.full(len(d) - np.count_nonzero(leaf), -1), others]),
+        eta=float(eta),
+        # four values, each within 4·eps·(1 + |ψ|), |ψ| ≤ 2 + ln(N + 1) on [1/2, N + 1/2]
+        psi_error=16.0 * _EPS * (3.0 + math.log(n + 1.0)) * weight2 / step,
+    )
+
+
+_SHIFTS = np.arange(10.0)[:, np.newaxis]  # ψ(x) = ψ(x + 10) − Σ_{i<10} 1/(x + i)
+# the asymptotic series of ψ (B₂ₖ₊₂/(2k + 2)) and ψ₁ (B₂ₖ₊₂) in powers y⁻²ᵏ, k = 0 ... 7,
+# split into the even and odd powers for Estrin's scheme
+_SERIES = np.array([
+    [1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132, -691 / 32760, 1 / 12, 0.0],
+    [1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510],
+])
+_EVEN, _ODD = _SERIES[:, 0::2, np.newaxis], _SERIES[:, 1::2, np.newaxis]
+
+
+def _digammas(x):
+    """ψ(x) and ψ₁(x) = ψ'(x) for x ≥ 1/2.
+
+    The recurrence ψ(x) = ψ(x + 1) − 1/x (DLMF 5.5.2), ψ₁(x) = ψ₁(x + 1)
+    + 1/x², takes every x to y = x + 10 ≥ 10.5, where the asymptotic series
+    ψ(y) = ln y − 1/(2y) − Σₖ B₂ₖ/(2k·y²ᵏ) (DLMF 5.11.2) and
+    ψ₁(y) = 1/y + 1/(2y²) + Σₖ B₂ₖ/y²ᵏ⁺¹ are cut where the next term is
+    below 1e-16 of the value. Against mpmath on [1/2, 2·10⁴], ψ is within
+    4·eps·(1 + |ψ|) and ψ₁ within 4·eps relative (tests check it up to
+    the largest band the memory cap admits)."""
+    steps = x + _SHIFTS
+    np.divide(1.0, steps, out=steps)
+    psi = -steps.sum(axis=0)
+    steps *= steps
+    trigamma = steps.sum(axis=0)
+    y = x + float(len(_SHIFTS))
+    r = 1.0 / y
+    r2 = r * r
+    r4 = r2 * r2
+    pairs = _EVEN + _ODD * r2  # c₂ⱼ + c₂ⱼ₊₁·y⁻²
+    quads = pairs[:, 0::2] + r4 * pairs[:, 1::2]
+    series = quads[:, 0] + (r4 * r4) * quads[:, 1]
+    psi += np.log(y) - 0.5 * r - r2 * series[0]
+    trigamma += r + r2 * (0.5 + r * series[1])
+    return psi, trigamma
+
+
+def _sums(d, z, origins, tau, band):
+    """ψ = Σ_j z_j²/(d_j − λ), its part over the poles d_j > λ, the same two
+    parts of ψ' = Σ_j z_j²/(d_j − λ)², and a bound on the error of ψ beyond
+    the rounding of a direct sum, for the roots λ = origin + τ.
+
+    A root within h/2 of the band's grid (``_band``) sums the band in
+    closed form: with b_k its nearest level and δ = (λ − b_k)/h, |δ| ≤ 1/2,
+
+        Σ_{j>k} 1/(b_j − λ) = [ψ(N − k − δ) − ψ(1 − δ)]/h,
+        Σ_{j<k} 1/(b_j − λ) = −[ψ(k + 1 + δ) − ψ(1 + δ)]/h,
+
+    by telescoping ψ(x + 1) = ψ(x) + 1/x, and ψ' the same way with ψ₁
+    (``_band_sums``). The bound adds to 8·eps·Σ|terms| the four ψ values'
+    error (``psi_error``) and the grid's: the far terms take the levels at
+    b_k + (j − k)·h, each within 2η of its float, which moves ψ by at most
+    2η·Σ_{j≠k} z²/(b_j − λ)² to first order in η/h (η also covers δ's own
+    rounding, eps·h/2). A root outside that cover, or with no band, sums
+    every leaf directly, O(N): far from the band the ψ differences would
+    cancel. Those are the roots beyond the pair's levels and between them
+    and the band, at most four, or the few roots of a band deflation left
+    no plain level.
+    """
+    sums = np.zeros((5, len(tau)))
+    outside = np.arange(len(tau))
+    if band is not None:
+        x = np.rint(((origins - band.levels[0]) + tau) / band.step)
+        inside = (x >= 0.0) & (x < len(band.levels))
+        within, outside = np.flatnonzero(inside), np.flatnonzero(~inside)
+        if len(within):
+            sums[:, within] = _band_sums(band, origins[within], tau[within], x[within].astype(int))
+    if len(outside):
+        leaves = z / ((d - origins[outside, np.newaxis]) - tau[outside, np.newaxis])
+        above = np.maximum(leaves, 0.0)
+        sums[0, outside], sums[1, outside] = leaves @ z, above @ z
+        sums[2, outside] = np.einsum("ij,ij->i", leaves, leaves)
+        sums[3, outside] = np.einsum("ij,ij->i", above, above)
     return sums
 
 
-def _secular_roots(d, z, alpha, work):
+def _band_sums(band, origins, tau, k):
+    """``_sums`` of the roots λ = origin + τ whose nearest band level is
+    b_k, k = ``k``: the band's far levels in closed form, the nearest
+    level's own term from its float (so a root keeps its offset from its
+    own level to full accuracy), then the explicit terms (``_Band``), O(1)
+    per root, a block of ``_BLOCK`` of them at a time."""
+    h, zz, n = band.step, band.weight2, len(band.levels)
+    offset = (origins - band.levels[k]) + tau  # λ − b_k
+    delta = offset / h
+    arguments = np.concatenate([n - k - delta, 1.0 - delta, k + 1.0 + delta, 1.0 + delta])
+    psi, trigamma = _digammas(arguments)
+    psi, trigamma = psi.reshape(4, -1), trigamma.reshape(4, -1)
+    sides = (zz / h) * (psi[0::3] - psi[1:3])  # the far levels above λ, and those below
+    slopes = (zz / (h * h)) * (trigamma[1::2] - trigamma[0::2])
+    sums = np.empty((5, len(k)))
+    sums[1], sums[3] = sides[0], slopes[0]
+    sides.sum(axis=0, out=sums[0])
+    slopes.sum(axis=0, out=sums[2])
+    sums[4] = band.psi_error + 2.0 * band.eta * sums[2]
+    plain = band.plain[k]
+    near = np.divide(-zz, offset, out=np.zeros(len(k)), where=plain)
+    near_slope = np.divide(near, -offset, out=np.zeros(len(k)), where=plain)
+    upper = offset < 0.0
+    sums[:4] += [near, near * upper, near_slope, near_slope * upper]
+    for s, e in _blocks(len(band.poles)):
+        diff = (band.poles[s:e, np.newaxis] - origins) - tau  # pole − λ
+        # a level's removal skips the roots it is nearest to: no term was added
+        np.putmask(diff, k == band.index[s:e, np.newaxis], np.inf)
+        terms = band.weights2[s:e, np.newaxis] / diff
+        term_slopes = terms / diff
+        upper = diff > 0.0
+        sums[:4] += [terms.sum(axis=0), (terms * upper).sum(axis=0),
+                     term_slopes.sum(axis=0), (term_slopes * upper).sum(axis=0)]
+    return sums
+
+
+def _secular_roots(d, z, alpha, work, band):
     """Roots of F(λ) = λ − α + Σ_j z_j²/(d_j − λ) for ascending poles d and
     positive weights z.
 
@@ -324,8 +483,10 @@ def _secular_roots(d, z, alpha, work):
     last step did not halve |F| takes the three-pole model
     (``_three_pole_steps``) from then on. A root bisects its bracket
     instead when the model's root leaves the bracket or a three-pole step
-    did not halve |F|. A root has converged when |F| is within its rounding
-    bound or the model step is below ``_STEP_TOL``. Returns each root's
+    did not halve |F|. A root has converged when |F| is within the error
+    bound of its computed value, 8·eps·Σ|terms| plus the closed form's own
+    (``_sums``), or the model step is below ``_STEP_TOL``. ``band`` is the
+    chooser band as ``_band`` describes it, or None. Returns each root's
     origin and offset, and the weights ẑ for which the computed roots are
     exact (``_lowner_weights``): with them the eigenvectors are orthogonal
     to working accuracy even where F's rounding leaves λ accurate to ~ε‖H‖
@@ -350,7 +511,7 @@ def _secular_roots(d, z, alpha, work):
     active = index
     for sweep in range(_MAX_SWEEPS):
         i = active
-        psi, psi_above, dpsi, dpsi_above = _sums(d, z, d[origin[i]], tau[i], work)
+        psi, psi_above, dpsi, dpsi_above, error = _sums(d, z, d[origin[i]], tau[i], band)
         f = (d[origin[i]] - alpha + tau[i]) + psi
         if sweep == 0:  # interior roots start at the midpoint, from the left pole
             move = interior & (f < 0.0)
@@ -377,7 +538,7 @@ def _secular_roots(d, z, alpha, work):
             model[k] = _three_pole_steps(d, z, o[k], t[k], f[k], dpsi_below[k], dpsi_above[k])
         inside = (model > lo[i]) & (model < hi[i])
         bound = np.abs(c0) + np.abs(t) + (2.0 * psi_above - psi)  # Σ of |terms| of F
-        exact = np.abs(f) <= 8.0 * _EPS * bound
+        exact = np.abs(f) <= 8.0 * _EPS * bound + error
         small = np.abs(model - t) <= _STEP_TOL * np.abs(t)
         # the model's root, unless a three-pole step did not halve |F|: then
         # bisect once and retry the model

@@ -1251,6 +1251,31 @@ class TestCliRuns:
         assert peak < 2**20
         assert list(tmp_path.glob("run*")) == []
 
+    def test_gravonon_memory_cap_exits_4_before_allocating(self, tmp_path, capsys):
+        # 200 000 sites: the frequency matrix alone is 320 GB, refused before
+        # build_omega runs
+        text = (EXAMPLES / "gravonon_chain.cfg").read_text()
+        for key, value in (("positions", "linspace(0.0, 1e5, 200000)"),
+                           ("vgrav", "linspace(0.1, 0.1, 200000)")):
+            text, count = re.subn(rf"(?m)^{key} = .*$", f"{key} = {value}", text)
+            assert count == 1
+        cfg = self.write(tmp_path, text)
+        tracemalloc.start()
+        try:
+            for args in ([cfg, "--out", str(tmp_path / "run")], [cfg, "--check"]):
+                assert cli.main(args) == 4
+                out, err = capsys.readouterr()
+                assert out == ""
+                assert err == (
+                    f"resource cap: [key 'positions'] estimated memory of {48 * 200000**2} "
+                    f"bytes exceeds cap of {cli.DEFAULT_MEMORY_CAP} bytes\n"
+                )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**26  # measured 21.5 MB: the two parsed lists and the basis's tuples
+        assert list(tmp_path.glob("run*")) == []
+
     @pytest.mark.parametrize("path", [EXAMPLES / "telegraph_switching.cfg",
                                       BENCH_CONFIGS / "telegraph_sweep.cfg"])
     @pytest.mark.parametrize("key", ["band_1", "band_2"])

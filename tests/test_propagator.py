@@ -1,15 +1,20 @@
 """Tests for spectral time evolution."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gravodyn import propagator
-from gravodyn.errors import ConfigError, ContractViolationError
+from gravodyn import cli, propagator
+from gravodyn.errors import DEFAULT_MEMORY_CAP, ConfigError, ContractViolationError
 from gravodyn.models import ChooserParams, HamiltonianMatrix, build_chooser
 from gravodyn.propagator import (
     ORTHO_TOL,
@@ -538,6 +543,82 @@ class TestStar:
         cases = {"gaps": np.any(steps > 1), "permuted": np.any(steps < 0), "empty": not cols.size}
         assert cases[columns]
 
+    # the direct secular sums that the closed form replaced, kept as its
+    # reference: every leaf summed directly, a block of roots at a time
+    @staticmethod
+    def _direct_sums(d, z, origins, tau, work):
+        n = len(d)
+        sums = np.empty((4, len(tau)))
+        for s, e in propagator._blocks(len(tau)):
+            diff = propagator._differences(
+                d, origins[s:e], tau[s:e], propagator._block(work, 0, e - s, n)
+            )
+            leaves = np.divide(z, diff, out=diff)
+            above = np.maximum(leaves, 0.0, out=propagator._block(work, 1, e - s, n))
+            sums[0, s:e], sums[1, s:e] = leaves @ z, above @ z
+            sums[2, s:e] = np.einsum("ij,ij->i", leaves, leaves)
+            sums[3, s:e] = np.einsum("ij,ij->i", above, above)
+        return sums
+
+    @pytest.mark.parametrize(
+        "p, features",
+        [
+            # a sweep_decay point: the whole band plain, no explicit leaf
+            (ChooserParams(v=0.0, w=0.0, n_band=1024, delta=0.02, u=1e-3), set()),
+            # chooser_demo: ±v inside the band
+            (ChooserParams(v=1e-4, w=1e-5, n_band=200, delta=math.pi * 1e-3, u=1e-3),
+             {"leaf inside"}),
+            # chooser_collapse: ±v outside it
+            (ChooserParams(v=1e-2, w=1e-4, n_band=200, delta=math.pi * 1e-3, u=1e-3),
+             {"leaf outside"}),
+            # the "gaps" rotations: two levels moved off the grid
+            (ChooserParams(v=math.nextafter(float(np.linspace(-0.5, 0.5, 64)[61]), 1.0),
+                           w=0.3, n_band=64, delta=1.0, u=0.5), {"leaf inside", "level removed"}),
+            # v = 0 on the middle level: its weight merged with R0's
+            (ChooserParams(v=0.0, w=0.7, n_band=129, delta=1.0, u=0.2, alpha=0.1),
+             {"leaf inside", "level removed"}),
+            # every leaf deflated: no sweep at all
+            (ChooserParams(v=0.0, w=0.0, n_band=32, delta=1.0, u=1e-3,
+                           alpha=-1.7976931348623157e308), None),
+            (ChooserParams(v=0.3, w=0.2, n_band=1, delta=1.0, u=0.5, alpha=0.1), {"leaf outside"}),
+            (ChooserParams(v=0.3, w=0.2, n_band=2, delta=1.0, u=0.5, alpha=0.1), {"leaf inside"}),
+        ],
+    )
+    def test_closed_form_sums_match_the_direct_reference(self, monkeypatch, p, features):
+        eps = float(np.finfo(float).eps)
+        sums, seen = propagator._sums, set()
+
+        def checked(d, z, origins, tau, band):
+            new = sums(d, z, origins, tau, band)
+            reference = self._direct_sums(
+                d, z, origins, tau, np.empty((2, (propagator._BLOCK + 1) * len(d)))
+            )
+            # ψ and its part above λ: each sum's rounding bound 8·eps·Σ|terms|,
+            # and the closed form's own bound on top
+            terms = 2.0 * reference[1] - reference[0]
+            assert np.all(np.abs(new[:2] - reference[:2]) <= 16.0 * eps * terms + new[4])
+            # ψ': each ψ₁ within 4·eps (×2 over a bracket, whose smaller argument's
+            # ψ₁ is ≤ 3.1 × the bracket), each far term within 8η/h of itself
+            grid = 0.0 if band is None else 8.0 * band.eta / band.step
+            slope = (16.0 * eps + 4.0 * eps * 2.0 * 3.1 + grid) * reference[2]
+            assert np.all(np.abs(new[2:4] - reference[2:]) <= slope)
+            if band is not None:
+                leaves = band.poles[band.weights2 > 0.0]
+                inside = (leaves >= band.levels[0]) & (leaves <= band.levels[-1])
+                seen.update({"leaf inside"} if np.any(inside) else ())
+                seen.update({"leaf outside"} if np.any(~inside) else ())
+                seen.update({"level removed"} if np.any(band.index >= 0) else ())
+            seen.add("swept")
+            return new
+
+        monkeypatch.setattr(propagator, "_sums", checked)
+        d = diagonalize(p)
+        assert d.residual <= RESIDUAL_TOL and d.ortho_defect <= ORTHO_TOL
+        if features is None:
+            assert not seen
+        else:
+            assert seen == features | {"swept"}
+
     def test_dense_margins_are_kept(self):
         d = diagonalize(random_symmetric(12, seed=5))
         assert 0.0 < d.residual <= RESIDUAL_TOL
@@ -608,3 +689,42 @@ class TestStar:
         with pytest.raises(ContractViolationError, match="did not converge in 1 sweeps"):
             diagonalize(ChooserParams(v=0.0, w=0.0, n_band=40, delta=0.02, u=1e-3))
 
+
+
+def test_digammas_match_mpmath_up_to_the_largest_band():
+    # a band sum's ψ arguments lie in [1/2, N + 1/2], N up to the largest
+    # n_band the memory cap admits
+    n_band = next(
+        n for n in range(2**14, 0, -1)
+        if cli._part_bytes(ChooserParams(v=0.0, w=0.0, n_band=n, delta=1.0), 0)
+        <= DEFAULT_MEMORY_CAP
+    )
+    x = np.concatenate([np.linspace(0.5, 2100.0, 2000), np.geomspace(2100.0, n_band + 0.5, 200)])
+    psi, trigamma = propagator._digammas(x)
+    with mpmath.workdps(30):
+        exact = np.array([float(mpmath.digamma(v)) for v in x])
+        exact_trigamma = np.array([float(mpmath.psi(1, v)) for v in x])
+    eps = float(np.finfo(float).eps)
+    assert np.all(np.abs(psi - exact) <= 4.0 * eps * (1.0 + np.abs(exact)))
+    assert np.all(np.abs(trigamma - exact_trigamma) <= 4.0 * eps * exact_trigamma)
+
+
+def test_a_chooser_sweep_imports_no_scipy(tmp_path):
+    # scipy.special's digamma would cost ~200 ms of import: the band sums
+    # take numpy's own (see _digammas)
+    config = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "sweep_decay.cfg"
+    code = (
+        "import sys\n"
+        "from gravodyn import cli\n"
+        "from gravodyn.config import load_config\n"
+        "cli.run_scenario(load_config(sys.argv[1]), out_prefix=sys.argv[2])\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(propagator.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(config), str(tmp_path / "run")],
+        env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+    assert list(tmp_path.iterdir()) == []
