@@ -19,29 +19,39 @@ The gap to the plain exponential splits into two parts:
 * finite band: continuum curve vs the plain exponential, ~0.180, which
   no band discretization removes.
 
-Run this to see the numbers behind that statement.
+Run this to see the numbers behind that statement. It runs
+scripts/configs/chooser_collapse.cfg in memory (it writes no file) and
+reads the width and band width from its report and the zero state's
+trace from its CSV, so the trace is the runner's own.
 """
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 
-from gravodyn.analytic import band_weight, finite_band_weight, gamma_from
-from gravodyn.cli import head_weights
-from gravodyn.models import ChooserParams
+from gravodyn.analytic import band_weight, finite_band_weight
+from gravodyn.cli import run_scenario
+from gravodyn.config import load_config
+
+CONFIG = Path(__file__).resolve().parent / "configs" / "chooser_collapse.cfg"
 
 
 def main():
-    u, w, v, n_band = 1e-3, 1e-4, 1e-2, 200
-    delta = math.pi * abs(u)
-    gamma = gamma_from(u, delta)
-    params = ChooserParams(v=v, w=w, n_band=n_band, delta=delta, u=u)
+    cfg = load_config(CONFIG)
+    u, w, v, n_band = (cfg.parameters[key] for key in ("u", "w", "v", "n_band"))
+    csv_text, report = run_scenario(cfg).values()
+    stated = dict(line.split(" = ") for line in report.splitlines())
+    delta, gamma = float(stated["delta"]), float(stated["gamma"])
     print(f"u={u:g} w={w:g} v={v:g} n_band={n_band} delta={delta:.4e} "
           f"gamma={gamma:.4e}")
 
-    times = np.linspace(0.0, 5.0 / gamma, 2048)
-    # the runner's zero state and its Q0, R0, Kproj rows; the band holds the rest
-    weights, w_band = head_weights(params, times)
+    rows = list(csv.reader(csv_text.splitlines()[1:]))
+    t, w_q0, _, w_kproj, w_band = np.array(rows, dtype=float).T
+    # the run's grid, np.linspace(0, t_final, n_times): the printed t has 12
+    # digits, which the finite-band curve's uniform-grid check refuses
+    times = np.linspace(0.0, t[-1], len(t))
     analytic = band_weight(times, u, w, gamma)
     finite = finite_band_weight(times, u, v, w, delta)
 
@@ -50,7 +60,7 @@ def main():
         i = np.searchsorted(times, frac / gamma) - (frac == 5.0)
         print(f"  {times[i] * gamma:8.3f}  {w_band[i]:.6f}  {finite[i]:.6f}"
               f"  {analytic[i]:.6f}  {w_band[i] - analytic[i]:+.6f}"
-              f"  {weights[i, 2]:.6f}  {weights[i, 0]:.6f}")
+              f"  {w_kproj[i]:.6f}  {w_q0[i]:.6f}")
 
     window = times >= 1.0 / gamma
     sup = np.max(np.abs(w_band[window] - analytic[window]))
@@ -72,7 +82,7 @@ def main():
 
     # effective lag: fit ln|c_kproj|^2 ~ -rate*(t - t0) after the ramp-up
     fit = (times >= 0.5 / gamma) & (times <= 1.5 / gamma)
-    slope, intercept = np.polyfit(times[fit], np.log(weights[fit, 2]), 1)
+    slope, intercept = np.polyfit(times[fit], np.log(w_kproj[fit]), 1)
     lag = intercept / -slope * gamma  # time where the fitted line crosses 1
     print(f"projected-state weight decays at {-slope / gamma:.3f}*gamma "
           f"with onset lag t0 = {lag:.3f}/gamma")

@@ -7,8 +7,9 @@ and float formatting is fixed to 12 significant digits).
 
 Each scenario has one record in ``_SCENARIOS``: its run, its ``--check``
 and, for the sweep bases, a point's independent model parts (telegraph:
-its two sites), one part's solve and a block of points' reduction. All
-share one model builder per scenario, so they always see the same model.
+its two sites), one part's reduction of its solve, which ``--check`` runs
+too, and a block of points' reduction. All share one model builder per
+scenario, so they always see the same model.
 
 Exit codes: 0 success, 2 config error, 3 numerical-contract violation,
 4 resource cap exceeded.
@@ -17,7 +18,6 @@ Exit codes: 0 success, 2 config error, 3 numerical-contract violation,
 from __future__ import annotations
 
 import argparse
-import functools
 import itertools
 import math
 import os
@@ -106,13 +106,15 @@ def _evolve(part, dec, psi0, times):
         raise ConfigError(str(exc), key=key) from None
 
 
-def _check_parts(parts, sampling):
+def _check_parts(parts, sampling, solve):
     """Check lines for the independent model parts a run solves (a chooser
     model, solved as a star; telegraph sites, each a dense block), each
-    admitted first for this extra work (``_part_bytes``, ``dense``): the
-    contracts ``diagonalize`` enforces, a star solve's dense residual
-    against the chooser's matrix, and unitary norm conservation of the full
-    state the run evolves, over the run's time span."""
+    admitted first for this extra work (``_part_bytes``, ``dense``) and
+    diagonalized once: the contracts ``diagonalize`` enforces, a star
+    solve's dense residual against the chooser's matrix, then the run's own
+    reduction of that solve, ``solve(part, _head_rows(part, dec), sampling)``,
+    with every refusal it makes, and last unitary norm conservation of the
+    full state the run evolves, over the run's time span."""
     for part in parts:
         _admit(part, sampling["n_times"], dense=True)
         dec = _diagonalize(part)  # a telegraph block: measures the dense residual
@@ -127,6 +129,7 @@ def _check_parts(parts, sampling):
             t_final = _chooser_times(part, sampling)[1][-1]
         else:
             t_final = sampling["t_final"]
+        solve(part, _head_rows(part, dec), sampling)
         states = _evolve(part, dec, _initial_state(part)[0], _time_grid(t_final, 8))
         norms = np.sqrt(total_norms(states))
         if np.max(np.abs(norms - 1.0)) > NORM_TOL:
@@ -158,7 +161,7 @@ def _part_bytes(part, n_times, dense=False):
 
     ``evolve``'s phase blocks (16·3·dim·B, B ≈ √(4·n_times)) come after the
     solve in a run, which keeps only the eigenvector rows it reads
-    (``head_weights``), and on top of the eigenvectors in ``--check``.
+    (``_head_rows``), and on top of the eigenvectors in ``--check``.
     ~400 bytes per sample are added for the weights and the CSV; a sweep's
     block of 16 telegraph points (``_POINT_BLOCK``) stacks 256 of them.
     """
@@ -313,17 +316,20 @@ def _initial_state(part):
     return psi0, [n_grav - 1, 2 * n_grav - 1]
 
 
-def head_weights(part, times):
-    """Weights of a model part's heads (``_initial_state``; rows: times)
-    evolved from its initial state, and the rest of the conserved norm,
-    ‖ψ0‖² − Σ heads, which the other rows hold. ψ0 lies on the heads, so
-    only the eigenvalues and the head rows of the eigenvectors are kept:
-    the full eigenvectors are freed before ``evolve`` forms its phase
-    blocks. A chooser model is solved as a star, never as a dense matrix."""
-    psi0, heads = _initial_state(part)
-    dec = _diagonalize(part)
-    dec = SpectralDecomposition(dec.eigenvalues, dec.eigenvectors[heads])  # the full rows go
-    weights = np.abs(_evolve(part, dec, psi0[heads], times)) ** 2
+def _head_rows(part, dec):
+    """``dec``, the decomposition of ``part``, cut to the eigenvector rows of
+    its heads (``_initial_state``), on which ψ0 lies. A run passes
+    ``_head_rows(part, _diagonalize(part))``, so the full eigenvectors are
+    freed before ``evolve`` forms its phase blocks."""
+    return SpectralDecomposition(dec.eigenvalues, dec.eigenvectors[_initial_state(part)[1]])
+
+
+def _head_weights(part, heads, times):
+    """Weights of a model part's heads (rows: times) evolved from its
+    initial state by ``heads`` (``_head_rows``), and the rest of the
+    conserved norm, ‖ψ0‖² − Σ heads, which the other rows hold."""
+    psi0, rows = _initial_state(part)
+    weights = np.abs(_evolve(part, heads, psi0[rows], times)) ** 2
     return weights, np.vdot(psi0, psi0).real - weights.sum(axis=1)
 
 
@@ -336,7 +342,7 @@ def _plateau(times, w_band):
 def _run_chooser(p, sampling, prefix: Path):
     params = _chooser_params(p, sampling)
     gamma, times, residue = _report_grid(params, sampling)
-    weights, w_band = head_weights(params, times)
+    weights, w_band = _head_weights(params, _head_rows(params, _diagonalize(params)), times)
     csv_text = _csv(["t", "w_Q0", "w_R0", "w_Kproj", "w_band"], (times, *weights.T, w_band))
 
     analytic_band = analytic.band_weight(times, params.u, params.w, gamma)
@@ -363,8 +369,8 @@ def _run_chooser(p, sampling, prefix: Path):
 def _check_chooser(p, sampling):
     """Check lines for the star solve a run uses; first its report grid."""
     params = _chooser_params(p, sampling)
-    _report_grid(params, sampling)
-    return _check_parts([params], sampling)
+    times = _report_grid(params, sampling)[1]
+    return _check_parts([params], sampling, lambda part, rows, _: _head_weights(part, rows, times))
 
 
 _NO_KPROJ = (
@@ -375,21 +381,18 @@ _NO_KPROJ = (
 
 def _chooser_part(p, sampling):
     """A chooser sweep point's one part, its whole model, once its fit
-    window holds the samples the solve needs and its zero state reaches
-    |Kproj>: its weight there, (v/r)² for w != 0, must not underflow to 0
-    (with v = 0 and w != 0 it lies wholly on the uncoupled |Q0>)."""
+    window holds the samples the solve needs."""
     params = _chooser_params(p, sampling)
     _fit_grid(params, sampling)
-    if analytic.zero_state_coeffs(params.v, params.w)[2] ** 2 == 0.0:  # its |Kproj> weight
-        raise ContractViolationError(_NO_KPROJ)
     return (params,)
 
 
-def _solve_chooser(params, sampling):
+def _solve_chooser(params, heads, sampling):
     """A chooser point's row statistics: a row depends on its one part alone,
-    and reducing it here keeps no (times x dim) weights alive across the sweep."""
+    and reducing it here keeps no (times x dim) weights alive across the sweep.
+    Its |Kproj> weight must stay positive in the fit window."""
     times, fit_window = _fit_grid(params, sampling)
-    weights, w_band = head_weights(params, times)
+    weights, w_band = _head_weights(params, heads, times)
     w_kproj = weights[fit_window, 2]
     if np.any(w_kproj <= 0.0):
         raise ContractViolationError(_NO_KPROJ)
@@ -410,13 +413,6 @@ def telegraph_params_from(p, sampling):
     )
 
 
-def _evolve_site(site: TelegraphSite, times):
-    """Band and local-mode weights (P, L) of one site evolved alone from its
-    warp resonance and local mode."""
-    local, band = head_weights(site, times)
-    return band, local.sum(axis=1)
-
-
 def telegraph_channels(sites, weight_site1, times):
     """Site-resolved gravonon weights (w_band 1, w_band 2, w_loc 1, w_loc 2).
 
@@ -426,8 +422,12 @@ def telegraph_channels(sites, weight_site1, times):
     channels are (w·P1, (1-w)·P2, w·L1, (1-w)·L2): the "switching" is the
     crossings of two independently weighted site decays.
     """
-    (band_1, loc_1), (band_2, loc_2) = (_evolve_site(site, times) for site in sites)
-    site_1, site_2 = _weigh(weight_site1, np.array([band_1, loc_1]), np.array([band_2, loc_2]))
+    (loc_1, band_1), (loc_2, band_2) = (
+        _head_weights(site, _head_rows(site, _diagonalize(site)), times) for site in sites
+    )
+    site_1, site_2 = _weigh(
+        weight_site1, np.array([band_1, loc_1.sum(axis=1)]), np.array([band_2, loc_2.sum(axis=1)])
+    )
     return site_1[0], site_2[0], site_1[1], site_2[1]
 
 
@@ -472,11 +472,15 @@ def _run_telegraph(p, sampling, prefix: Path):
 
 
 def _check_telegraph(p, sampling):
-    return _check_parts(telegraph_params_from(p, sampling), sampling)  # the blocks the run evolves
+    return _check_parts(telegraph_params_from(p, sampling), sampling, _solve_telegraph)
 
 
-def _solve_telegraph(site, sampling):
-    return _evolve_site(site, _time_grid(sampling["t_final"], sampling["n_times"]))
+def _solve_telegraph(site, heads, sampling):
+    """Band and local-mode weights (P, L) of one site evolved alone from its
+    warp resonance and local mode."""
+    times = _time_grid(sampling["t_final"], sampling["n_times"])
+    local, band = _head_weights(site, heads, times)
+    return band, local.sum(axis=1)
 
 
 def _points_telegraph(points, solutions):
@@ -501,10 +505,6 @@ def _omega(p):
     (θ² first: ``build_omega`` raises if it overflows) and admitted against
     the memory cap (``_admit``, naming ``positions``). A run and its
     ``--check`` both call this."""
-    if len(p["vgrav"]) != len(p["positions"]):
-        raise ConfigError("one coupling value per site required", key="vgrav")
-    if not np.all(np.diff(p["positions"]) > 0.0):
-        raise ConfigError("positions must be strictly increasing", key="positions")
     basis = SiteBasis(
         positions=tuple(p["positions"]),
         envelope_width=p["envelope_width"],
@@ -633,9 +633,9 @@ class _Scenario(NamedTuple):
     run: Callable  # (parameters, sampling, prefix) -> {path: text}
     check: Callable  # (parameters, sampling) -> check lines
     # sweep bases: points that share an independent part of their model share
-    # its solve; building a point's parts runs every check its solve would
+    # its solve; building a point's parts runs every check that precedes it
     parts: Callable | None = None  # (parameters, sampling) -> hashable parts
-    solve: Callable | None = None  # (part, sampling) -> solution
+    solve: Callable | None = None  # (part, its solve's ``_head_rows``, sampling) -> solution
     # (a block of points' parameters, each one's parts' solutions) -> their row
     # statistics; ``_run_sweep`` passes at most ``_POINT_BLOCK`` points at once
     points: Callable | None = None
@@ -703,7 +703,10 @@ def _run_sweep(cfg: ScenarioConfig, prefix: Path, threads: int):
     workers = max(1, min(
         threads, len(distinct), os.cpu_count() or 1, DEFAULT_MEMORY_CAP // per_worker
     ))
-    solve = functools.partial(base.solve, sampling=cfg.sampling)
+
+    def solve(part):  # the full eigenvectors go before the reduction's evolve
+        return base.solve(part, _head_rows(part, _diagonalize(part)), cfg.sampling)
+
     if workers == 1:
         solved = dict(zip(distinct, map(solve, distinct)))
     else:
@@ -729,12 +732,14 @@ def _run_sweep(cfg: ScenarioConfig, prefix: Path, threads: int):
 
 def _check(cfg: ScenarioConfig):
     """Invariant suite on the configured model (a sweep: every point's
-    parameters and time window, then each distinct part its run solves)."""
+    parameters and time window, then each distinct part its run solves,
+    reduced as the run reduces it)."""
     if cfg.scenario == "sweep":
         parts = _grid(cfg)[2]
         if not parts:
             return ["check: sweep grid is empty, nothing to check"]
-        return _check_parts(dict.fromkeys(itertools.chain.from_iterable(parts)), cfg.sampling)
+        distinct = dict.fromkeys(itertools.chain.from_iterable(parts))
+        return _check_parts(distinct, cfg.sampling, _SCENARIOS[cfg.parameters["base"]].solve)
     return _SCENARIOS[cfg.scenario].check(cfg.parameters, cfg.sampling)
 
 

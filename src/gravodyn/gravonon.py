@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 @dataclass(frozen=True)
 class SiteBasis:
@@ -46,10 +48,9 @@ class SiteBasis:
         if self.m_g <= 0:
             raise ValueError("m_g must be positive")
         if len(self.vgrav_values) != len(self.positions):
-            raise ValueError("one coupling value per site required")
-        diffs = np.diff(self.positions)
-        if len(diffs) and not np.all(diffs > 0):
-            raise ValueError("positions must be strictly increasing")
+            raise ConfigError("one coupling value per site required", key="vgrav")
+        if not np.all(np.diff(self.positions) > 0):
+            raise ConfigError("positions must be strictly increasing", key="positions")
 
     @property
     def n_sites(self):

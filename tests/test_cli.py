@@ -414,6 +414,38 @@ class TestCliRuns:
         assert "key 'v'" in err and "[0.5/gamma, 2.5/gamma]" in err
         assert list(tmp_path.glob("run*")) == []
 
+    @pytest.mark.parametrize(
+        "axes, code, err",
+        [
+            # the zero state's |Kproj> weight (v/r)^2 ~ 9e-322 is a subnormal
+            # at t = 0 that underflows to 0 in the fit window (--check once
+            # tested it at t = 0 alone and exited 0)
+            ("v = 3e-164\nsweep_u = 1e-3\n", 3, f"numerical contract violation: {cli._NO_KPROJ}"),
+            # every point's parts are built before any is solved: u = 0 is
+            # refused before the fit of (u, v) = (1e-3, 0) (once 3 for both)
+            (
+                "sweep_u = 1e-3, 0.0\nsweep_v = 0.0, 1e-2\n", 2,
+                "config error: [key 'u'] delta = auto (pi*|u|) needs a finite u != 0",
+            ),
+        ],
+        ids=["kproj-underflows-in-the-fit-window", "part-refusal-before-the-fit"],
+    )
+    def test_sweep_check_refuses_as_its_run_does(
+        self, tmp_path, capsys, monkeypatch, axes, code, err
+    ):
+        monkeypatch.chdir(tmp_path)  # the config's relative [output] prefix lands here
+        cfg = self.write(
+            tmp_path,
+            "scenario = sweep\n[parameters]\nbase = chooser\n"
+            f"w = 1e-3\nn_band = 64\ndelta = auto\n{axes}"
+            "[sampling]\nn_times = 256\nt_final = auto\n[output]\nprefix = out/s\n",
+        )
+        for args in ([cfg], [cfg, "--check"]):
+            assert cli.main(args) == code
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == err + "\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["case.cfg"]
+
     def test_no_output_prefix_anywhere_exits_2(self, tmp_path):
         cfg = self.write(tmp_path, CHOOSER_TEXT)
         assert cli.main([cfg]) == 2
@@ -1509,13 +1541,13 @@ def test_experiment_script_runs(tmp_path, script):
 def test_head_weights_match_a_full_evolve_reduction(tmp_path, monkeypatch, name):
     # a run evolves only the rows it reads; the rest of the norm stands for the others
     calls = []
-    head_weights = cli.head_weights
+    head_weights = cli._head_weights
 
-    def recorded(part, times):
-        calls.append((part, times, head_weights(part, times)))
+    def recorded(part, heads, times):
+        calls.append((part, times, head_weights(part, heads, times)))
         return calls[-1][-1]
 
-    monkeypatch.setattr(cli, "head_weights", recorded)
+    monkeypatch.setattr(cli, "_head_weights", recorded)
     cli.run_scenario(load_config(EXAMPLES / name), out_prefix=tmp_path / "run")
     assert len(calls) == (1 if name.startswith("chooser") else 2)  # telegraph: two sites
     for part, times, (weights, rest) in calls:
@@ -1536,10 +1568,14 @@ def test_a_chooser_point_frees_its_eigenvectors_before_evolve():
     # the solve holds only V's three head rows, so the solve sets the peak
     cfg = load_config(EXAMPLES / "sweep_decay.cfg")
     (params,) = cli._grid(cfg)[2][0]
-    cli._solve_chooser(replace(params, n_band=16), cfg.sampling)  # lazy imports, caches
+
+    def solve(part):  # as a sweep's run solves a part
+        return cli._solve_chooser(part, cli._head_rows(part, cli._diagonalize(part)), cfg.sampling)
+
+    solve(replace(params, n_band=16))  # lazy imports, caches
     tracemalloc.start()
     try:
-        cli._solve_chooser(params, cfg.sampling)
+        solve(params)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1585,8 +1621,8 @@ def test_chooser_check_tests_the_star_against_the_dense_matrix(monkeypatch, caps
             "norm not conserved to 1e-10",
         ),
         (
-            "sweep_residue.cfg", "head_weights",
-            lambda part, times: (np.zeros((len(times), 3)), np.ones(len(times))), [],
+            "sweep_residue.cfg", "_head_weights",
+            lambda part, heads, times: (np.zeros((len(times), 3)), np.ones(len(times))), [],
             cli._NO_KPROJ,
         ),
     ],
@@ -1700,17 +1736,27 @@ class TestTelegraphChannels:
         ]
         assert counts == [2, 2, 2, 0, 2, 3, 4, 2, 3, 3, 4, 4, 3, 3, 4, 0]
 
-    def test_run_and_check_diagonalize_the_same_site_blocks(
-        self, tmp_path, monkeypatch, capsys
+    @pytest.mark.parametrize(
+        "name, solved",
+        [
+            # two 20-level bands: each site block is (w_i, g_i) x 21 gravonon modes
+            pytest.param("telegraph_switching.cfg", [42, 42], id="telegraph_switching"),
+            # 200-level bands: one star of 203 states per chooser model, which
+            # --check hands to the run's own reduction instead of solving it again
+            pytest.param("chooser_demo.cfg", [203], id="chooser_demo"),
+            pytest.param("sweep_residue.cfg", [203] * 3, id="sweep_residue"),
+        ],
+    )
+    def test_run_and_check_diagonalize_the_same_parts(
+        self, tmp_path, monkeypatch, capsys, name, solved
     ):
         dims = record_diagonalize_dims(monkeypatch)
-        cfg = str(EXAMPLES / "telegraph_switching.cfg")
+        cfg = str(EXAMPLES / name)
         assert cli.main([cfg, "--out", str(tmp_path / "run")]) == 0
         run_dims = list(dims)
         dims.clear()
         assert cli.main([cfg, "--check"]) == 0
-        # two 20-level bands: each site block is (w_i, g_i) x 21 gravonon modes
-        assert run_dims == dims == [42, 42]
+        assert run_dims == dims == solved
 
     def test_sweep_thread_count_does_not_change_bytes(self, tmp_path):
         cfg = load_config(BENCH_CONFIGS / "telegraph_sweep.cfg")
